@@ -459,14 +459,15 @@ fn main() {
         rounds_total = 0;
         norm_ok = 0;
         for src in &obfuscated {
-            if let Ok(mut program) = jsdetect_parser::parse(src) {
-                let report = jsdetect_normalize::normalize_program(&mut program, &norm_opts);
+            if let Ok(program) = jsdetect_parser::parse(src) {
+                let (normalized, report) =
+                    jsdetect_normalize::normalize_program(&program, &norm_opts);
                 rewrites_total += report.total_rewrites();
                 rounds_total += u64::from(report.rounds);
                 if report.outcome == jsdetect_guard::OutcomeKind::Ok {
                     norm_ok += 1;
                 }
-                std::hint::black_box(&program);
+                std::hint::black_box(&normalized);
             }
         }
     }));

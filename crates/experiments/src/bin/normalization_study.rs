@@ -79,9 +79,10 @@ fn main() {
     let (detectors, pools) = or_exit(train_cached(&args));
 
     // Normalize every held-out level-2 sample: parse, drive the pass
-    // suite to its fixpoint, and re-print. Unparseable samples (none are
-    // expected — they came from our own transforms) keep their original
-    // text, so the two prediction passes always align row for row.
+    // suite to its fixpoint, and re-print. Unparseable samples and samples
+    // on which a pass panicked (none are expected — they came from our own
+    // transforms) keep their original text, so the two prediction passes
+    // always align row for row.
     // Deadline disabled for reproducibility; fuel and round caps bound
     // the work.
     let opts = NormalizeOptions { limits: Limits::unbounded(), ..NormalizeOptions::default() };
@@ -90,8 +91,12 @@ fn main() {
     let mut rewrites_total = 0u64;
     for sample in &pools.test_level2 {
         match jsdetect_parser::parse(&sample.src) {
-            Ok(mut program) => {
-                let report = normalize_program(&mut program, &opts);
+            Ok(program) => {
+                let (program, report) = normalize_program(&program, &opts);
+                if report.rolled_back() {
+                    normalized.push(sample.src.clone());
+                    continue;
+                }
                 rewrites_total += report.total_rewrites();
                 n_reprinted += 1;
                 normalized.push(jsdetect_codegen::to_source(&program));

@@ -13,6 +13,13 @@
 //! so normalization runs with the wall-clock deadline disabled and relies
 //! on the rewrite-fuel and round caps alone; a degraded normalization
 //! yields the neutral vector instead of a partial measurement.
+//!
+//! A normalization with zero rewrites also yields the neutral vector,
+//! without re-analysing the tree: the tree is then the input, and the full
+//! measurement gives exactly the neutral bits (`n / n` is 1.0 for a node
+//! count of at least 1, `x - x` is +0.0 for finite `x`). `tests/normalize.rs`
+//! pins that equality over every corpus; 37% of the benchmark's seed-7
+//! `cold_scan` crawl takes this path.
 
 use crate::analysis::ScriptAnalysis;
 use crate::handpicked::byte_entropy;
@@ -55,19 +62,33 @@ pub fn normalize_deltas(
     lint: &LintSummary,
 ) -> Vec<f32> {
     let _t = jsdetect_obs::span(names::SPAN_NORMALIZE_DELTAS);
-    let mut normalized = program.clone();
     // Deadline off for determinism; fuel and round caps still bound work.
     let opts = NormalizeOptions { limits: Limits::unbounded(), ..NormalizeOptions::default() };
-    let report = normalize_program(&mut normalized, &opts);
-    if report.outcome != OutcomeKind::Ok {
+    let (normalized, report) = normalize_program(program, &opts);
+    if report.outcome != OutcomeKind::Ok || report.total_rewrites() == 0 {
         return neutral_deltas();
     }
-    let norm_shape = jsdetect_ast::metrics::tree_shape(&normalized);
+    measure_deltas(src, program, &normalized, orig_nodes, lint)
+}
+
+/// The full delta measurement of `normalized` against the original
+/// `program` (whose node count and lint summary the caller already has).
+///
+/// [`normalize_deltas`] skips it when nothing was rewritten; it is public
+/// so tests can check that the skip changes no bit.
+pub fn measure_deltas(
+    src: &str,
+    program: &Program,
+    normalized: &Program,
+    orig_nodes: usize,
+    lint: &LintSummary,
+) -> Vec<f32> {
+    let norm_shape = jsdetect_ast::metrics::tree_shape(normalized);
     let mut v = Vec::with_capacity(N_NORMALIZE);
     v.push(norm_shape.node_count as f32 / orig_nodes.max(1) as f32);
-    v.push(avg_string_entropy(&normalized) - avg_string_entropy(program));
-    let graph = jsdetect_flow::analyze(&normalized);
-    let norm_lint = LintRunner::default().run_with_summary(src, &normalized, &graph).1;
+    v.push(avg_string_entropy(normalized) - avg_string_entropy(program));
+    let graph = jsdetect_flow::analyze(normalized);
+    let norm_lint = LintRunner::default().run_with_summary(src, normalized, &graph).1;
     let orig_densities = lint.features();
     let norm_densities = norm_lint.features();
     for i in 0..N_RULES {

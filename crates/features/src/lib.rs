@@ -19,7 +19,9 @@ mod payload;
 mod space;
 
 pub use analysis::{analyze_script, ScriptAnalysis};
-pub use deltas::{delta_feature_names, neutral_deltas, normalize_deltas, N_NORMALIZE};
+pub use deltas::{
+    delta_feature_names, measure_deltas, neutral_deltas, normalize_deltas, N_NORMALIZE,
+};
 pub use guarded::{analyze_script_guarded, analyze_script_lexer_only, GuardedScript};
 pub use handpicked::{handpicked_features, FEATURE_NAMES, N_HANDPICKED};
 pub use jsdetect_lint::LintSummary;

@@ -278,17 +278,15 @@ fn remaining_refs(program: &mut Program, pool: &Pool) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
     fn run(src: &str) -> String {
-        let mut p = parse(src).unwrap();
+        let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::ArrayInline], ..NormalizeOptions::default() };
-        normalize_program(&mut p, &opts);
-        to_minified(&p)
+        to_minified(&normalize_program(&p, &opts).0)
     }
 
     #[test]
@@ -352,12 +350,11 @@ mod tests {
         for seed in [1u64, 9, 42] {
             let obf = apply(src, &[Technique::GlobalArray], seed).unwrap();
             assert!(obf.contains("parseInt"), "transform applied: {}", obf);
-            let mut p = parse(&obf).unwrap();
             let opts = NormalizeOptions {
                 passes: vec![PassKind::ArrayInline],
                 ..NormalizeOptions::default()
             };
-            let report = normalize_program(&mut p, &opts);
+            let (p, report) = normalize_program(&parse(&obf).unwrap(), &opts);
             assert!(report.total_rewrites() > 0, "seed {}", seed);
             assert_eq!(to_minified(&p), canonical, "seed {}", seed);
         }

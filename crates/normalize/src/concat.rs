@@ -136,19 +136,17 @@ fn is_static_member(e: &Expr, object: &str, name: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
     fn run(src: &str) -> String {
-        let mut p = parse(src).unwrap();
+        let p = parse(src).unwrap();
         let opts = NormalizeOptions {
             passes: vec![PassKind::StringConcat],
             ..NormalizeOptions::default()
         };
-        normalize_program(&mut p, &opts);
-        to_minified(&p)
+        to_minified(&normalize_program(&p, &opts).0)
     }
 
     #[test]
@@ -199,8 +197,8 @@ mod tests {
         let src = "function greet() { return 'hello world, obfuscated people'; }";
         for seed in [1u64, 2, 3, 4, 5] {
             let obf = apply(src, &[Technique::StringObfuscation], seed).unwrap();
-            let mut p = parse(&obf).unwrap();
-            let report = normalize_program(&mut p, &NormalizeOptions::default());
+            let (p, report) =
+                normalize_program(&parse(&obf).unwrap(), &NormalizeOptions::default());
             let out = to_minified(&p);
             // Whatever mix of split/reverse/fromCharCode the seed picked,
             // every statically decodable chain must collapse; the encoded

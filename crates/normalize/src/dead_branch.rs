@@ -81,17 +81,15 @@ impl MutVisitor for Eliminate<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
     fn run(src: &str) -> String {
-        let mut p = parse(src).unwrap();
+        let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::DeadBranch], ..NormalizeOptions::default() };
-        normalize_program(&mut p, &opts);
-        to_minified(&p)
+        to_minified(&normalize_program(&p, &opts).0)
     }
 
     #[test]

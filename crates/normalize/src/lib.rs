@@ -19,11 +19,19 @@
 //! - the usual [`jsdetect_guard::Budget`] wall-clock deadline from
 //!   [`NormalizeOptions::limits`].
 //!
-//! Every pass runs inside [`jsdetect_guard::isolate`], so a panic in one
-//! pass rolls the program back to the last round snapshot and degrades the
-//! outcome instead of tearing down the caller. Rewrites preserve the spans
-//! of the nodes they replace, so downstream diagnostics still point into
-//! the original source.
+//! A run borrows the input and rewrites a single working copy, the only
+//! clone it makes. Every pass runs inside [`jsdetect_guard::isolate`], so
+//! a panic in one pass degrades the outcome instead of tearing down the
+//! caller: the half-rewritten copy is dropped and the result is a fresh
+//! copy of the input. A panic thus rolls back to the input, not to the
+//! last good round, which is what lets a run skip a snapshot per round.
+//! Rewrites preserve the spans of the nodes they replace, so downstream
+//! diagnostics still point into the original source.
+//!
+//! Many scripts need no rewrite at all (37% of the benchmark's seed-7
+//! `cold_scan` crawl, two thirds of its regular scripts). A caller can
+//! tell from an `Ok` outcome with zero [`NormalizeReport::total_rewrites`]
+//! that the result equals the input, without comparing trees.
 //!
 //! # Examples
 //!
@@ -32,9 +40,10 @@
 //! # use jsdetect_ast::*;
 //! # fn parse_fixture() -> Program { Program { body: vec![], span: Span::DUMMY } }
 //!
-//! let mut program = parse_fixture();
-//! let report = normalize_program(&mut program, &NormalizeOptions::default());
+//! let input = parse_fixture();
+//! let (normalized, report) = normalize_program(&input, &NormalizeOptions::default());
 //! assert_eq!(report.outcome, jsdetect_guard::OutcomeKind::Ok);
+//! assert_eq!(normalized, input);
 //! ```
 
 #![warn(missing_docs)]
@@ -231,15 +240,35 @@ impl NormalizeReport {
     pub fn rewrites_for(&self, pass: PassKind) -> u64 {
         self.rewrites.iter().find(|(name, _)| *name == pass.as_str()).map(|(_, n)| *n).unwrap_or(0)
     }
+
+    /// Whether a pass panicked, so the returned program is a copy of the
+    /// input and every rewrite was discarded.
+    pub fn rolled_back(&self) -> bool {
+        matches!(self.error, Some(AnalysisError::StagePanicked { .. }))
+    }
 }
 
-/// Drives the enabled passes to a fixpoint over `program`, in place.
+/// Drives the enabled passes to a fixpoint over a copy of `input` and
+/// returns the normalized copy with the report.
 ///
-/// On a degraded outcome the program still holds a *valid* AST: a budget
-/// violation keeps the partial rewrite (every individual rewrite is
-/// atomic), while a pass panic rolls back to the snapshot taken at the
-/// start of the failing round.
-pub fn normalize_program(program: &mut Program, opts: &NormalizeOptions) -> NormalizeReport {
+/// `input` is cloned exactly once. When the report shows zero rewrites and
+/// an `Ok` outcome, the returned program equals `input`. On a degraded
+/// outcome the returned program is still a *valid* AST: a fuel or deadline
+/// cut keeps the partial rewrite (every individual rewrite is atomic),
+/// while a pass panic discards the working copy and returns a fresh copy
+/// of the input ([`NormalizeReport::rolled_back`]).
+pub fn normalize_program(input: &Program, opts: &NormalizeOptions) -> (Program, NormalizeReport) {
+    let passes: Vec<&dyn Pass> = opts.passes.iter().map(|kind| kind.pass()).collect();
+    run_passes(input, &passes, opts)
+}
+
+/// The fixpoint loop behind [`normalize_program`], over explicit pass
+/// instances (`opts.passes` is ignored).
+fn run_passes(
+    input: &Program,
+    passes: &[&dyn Pass],
+    opts: &NormalizeOptions,
+) -> (Program, NormalizeReport) {
     let _span = jsdetect_obs::span(names::SPAN_NORMALIZE);
     let budget = Budget::new(&opts.limits);
     let cx = PassCx {
@@ -250,28 +279,27 @@ pub fn normalize_program(program: &mut Program, opts: &NormalizeOptions) -> Norm
     };
     let mut report = NormalizeReport {
         rounds: 0,
-        rewrites: opts.passes.iter().map(|p| (p.as_str(), 0u64)).collect(),
+        rewrites: passes.iter().map(|p| (p.name(), 0u64)).collect(),
         fuel_exhausted: false,
         outcome: OutcomeKind::Ok,
         error: None,
     };
+    let mut program = input.clone();
 
     'rounds: for _ in 0..opts.max_rounds {
         report.rounds += 1;
-        let snapshot = program.clone();
         let mut round_rewrites = 0u64;
-        for (i, kind) in opts.passes.iter().enumerate() {
-            let pass = kind.pass();
-            match isolate(pass.name(), || pass.run(program, &cx)) {
+        for (i, pass) in passes.iter().enumerate() {
+            match isolate(pass.name(), || pass.run(&mut program, &cx)) {
                 Ok(n) => {
                     jsdetect_obs::counter_add(pass.counter(), n);
                     report.rewrites[i].1 += n;
                     round_rewrites += n;
                 }
                 Err(e) => {
-                    // A panicking pass may have left the program half
-                    // rewritten; roll back to the round snapshot.
-                    *program = snapshot;
+                    // A panicking pass may have left the copy half
+                    // rewritten; start over from the input.
+                    program = input.clone();
                     report.outcome = OutcomeKind::Degraded;
                     report.error = Some(e);
                     break 'rounds;
@@ -296,7 +324,7 @@ pub fn normalize_program(program: &mut Program, opts: &NormalizeOptions) -> Norm
         report.error.get_or_insert(e);
     }
     jsdetect_obs::counter_add(names::CTR_NORMALIZE_FIXPOINT_ROUNDS, u64::from(report.rounds));
-    report
+    (program, report)
 }
 
 #[cfg(test)]
@@ -304,11 +332,31 @@ mod tests {
     use super::*;
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn norm(src: &str) -> (String, NormalizeReport) {
-        let mut p = parse(src).unwrap();
-        let report = normalize_program(&mut p, &NormalizeOptions::default());
+        let (p, report) = normalize_program(&parse(src).unwrap(), &NormalizeOptions::default());
         (to_minified(&p), report)
+    }
+
+    /// Does nothing in round 1; in round 2 it mangles the copy, then
+    /// panics.
+    struct PanicsInRoundTwo(AtomicU32);
+
+    impl Pass for PanicsInRoundTwo {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+        fn counter(&self) -> &'static str {
+            "normalize/panicking"
+        }
+        fn run(&self, program: &mut Program, _cx: &PassCx) -> u64 {
+            if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
+                return 0;
+            }
+            program.body.clear();
+            panic!("pass bug");
+        }
     }
 
     #[test]
@@ -344,9 +392,8 @@ mod tests {
     #[test]
     fn fuel_exhaustion_degrades_instead_of_looping() {
         let src = "var a = 1 + 2; var b = 3 + 4; var c = 5 + 6; var d = 'x' + 'y';";
-        let mut p = parse(src).unwrap();
         let opts = NormalizeOptions { max_rewrites: 2, ..NormalizeOptions::default() };
-        let report = normalize_program(&mut p, &opts);
+        let (p, report) = normalize_program(&parse(src).unwrap(), &opts);
         assert!(report.fuel_exhausted);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
         assert!(report.total_rewrites() <= 2);
@@ -358,11 +405,47 @@ mod tests {
     #[test]
     fn report_counts_match_selected_passes() {
         let src = "x = (1, 2, f());";
-        let mut p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        let report = normalize_program(&mut p, &opts);
+        let (_, report) = normalize_program(&parse(src).unwrap(), &opts);
         assert_eq!(report.rewrites.len(), 1);
         assert_eq!(report.rewrites_for(PassKind::Constants), 0);
+    }
+
+    #[test]
+    fn zero_rewrites_return_the_input_unchanged() {
+        let input = parse("function f(a) { return a.b(c, 'd'); } f(x);").unwrap();
+        let (out, report) = normalize_program(&input, &NormalizeOptions::default());
+        assert_eq!(report.total_rewrites(), 0);
+        assert_eq!(report.outcome, OutcomeKind::Ok);
+        assert_eq!(out, input);
+    }
+
+    #[test]
+    fn a_panicking_pass_rolls_back_to_the_input() {
+        // Round 1 folds `1 + 2`, so the last good round's tree differs
+        // from the input; the panic in round 2 must still return the input.
+        let input = parse("var k = 1 + 2; use(k);").unwrap();
+        let panicking = PanicsInRoundTwo(AtomicU32::new(0));
+        let passes: [&dyn Pass; 2] = [PassKind::Constants.pass(), &panicking];
+        let (out, report) = run_passes(&input, &passes, &NormalizeOptions::default());
+        assert_eq!(report.rounds, 2);
+        assert_eq!(report.outcome, OutcomeKind::Degraded);
+        assert!(report.rolled_back());
+        assert!(report.rewrites_for(PassKind::Constants) > 0);
+        assert!(matches!(
+            report.error,
+            Some(AnalysisError::StagePanicked { stage: "panicking", .. })
+        ));
+        assert_eq!(out, input);
+    }
+
+    #[test]
+    fn fuel_cuts_are_not_rollbacks() {
+        let src = "var a = 1 + 2; var b = 3 + 4;";
+        let opts = NormalizeOptions { max_rewrites: 1, ..NormalizeOptions::default() };
+        let (_, report) = normalize_program(&parse(src).unwrap(), &opts);
+        assert_eq!(report.outcome, OutcomeKind::Degraded);
+        assert!(!report.rolled_back());
     }
 }

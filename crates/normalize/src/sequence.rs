@@ -120,17 +120,15 @@ impl MutVisitor for Unflatten<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{normalize_program, NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
     fn run(src: &str) -> String {
-        let mut p = parse(src).unwrap();
+        let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        normalize_program(&mut p, &opts);
-        to_minified(&p)
+        to_minified(&normalize_program(&p, &opts).0)
     }
 
     #[test]
@@ -172,9 +170,8 @@ mod tests {
         use jsdetect_transform::{apply, Technique};
         let src = "log('one'); log('two'); log('three');";
         let min = apply(src, &[Technique::MinificationAdvanced], 3).unwrap();
-        let mut p = parse(&min).unwrap();
-        let report = normalize_program(
-            &mut p,
+        let (p, report) = normalize_program(
+            &parse(&min).unwrap(),
             &NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() },
         );
         let out = to_minified(&p);

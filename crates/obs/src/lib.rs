@@ -67,9 +67,7 @@ mod trace;
 pub use export::{render_summary, to_jsonl, SCHEMA_VERSION};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, N_BUCKETS};
 pub use prometheus::render_prometheus;
-pub use registry::{
-    flush, record_span_ns, reset, snapshot, CounterEvent, Snapshot, SpanEvent, SpanStat,
-};
+pub use registry::{record_span_ns, reset, snapshot, CounterEvent, Snapshot, SpanEvent, SpanStat};
 pub use ring::RING_CAP;
 pub use trace::{render_chrome_trace, self_times, SelfTime};
 
@@ -116,24 +114,14 @@ impl Registry {
     }
 }
 
-/// RAII telemetry guard for worker closures: construction eagerly sets up
-/// the calling thread's recording cells (so a hot loop's first record is
-/// cheap), and drop runs [`flush`].
-///
-/// With the streaming core, records are globally visible the moment they
-/// are made and `flush` is a no-op — this guard exists so worker closures
-/// state their telemetry lifetime structurally instead of remembering a
-/// trailing `flush()` call (the PR 3 footgun: `std::thread::scope` signals
-/// completion before TLS destructors run, so a forgotten flush silently
-/// lost the worker's records).
+/// Telemetry scope for worker closures: construction eagerly sets up the
+/// calling thread's recording cells, so a hot loop's first record is
+/// cheap. Records are globally visible the moment they are made; the guard
+/// only marks the worker's collection scope, and dropping it does nothing.
 #[must_use = "bind to a named guard (`let _obs = ...`) so it lives for the whole closure"]
 pub struct ScopedCollector {
     _priv: (),
 }
-
-/// Alias for [`ScopedCollector`], for call sites that read better as "flush
-/// on drop".
-pub type FlushGuard = ScopedCollector;
 
 impl ScopedCollector {
     /// Prepares the calling thread for recording.
@@ -146,12 +134,6 @@ impl ScopedCollector {
 impl Default for ScopedCollector {
     fn default() -> Self {
         ScopedCollector::new()
-    }
-}
-
-impl Drop for ScopedCollector {
-    fn drop(&mut self) {
-        flush();
     }
 }
 
@@ -320,7 +302,7 @@ mod tests {
         {
             let _s = span("live_span");
         }
-        // Deliberately NO flush(): streaming cells are already visible.
+        // Streaming cells are visible without any flush step.
         let snap = snapshot();
         set_enabled(false);
         assert_eq!(snap.counter("live_counter"), 7);

@@ -22,10 +22,6 @@
 //! - Cells are never removed from the registry (totals stay monotone);
 //!   exiting threads return their cells to a free pool for reuse, so
 //!   memory is bounded by peak concurrency, not by thread churn.
-//!
-//! `flush()` survives as a no-op for source compatibility; the
-//! `ScopedCollector` guard in the crate root keeps the call-site contract
-//! explicit without any correctness burden.
 
 use crate::histogram::Histogram;
 use crate::ring::{EventKind, Ring};
@@ -480,11 +476,6 @@ pub fn record_span_ns(path: &str, start_ns: u64, dur_ns: u64, thread: u64) {
     }
     lock(&INJECTED).push(SpanEvent { path: path.to_string(), start_ns, dur_ns, thread });
 }
-
-/// No-op, kept for source compatibility with the PR 3 buffered collector
-/// (and for the `ScopedCollector` drop guard). Records now land in
-/// shared-readable cells immediately, so there is nothing to flush.
-pub fn flush() {}
 
 /// Clears all collected telemetry: every thread's cells and ring, injected
 /// events, and gauges. Interned names (and cached ids on live threads)

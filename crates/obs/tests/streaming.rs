@@ -4,7 +4,12 @@
 
 use jsdetect_obs::{bucket_index, Histogram};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
+
+/// Records the writers must have made, as seen by a live snapshot, before
+/// the concurrent-snapshot test stops them.
+const MIN_WRITTEN: u64 = 20_000;
 
 /// Deterministic SplitMix64 — no RNG dependency, stable across runs.
 struct SplitMix64(u64);
@@ -105,6 +110,12 @@ fn quantiles_within_one_bucket_adversarial_spike() {
 /// torn state: counters are monotone across snapshots, and every
 /// histogram's bucket sum is at least its count (`count` is published
 /// last with Release, read first with Acquire).
+///
+/// Snapshots of a near-empty registry take microseconds, so a fixed
+/// snapshot count can finish before a freshly spawned writer runs its
+/// first iteration, and the test would then check nothing. The writers
+/// therefore meet the snapshotter at a barrier, and snapshotting continues
+/// until the live counter has passed [`MIN_WRITTEN`].
 #[test]
 fn concurrent_snapshot_while_writing_is_consistent() {
     // Serialized against other obs integration tests via the registry
@@ -112,11 +123,14 @@ fn concurrent_snapshot_while_writing_is_consistent() {
     // reset() so parallel test binaries can't interfere mid-run.
     jsdetect_obs::set_enabled(true);
     let stop = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(4));
     let writers: Vec<_> = (0..3)
         .map(|w| {
             let stop = stop.clone();
+            let start = start.clone();
             std::thread::spawn(move || {
                 let _obs = jsdetect_obs::ScopedCollector::new();
+                start.wait();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let _s = jsdetect_obs::span("stream_concurrent");
@@ -133,7 +147,9 @@ fn concurrent_snapshot_while_writing_is_consistent() {
     let mut last_span = 0u64;
     let mut snaps = 0u64;
     let errors = Arc::new(Mutex::new(Vec::<String>::new()));
-    while snaps < 200 {
+    start.wait();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while (snaps < 200 || last_ctr < MIN_WRITTEN) && Instant::now() < deadline {
         let snap = jsdetect_obs::snapshot();
         let ctr = snap.counter("stream_concurrent_ctr");
         if ctr < last_ctr {
@@ -173,6 +189,10 @@ fn concurrent_snapshot_while_writing_is_consistent() {
     stop.store(true, Ordering::Relaxed);
     let written: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
     let errors = errors.lock().unwrap();
+    assert!(
+        last_ctr >= MIN_WRITTEN,
+        "snapshots saw only {last_ctr} of {MIN_WRITTEN} records before the deadline"
+    );
     assert!(errors.is_empty(), "live-snapshot violations: {:?}", &errors[..errors.len().min(5)]);
 
     // Quiescent: the final snapshot accounts for every record exactly.

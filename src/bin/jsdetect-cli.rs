@@ -720,7 +720,8 @@ fn cmd_trace(argv: &[String]) {
 /// Runs the deobfuscation pass suite over files and reports, per file,
 /// the outcome (`ok` / `degraded`), fixpoint rounds, and rewrite count.
 /// With `--emit` the cleaned source is printed to stdout via codegen
-/// (unparseable inputs pass through unchanged, flagged `degraded`).
+/// (unparseable inputs, and inputs on which a pass panicked, pass through
+/// unchanged, flagged `degraded`).
 /// Exits non-zero only for failures outside {ok, degraded} — unreadable
 /// files, in practice, since the normalizer itself never rejects.
 fn cmd_normalize(argv: &[String]) {
@@ -781,7 +782,7 @@ fn cmd_normalize(argv: &[String]) {
                 continue;
             }
         };
-        let mut program = match jsdetect_suite::parser::parse(&src) {
+        let program = match jsdetect_suite::parser::parse(&src) {
             Ok(p) => p,
             Err(e) => {
                 // Not valid JavaScript: nothing to normalize, but the
@@ -794,7 +795,7 @@ fn cmd_normalize(argv: &[String]) {
                 continue;
             }
         };
-        let report = normalize_program(&mut program, &opts);
+        let (normalized, report) = normalize_program(&program, &opts);
         match report.outcome {
             OutcomeKind::Ok => n_ok += 1,
             _ => n_degraded += 1,
@@ -809,7 +810,13 @@ fn cmd_normalize(argv: &[String]) {
             detail
         );
         if emit {
-            println!("{}", jsdetect_suite::codegen::to_source(&program));
+            if report.rolled_back() {
+                // A pass panicked: nothing was normalized, so emit the
+                // input as it came, like an unparseable file.
+                print!("{}", src);
+            } else {
+                println!("{}", jsdetect_suite::codegen::to_source(&normalized));
+            }
         }
     }
     eprintln!(

@@ -32,9 +32,9 @@ fn opts() -> NormalizeOptions {
 /// Parses, normalizes, and returns (program printed readable, report
 /// outcome), panicking on parse failure.
 fn normalize_src(src: &str, label: &str) -> (String, OutcomeKind) {
-    let mut p = parse(src).unwrap_or_else(|e| panic!("{}: does not parse: {}", label, e));
-    let report = normalize_program(&mut p, &opts());
-    (to_source(&p), report.outcome)
+    let p = parse(src).unwrap_or_else(|e| panic!("{}: does not parse: {}", label, e));
+    let (normalized, report) = normalize_program(&p, &opts());
+    (to_source(&normalized), report.outcome)
 }
 
 /// The printer round-trip property from `tests/roundtrip.rs`, applied
@@ -112,9 +112,8 @@ fn normalization_is_idempotent_across_presets() {
     }
     for (label, src) in &sources {
         let (once, _) = normalize_src(src, label);
-        let mut p =
-            parse(&once).unwrap_or_else(|e| panic!("{}: once does not parse: {}", label, e));
-        let report = normalize_program(&mut p, &opts());
+        let p = parse(&once).unwrap_or_else(|e| panic!("{}: once does not parse: {}", label, e));
+        let (p, report) = normalize_program(&p, &opts());
         assert_eq!(
             report.total_rewrites(),
             0,
@@ -138,8 +137,7 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
         let Ok(obf) = apply(&src, &[Technique::GlobalArray], 101 + i) else {
             continue;
         };
-        let mut p = parse(&obf).unwrap();
-        let report = normalize_program(&mut p, &inline_only);
+        let (p, report) = normalize_program(&parse(&obf).unwrap(), &inline_only);
         assert_eq!(
             to_minified(&p),
             canonical,
@@ -151,4 +149,84 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
         }
     }
     assert!(reversed >= 3, "transform only took effect on {} of 6 samples", reversed);
+}
+
+/// The zero-rewrite short-cut in `normalize_deltas` must be exact: for
+/// every script the normalizer leaves untouched, the full re-analysis of
+/// the (unchanged) tree equals `neutral_deltas()` bit for bit. Also pins
+/// that the production path agrees with the full measurement on every
+/// rewritten script, and prints the zero-rewrite share per corpus.
+#[test]
+fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
+    use jsdetect_suite::corpus::{chaos_corpus, module_corpus, regular_corpus};
+    use jsdetect_suite::features::{analyze_script_guarded, measure_deltas, neutral_deltas};
+    use jsdetect_suite::transform::presets::Tool;
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let neutral = bits(&neutral_deltas());
+    let regular = regular_corpus(24, 0x2E70);
+    let mut corpora: Vec<(&str, Vec<String>)> = vec![("regular", regular.clone())];
+    corpora.push((
+        "techniques",
+        Technique::ALL
+            .iter()
+            .enumerate()
+            .flat_map(|(t, &tech)| {
+                regular[..4]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, src)| apply(src, &[tech], (t * 4 + i) as u64).ok())
+            })
+            .collect(),
+    ));
+    corpora.push((
+        "tools",
+        Tool::ALL
+            .iter()
+            .enumerate()
+            .flat_map(|(t, &tool)| {
+                regular[4..6]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(i, src)| tool.apply(src, (t * 2 + i) as u64).ok())
+            })
+            .collect(),
+    ));
+    corpora.push(("modules", module_corpus(24, 0x2E70)));
+    corpora.push(("chaos", chaos_corpus().into_iter().map(|c| c.src).collect()));
+
+    for (name, sources) in &corpora {
+        let (mut analyzed, mut zero) = (0usize, 0usize);
+        for (i, src) in sources.iter().enumerate() {
+            let label = format!("{} #{}", name, i);
+            let guarded = analyze_script_guarded(src, &Limits::wild());
+            if guarded.outcome != OutcomeKind::Ok {
+                // Only chaos cases may fail the guarded front end.
+                assert_eq!(*name, "chaos", "{}: {:?}", label, guarded.error);
+                continue;
+            }
+            let a = guarded.analysis.expect("Ok carries an analysis");
+            let (normalized, report) = normalize_program(&a.program, &opts());
+            analyzed += 1;
+            if report.outcome != OutcomeKind::Ok {
+                assert_eq!(bits(&a.normalize), neutral, "{}: degraded run is neutral", label);
+                continue;
+            }
+            let full = measure_deltas(src, &a.program, &normalized, a.shape.node_count, &a.lint);
+            if report.total_rewrites() == 0 {
+                zero += 1;
+                assert_eq!(normalized, a.program, "{}: zero rewrites changed the tree", label);
+                assert_eq!(bits(&full), neutral, "{}: full measurement is not neutral", label);
+            }
+            assert_eq!(bits(&a.normalize), bits(&full), "{}: short-cut differs", label);
+        }
+        assert!(analyzed > 0, "{}: nothing analyzed", name);
+        eprintln!(
+            "{:<10} zero-rewrite share {:>3}/{:<3} ({:.0}%)",
+            name,
+            zero,
+            analyzed,
+            100.0 * zero as f64 / analyzed as f64
+        );
+    }
 }
