@@ -2,10 +2,9 @@
 //! feature extraction (the per-script cost that dominates the paper's
 //! large-scale study).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jsdetect_bench::fixture_script;
-use jsdetect_features::analyze_script;
-use jsdetect_flow::analyze;
+use jsdetect_features::{analyze, Limits};
 use jsdetect_parser::parse;
 
 fn bench_frontend(c: &mut Criterion) {
@@ -25,16 +24,12 @@ fn bench_frontend(c: &mut Criterion) {
     group.bench_function("print_minified", |b| {
         b.iter(|| jsdetect_codegen::to_minified(std::hint::black_box(&prog)))
     });
-    group.bench_function("flow_analysis", |b| b.iter(|| analyze(std::hint::black_box(&prog))));
-    group.bench_function("full_analysis", |b| {
-        b.iter(|| analyze_script(std::hint::black_box(&src)).unwrap())
+    group.bench_function("flow_analysis", |b| {
+        b.iter(|| jsdetect_flow::analyze(std::hint::black_box(&prog)))
     });
-    group.bench_function("handpicked_features", |b| {
-        b.iter_batched(
-            || analyze_script(&src).unwrap(),
-            |a| jsdetect_features::handpicked_features(std::hint::black_box(&a)),
-            BatchSize::SmallInput,
-        )
+    let limits = Limits::trusted();
+    group.bench_function("full_analysis", |b| {
+        b.iter(|| analyze(std::hint::black_box(&src), &limits).into_ok().unwrap())
     });
     group.bench_function("ngram_counts", |b| {
         b.iter(|| jsdetect_features::ngram_counts(std::hint::black_box(&prog)))

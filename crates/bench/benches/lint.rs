@@ -1,6 +1,6 @@
 //! Lint-engine throughput: the per-script cost of running all signature
 //! rules over an already-parsed and flow-analyzed program (this is the
-//! marginal cost the lint features add to `analyze_script`).
+//! marginal cost the lint features add to `jsdetect_features::analyze`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jsdetect::Technique;

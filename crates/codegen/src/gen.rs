@@ -1233,10 +1233,8 @@ mod tests {
     #[test]
     fn starts_ambiguously_cases() {
         let obj = parse("x = {a: 1};").unwrap();
-        if let jsdetect_ast::Stmt::Expr { expr, .. } = &obj.body[0] {
-            if let Expr::Assign { value, .. } = expr {
-                assert!(starts_ambiguously(value));
-            }
+        if let jsdetect_ast::Stmt::Expr { expr: Expr::Assign { value, .. }, .. } = &obj.body[0] {
+            assert!(starts_ambiguously(value));
         }
         let plain = parse("x = 1 + 2;").unwrap();
         if let jsdetect_ast::Stmt::Expr { expr, .. } = &plain.body[0] {

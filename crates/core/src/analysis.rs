@@ -1,0 +1,283 @@
+//! The batch driver and the cache-aware analysis path: every analysis in
+//! the crate — training, the detectors' `predict*` methods, the CLI, the
+//! verdict cache and the daemon — goes through [`run_stealing`] and one
+//! panic fence around [`jsdetect_features::analyze`].
+//!
+//! Work is distributed with a shared atomic claim counter instead of
+//! static chunking: obfuscated samples are 10–100× slower to analyze than
+//! regular ones, so pre-partitioned chunks would let one pathological
+//! script idle every other thread.
+//!
+//! A cache hit replays the *distilled* verdict — the three-way outcome,
+//! the typed failure for quarantined scripts, and the space-independent
+//! [`FeaturePayload`] — not the full AST. Everything downstream of a batch
+//! scan (vectorization, quarantine reporting, outcome accounting) runs off
+//! exactly those fields, so a second scan over unchanged bytes touches
+//! neither the lexer nor the parser.
+
+use crate::config::AnalysisConfig;
+use jsdetect_cache::{AnalysisCache, CacheRecord, ContentHash};
+use jsdetect_features::{analyze, Analyzed, FeaturePayload, VectorSpace};
+use jsdetect_guard::{isolate, AnalysisError, Limits, OutcomeKind};
+use jsdetect_obs::names;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
+/// One script's verdict: either replayed from the store or freshly
+/// computed (and published).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedScript {
+    /// BLAKE2s-256 of the source bytes — the cache key this verdict lives
+    /// under.
+    pub hash: ContentHash,
+    /// Three-way guard verdict.
+    pub outcome: OutcomeKind,
+    /// Stable failure kind tag (`AnalysisError::kind()`), empty when ok.
+    pub error_kind: String,
+    /// Human-readable failure rendering, empty when ok.
+    pub error_msg: String,
+    /// Feature payload; present for ok and degraded outcomes.
+    pub payload: Option<FeaturePayload>,
+    /// Whether this verdict came out of the store (`true`) or was computed
+    /// this scan (`false`).
+    pub from_cache: bool,
+}
+
+impl CachedScript {
+    /// Projects the payload into a fitted space. `None` for rejected
+    /// scripts (no payload survives rejection).
+    pub fn vectorize(&self, space: &VectorSpace) -> Option<Vec<f32>> {
+        self.payload.as_ref().map(|p| space.vectorize_payload(p))
+    }
+
+    /// A freshly computed verdict for the script hashing to `hash`.
+    pub fn computed(hash: ContentHash, analyzed: Analyzed) -> CachedScript {
+        let error = analyzed.error.as_ref();
+        CachedScript {
+            hash,
+            outcome: analyzed.outcome,
+            error_kind: error.map(|e| e.kind().to_string()).unwrap_or_default(),
+            error_msg: error.map(|e| e.to_string()).unwrap_or_default(),
+            payload: analyzed.payload,
+            from_cache: false,
+        }
+    }
+
+    /// The verdict `cache` holds for `hash`, if any.
+    pub fn replayed(cache: Option<&AnalysisCache>, hash: ContentHash) -> Option<CachedScript> {
+        let rec = cache?.get(&hash)?;
+        Some(CachedScript {
+            hash,
+            outcome: rec.outcome,
+            error_kind: rec.error_kind.clone(),
+            error_msg: rec.error_msg.clone(),
+            payload: rec.payload.clone(),
+            from_cache: true,
+        })
+    }
+}
+
+/// The panic fence around one script's analysis: a residual panic in any
+/// stage becomes a `stage_panicked` reject for that script instead of
+/// unwinding into the thread pool and tearing the whole batch down.
+fn fenced(f: impl FnOnce() -> Analyzed) -> Analyzed {
+    isolate("analyze", f).unwrap_or_else(Analyzed::rejected)
+}
+
+/// Runs `work(i)` for every `i in 0..n` across all cores with
+/// work-stealing and returns the results in index order.
+fn run_stealing<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let _t = jsdetect_obs::span(names::SPAN_ANALYZE_MANY);
+    jsdetect_obs::counter_add(names::CTR_SCRIPTS_ANALYZED, n as u64);
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let n_threads =
+        std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4).min(n).max(1);
+    jsdetect_obs::gauge_set(names::GAUGE_ANALYZE_THREADS, n_threads as f64);
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..n_threads {
+            let tx = tx.clone();
+            let next = &next;
+            let work = &work;
+            scope.spawn(move |_| {
+                // Streaming telemetry is visible the moment it is
+                // recorded; the guard pre-registers this worker's cells
+                // and marks the collection scope structurally.
+                let _obs = jsdetect_obs::ScopedCollector::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, work(i))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        for (i, r) in rx.iter() {
+            out[i] = Some(r);
+        }
+    })
+    .expect("analysis threads panicked");
+    out.into_iter().map(|r| r.expect("work-stealing covered every index")).collect()
+}
+
+/// Analyzes one script under `config.limits`, consulting `cache` before
+/// any lexing or parsing and publishing the fresh verdict on a miss. The
+/// cache's own preset must match `config.limits` (callers normally build
+/// it with `CacheConfig::new(dir, &config.limits)`); a mismatched store
+/// simply never hits, it cannot replay a wrong verdict.
+pub fn analyze_one(
+    src: &str,
+    config: &AnalysisConfig,
+    cache: Option<&AnalysisCache>,
+) -> CachedScript {
+    let hash = ContentHash::of(src.as_bytes());
+    if let Some(replayed) = CachedScript::replayed(cache, hash) {
+        return replayed;
+    }
+    let result = CachedScript::computed(hash, fenced(|| analyze(src, &config.limits)));
+    if let Some(cache) = cache {
+        cache.put(
+            &hash,
+            &CacheRecord {
+                outcome: result.outcome,
+                error_kind: result.error_kind.clone(),
+                error_msg: result.error_msg.clone(),
+                payload: result.payload.clone(),
+            },
+        );
+    }
+    result
+}
+
+/// [`analyze_one`] over many scripts in parallel: one hostile file costs
+/// one rejected record, never the batch. Outcomes are the same with or
+/// without `cache`, and payloads vectorize bit-identically whether
+/// replayed or freshly computed.
+pub fn analyze_many(
+    srcs: &[&str],
+    config: &AnalysisConfig,
+    cache: Option<&AnalysisCache>,
+) -> Vec<CachedScript> {
+    run_stealing(srcs.len(), |i| analyze_one(srcs[i], config, cache))
+}
+
+/// Trusted-limits analysis for training and the detectors' `predict*`
+/// methods: the payload of every script that analyzes fully, the failure
+/// otherwise (the paper skips files that do not parse).
+pub(crate) fn analyze_trusted(srcs: &[&str]) -> Vec<Result<FeaturePayload, AnalysisError>> {
+    let limits = Limits::trusted();
+    run_stealing(srcs.len(), |i| fenced(|| analyze(srcs[i], &limits)).into_ok())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jsdetect_cache::CacheConfig;
+    use std::sync::atomic::AtomicU32;
+
+    static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
+
+    fn scratch() -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!(
+            "jsdetect-core-cached-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    #[test]
+    fn the_fence_rejects_a_panicking_analysis_and_counts_it_once() {
+        // Counters are process-wide and other tests run concurrently, so
+        // count only the increments recorded on this thread, found through
+        // a span opened around the fenced call.
+        jsdetect_obs::set_enabled(true);
+        let r = {
+            let _probe = jsdetect_obs::span("fence_probe");
+            fenced(|| panic!("injected stage panic"))
+        };
+        let snap = jsdetect_obs::snapshot();
+        jsdetect_obs::set_enabled(false);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.as_ref().unwrap().kind(), "stage_panicked");
+        assert!(r.payload.is_none());
+        let thread = snap.events.iter().find(|e| e.path == "fence_probe").unwrap().thread;
+        let on_this_thread = |name: &str| -> u64 {
+            let events = snap.counter_events.iter();
+            events.filter(|e| e.thread == thread && e.name == name).map(|e| e.delta).sum()
+        };
+        assert_eq!(on_this_thread("guard/stage_panicked"), 1);
+        assert_eq!(on_this_thread(names::CTR_GUARD_REJECTED), 1);
+    }
+
+    #[test]
+    fn batch_quarantines_hostile_files_and_keeps_input_order() {
+        let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let srcs = ["var x = 1;", "var ;;; broken", bomb.as_str()];
+        let out = analyze_many(&srcs, &AnalysisConfig::default(), None);
+        assert_eq!(out[0].outcome, OutcomeKind::Ok);
+        assert_eq!(out[1].outcome, OutcomeKind::Degraded);
+        assert!(out[1].payload.as_ref().unwrap().degraded);
+        assert_eq!(out[2].outcome, OutcomeKind::Rejected);
+        assert_eq!(out[2].error_kind, "ast_depth_exceeded");
+        for (src, c) in srcs.iter().zip(&out) {
+            assert_eq!(c.hash, ContentHash::of(src.as_bytes()));
+        }
+    }
+
+    #[test]
+    fn trusted_analysis_keeps_ok_payloads_only() {
+        let out = analyze_trusted(&["var x = 1;", "var ;;; broken", "f();"]);
+        assert!(out[0].is_ok());
+        assert_eq!(out[1].as_ref().unwrap_err().kind(), "parse_error");
+        assert!(out[2].is_ok());
+    }
+
+    #[test]
+    fn work_stealing_covers_many_more_items_than_threads() {
+        let out = run_stealing(97, |i| i * 2);
+        assert_eq!(out, (0..97).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(run_stealing(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn warm_scan_replays_identical_verdicts_without_reanalysis() {
+        let dir = scratch();
+        let config = AnalysisConfig::default();
+        let cache = AnalysisCache::open(CacheConfig::new(&dir, &config.limits)).unwrap();
+        let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let srcs = ["var x = 1; f(x);", "var ;;; broken", bomb.as_str()];
+
+        let cold = analyze_many(&srcs, &config, Some(&cache));
+        assert!(cold.iter().all(|c| !c.from_cache));
+        assert_eq!(cold[0].outcome, OutcomeKind::Ok);
+        assert_eq!(cold[1].outcome, OutcomeKind::Degraded);
+        assert_eq!(cold[2].outcome, OutcomeKind::Rejected);
+        assert_eq!(cold[2].error_kind, "ast_depth_exceeded");
+        assert!(cold[2].payload.is_none());
+
+        // Fresh handle: memory cold, disk warm.
+        let cache2 = AnalysisCache::open(CacheConfig::new(&dir, &config.limits)).unwrap();
+        let warm = analyze_many(&srcs, &config, Some(&cache2));
+        assert!(warm.iter().all(|c| c.from_cache));
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.outcome, w.outcome);
+            assert_eq!(c.error_kind, w.error_kind);
+            assert_eq!(c.error_msg, w.error_msg);
+            assert_eq!(c.payload, w.payload);
+        }
+
+        // Without a store the same path computes the same verdicts.
+        let uncached = analyze_many(&srcs, &config, None);
+        for (c, u) in cold.iter().zip(uncached) {
+            assert_eq!(*c, u);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -1,7 +1,7 @@
 //! End-to-end classification over the cache-aware hardened path: the one
 //! entry the serve daemon, the CLI, and the examples all share.
 //!
-//! [`classify_many_cached`] composes [`analyze_many_opt_cached`] (guarded
+//! [`classify_many_cached`] composes [`analyze_many`] (guarded
 //! analysis with optional verdict replay) with payload-based batch
 //! inference on both detector levels. Because everything downstream of
 //! analysis runs off the space-independent [`FeaturePayload`], a verdict
@@ -9,7 +9,7 @@
 //! a request served by the daemon classifies bit-identically to the same
 //! script in an offline sweep.
 
-use crate::cached::{analyze_many_opt_cached, analyze_one_cached, CachedScript};
+use crate::analysis::{analyze_many, analyze_one, CachedScript};
 use crate::config::AnalysisConfig;
 use crate::level1::Level1Prediction;
 use crate::pipeline::TrainedDetectors;
@@ -89,7 +89,7 @@ pub fn classify_many_cached(
     top_k: usize,
     threshold: f32,
 ) -> Vec<ScriptVerdict> {
-    let analyzed = analyze_many_opt_cached(srcs, config, cache);
+    let analyzed = analyze_many(srcs, config, cache);
     let payloads: Vec<Option<&FeaturePayload>> =
         analyzed.iter().map(|c| c.payload.as_ref()).collect();
     let l1 = detectors.level1.predict_payloads(&payloads);
@@ -112,7 +112,7 @@ pub fn classify_one_cached(
     top_k: usize,
     threshold: f32,
 ) -> ScriptVerdict {
-    let analyzed = analyze_one_cached(src, config, cache);
+    let analyzed = analyze_one(src, config, cache);
     classify_analyzed(analyzed, detectors, top_k, threshold)
 }
 

@@ -33,21 +33,17 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Configuration for hardened batch analysis
-/// ([`crate::analyze_many_guarded`]).
+/// Configuration for hardened analysis ([`crate::analyze_many`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
     /// Per-script resource budgets.
     pub limits: Limits,
-    /// Stop reporting after the first rejected script instead of
-    /// quarantining it and continuing (the CLI's `--fail-fast`).
-    pub fail_fast: bool,
 }
 
 impl Default for AnalysisConfig {
-    /// Defaults to keep-going scanning under [`Limits::wild`].
+    /// Defaults to scanning under [`Limits::wild`].
     fn default() -> Self {
-        AnalysisConfig { limits: Limits::wild(), fail_fast: false }
+        AnalysisConfig { limits: Limits::wild() }
     }
 }
 
@@ -57,15 +53,15 @@ impl AnalysisConfig {
         AnalysisConfig::default()
     }
 
-    /// Preset for trusted inputs: only the stack-overflow depth guard,
-    /// results identical to the pre-sandbox pipeline.
+    /// Preset for trusted inputs: only the stack-overflow depth guard, the
+    /// limits training and the detectors' `predict*` methods analyze under.
     pub fn trusted() -> Self {
-        AnalysisConfig { limits: Limits::trusted(), fail_fast: false }
+        AnalysisConfig { limits: Limits::trusted() }
     }
 
     /// Preset for interactive / latency-sensitive use.
     pub fn interactive() -> Self {
-        AnalysisConfig { limits: Limits::interactive(), fail_fast: false }
+        AnalysisConfig { limits: Limits::interactive() }
     }
 }
 

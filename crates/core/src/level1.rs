@@ -1,12 +1,12 @@
 //! The level-1 detector: regular vs. minified vs. obfuscated
 //! (paper §III-C).
 
+use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
-use crate::vectorize::{analyze_many, vectorize_dataset};
-use jsdetect_features::VectorSpace;
+use jsdetect_features::{FeaturePayload, VectorSpace};
+use jsdetect_guard::AnalysisError;
 use jsdetect_ml::{Dataset, MultiLabel};
 use jsdetect_obs::names;
-use jsdetect_parser::ParseError;
 use serde::{Deserialize, Serialize};
 
 /// Level-1 class labels (multi-label: a file can be both minified and
@@ -78,76 +78,40 @@ pub struct Level1Detector {
 }
 
 impl Level1Detector {
-    /// Trains on `(source, truth)` pairs. Scripts that fail to parse are
-    /// skipped.
-    pub fn train(samples: &[(&str, Level1Truth)], cfg: &DetectorConfig) -> Self {
-        let srcs: Vec<&str> = samples.iter().map(|(s, _)| *s).collect();
-        let analyses = analyze_many(&srcs);
-        let kept: Vec<(&jsdetect_features::ScriptAnalysis, Level1Truth)> = analyses
-            .iter()
-            .zip(samples)
-            .filter_map(|(a, (_, truth))| a.as_ref().map(|a| (a, *truth)))
-            .collect();
-        Self::train_from_analyses(&kept, cfg)
-    }
-
-    /// Trains from pre-computed analyses (lets callers share one analysis
-    /// pass between the level-1 and level-2 detectors).
-    pub fn train_from_analyses(
-        samples: &[(&jsdetect_features::ScriptAnalysis, Level1Truth)],
+    /// Trains on `(payload, truth)` pairs (one analysis per script can
+    /// feed both the level-1 and level-2 detectors).
+    pub fn train_from_payloads(
+        samples: &[(&FeaturePayload, Level1Truth)],
         cfg: &DetectorConfig,
     ) -> Self {
-        assert!(!samples.is_empty(), "no training sample parsed");
         let _t = jsdetect_obs::span(names::SPAN_LEVEL1_TRAIN);
-        let space = VectorSpace::fit(samples.iter().map(|(a, _)| *a), cfg.max_ngrams, cfg.features);
-        // Vectorize straight into the columnar store, reusing one scratch
-        // row instead of materializing Vec<Vec<f32>>.
-        let mut data = Dataset::zeros(samples.len(), space.dim());
-        let mut row = Vec::with_capacity(space.dim());
-        for (i, (a, _)) in samples.iter().enumerate() {
-            space.vectorize_into(a, &mut row);
-            data.fill_row(i, &row);
-        }
         let y: Vec<Vec<bool>> = samples.iter().map(|(_, t)| t.label_vector()).collect();
-        let model = MultiLabel::fit_dataset(&data, &y, cfg.strategy, &cfg.base);
+        let (space, model) = fit(samples.iter().map(|(p, _)| *p), &y, cfg);
         Level1Detector { space, model }
     }
 
-    /// Classifies one script.
+    /// Classifies one script, analyzed under trusted limits.
     ///
     /// # Errors
     ///
-    /// Returns the parse error for invalid JavaScript.
-    pub fn predict(&self, src: &str) -> Result<Level1Prediction, ParseError> {
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT);
-        let a = jsdetect_features::analyze_script(src)?;
-        let v = self.space.vectorize(&a);
-        let p = self.model.predict_proba(&v);
-        Ok(Level1Prediction { regular: p[0], minified: p[1], obfuscated: p[2] })
+    /// Returns the analysis failure for a script that does not analyze
+    /// fully (e.g. invalid JavaScript).
+    pub fn predict(&self, src: &str) -> Result<Level1Prediction, AnalysisError> {
+        let payload = analyze_trusted(&[src]).pop().expect("one result per script")?;
+        Ok(self.predict_payload(&payload))
     }
 
-    /// Classifies many scripts in parallel (vectorized into one columnar
-    /// batch, predicted with the flattened-forest batch path); unparseable
-    /// scripts yield `None`.
+    /// Classifies many scripts in parallel (analyzed under trusted limits,
+    /// predicted in one flattened-forest batch); scripts that do not
+    /// analyze fully yield `None`.
     pub fn predict_many(&self, srcs: &[&str]) -> Vec<Option<Level1Prediction>> {
-        if srcs.is_empty() {
-            return Vec::new();
-        }
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT_BATCH);
-        let (data, parsed) = vectorize_dataset(&self.space, srcs);
-        let probs = self.model.predict_proba_batch(&data);
-        parsed
-            .into_iter()
-            .zip(probs)
-            .map(|(ok, p)| {
-                ok.then(|| Level1Prediction { regular: p[0], minified: p[1], obfuscated: p[2] })
-            })
-            .collect()
+        let payloads = analyze_trusted(srcs);
+        self.predict_payloads(&payloads.iter().map(|p| p.as_ref().ok()).collect::<Vec<_>>())
     }
 
     /// Classifies one pre-extracted feature payload (the cache/serve path:
     /// no lexing or parsing, just projection and forest inference).
-    pub fn predict_payload(&self, payload: &jsdetect_features::FeaturePayload) -> Level1Prediction {
+    pub fn predict_payload(&self, payload: &FeaturePayload) -> Level1Prediction {
         let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT);
         let p = self.model.predict_proba(&self.space.vectorize_payload(payload));
         Level1Prediction { regular: p[0], minified: p[1], obfuscated: p[2] }
@@ -157,7 +121,7 @@ impl Level1Detector {
     /// scripts) yield `None` outputs.
     pub fn predict_payloads(
         &self,
-        payloads: &[Option<&jsdetect_features::FeaturePayload>],
+        payloads: &[Option<&FeaturePayload>],
     ) -> Vec<Option<Level1Prediction>> {
         let probs = batch_payload_proba(&self.space, &self.model, payloads, || {
             jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT_BATCH)
@@ -190,13 +154,30 @@ impl Level1Detector {
     }
 }
 
+/// Fits a vector space on the training payloads and a multi-label model on
+/// their vectors (shared by both detector levels).
+pub(crate) fn fit<'a>(
+    payloads: impl Iterator<Item = &'a FeaturePayload> + Clone,
+    y: &[Vec<bool>],
+    cfg: &DetectorConfig,
+) -> (VectorSpace, MultiLabel) {
+    assert!(!y.is_empty(), "no training sample parsed");
+    let space = VectorSpace::fit(payloads.clone(), cfg.max_ngrams, cfg.features);
+    let mut data = Dataset::zeros(y.len(), space.dim());
+    for (i, p) in payloads.enumerate() {
+        data.fill_row(i, &space.vectorize_payload(p));
+    }
+    let model = MultiLabel::fit_dataset(&data, y, cfg.strategy, &cfg.base);
+    (space, model)
+}
+
 /// Shared payload-batch inference: vectorizes the `Some` payloads into one
 /// columnar dataset, runs the flattened-forest batch path, and scatters
 /// the probability rows back to the input positions.
 pub(crate) fn batch_payload_proba<S>(
     space: &VectorSpace,
     model: &MultiLabel,
-    payloads: &[Option<&jsdetect_features::FeaturePayload>],
+    payloads: &[Option<&FeaturePayload>],
     span: impl FnOnce() -> S,
 ) -> Vec<Option<Vec<f32>>> {
     if payloads.is_empty() {

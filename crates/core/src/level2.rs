@@ -1,13 +1,13 @@
 //! The level-2 detector: which of the ten transformation techniques were
 //! used (paper §III-C).
 
+use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
-use crate::vectorize::{analyze_many, vectorize_dataset};
-use jsdetect_features::VectorSpace;
+use jsdetect_features::{FeaturePayload, VectorSpace};
+use jsdetect_guard::AnalysisError;
 use jsdetect_ml::metrics::thresholded_top_k;
-use jsdetect_ml::{Dataset, MultiLabel};
+use jsdetect_ml::MultiLabel;
 use jsdetect_obs::names;
-use jsdetect_parser::ParseError;
 use jsdetect_transform::Technique;
 use serde::{Deserialize, Serialize};
 
@@ -22,68 +22,41 @@ pub struct Level2Detector {
 }
 
 impl Level2Detector {
-    /// Trains on `(source, technique-label-vector)` pairs; label vectors
+    /// Trains on `(payload, technique-label-vector)` pairs; label vectors
     /// are indexed by [`Technique::index`].
-    pub fn train(samples: &[(&str, Vec<bool>)], cfg: &DetectorConfig) -> Self {
-        let srcs: Vec<&str> = samples.iter().map(|(s, _)| *s).collect();
-        let analyses = analyze_many(&srcs);
-        let kept: Vec<(&jsdetect_features::ScriptAnalysis, Vec<bool>)> = analyses
-            .iter()
-            .zip(samples)
-            .filter_map(|(a, (_, labels))| a.as_ref().map(|a| (a, labels.clone())))
-            .collect();
-        Self::train_from_analyses(&kept, cfg)
-    }
-
-    /// Trains from pre-computed analyses (lets callers share one analysis
-    /// pass between the level-1 and level-2 detectors).
-    pub fn train_from_analyses(
-        samples: &[(&jsdetect_features::ScriptAnalysis, Vec<bool>)],
+    pub fn train_from_payloads(
+        samples: &[(&FeaturePayload, Vec<bool>)],
         cfg: &DetectorConfig,
     ) -> Self {
-        assert!(!samples.is_empty(), "no training sample parsed");
         let _t = jsdetect_obs::span(names::SPAN_LEVEL2_TRAIN);
-        let space = VectorSpace::fit(samples.iter().map(|(a, _)| *a), cfg.max_ngrams, cfg.features);
-        // Vectorize straight into the columnar store, reusing one scratch
-        // row instead of materializing Vec<Vec<f32>>.
-        let mut data = Dataset::zeros(samples.len(), space.dim());
-        let mut row = Vec::with_capacity(space.dim());
-        for (i, (a, _)) in samples.iter().enumerate() {
-            space.vectorize_into(a, &mut row);
-            data.fill_row(i, &row);
-        }
         let y: Vec<Vec<bool>> = samples.iter().map(|(_, l)| l.clone()).collect();
-        let model = MultiLabel::fit_dataset(&data, &y, cfg.strategy, &cfg.base);
+        let (space, model) = crate::level1::fit(samples.iter().map(|(p, _)| *p), &y, cfg);
         Level2Detector { space, model }
     }
 
-    /// Per-technique probabilities, indexed by [`Technique::index`].
+    /// Per-technique probabilities, indexed by [`Technique::index`], for
+    /// one script analyzed under trusted limits.
     ///
     /// # Errors
     ///
-    /// Returns the parse error for invalid JavaScript.
-    pub fn predict_proba(&self, src: &str) -> Result<Vec<f32>, ParseError> {
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
-        let a = jsdetect_features::analyze_script(src)?;
-        Ok(self.model.predict_proba(&self.space.vectorize(&a)))
+    /// Returns the analysis failure for a script that does not analyze
+    /// fully (e.g. invalid JavaScript).
+    pub fn predict_proba(&self, src: &str) -> Result<Vec<f32>, AnalysisError> {
+        let payload = analyze_trusted(&[src]).pop().expect("one result per script")?;
+        Ok(self.predict_proba_payload(&payload))
     }
 
-    /// Batch probabilities (parallel vectorization into one columnar
-    /// batch, flattened-forest batch inference); unparseable scripts
-    /// yield `None`.
+    /// Batch probabilities (analysis under trusted limits, one
+    /// flattened-forest batch); scripts that do not analyze fully yield
+    /// `None`.
     pub fn predict_proba_many(&self, srcs: &[&str]) -> Vec<Option<Vec<f32>>> {
-        if srcs.is_empty() {
-            return Vec::new();
-        }
-        let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH);
-        let (data, parsed) = vectorize_dataset(&self.space, srcs);
-        let probs = self.model.predict_proba_batch(&data);
-        parsed.into_iter().zip(probs).map(|(ok, p)| ok.then_some(p)).collect()
+        let payloads = analyze_trusted(srcs);
+        self.predict_proba_payloads(&payloads.iter().map(|p| p.as_ref().ok()).collect::<Vec<_>>())
     }
 
     /// Per-technique probabilities for one pre-extracted feature payload
     /// (the cache/serve path: no lexing or parsing).
-    pub fn predict_proba_payload(&self, payload: &jsdetect_features::FeaturePayload) -> Vec<f32> {
+    pub fn predict_proba_payload(&self, payload: &FeaturePayload) -> Vec<f32> {
         let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
         self.model.predict_proba(&self.space.vectorize_payload(payload))
     }
@@ -92,7 +65,7 @@ impl Level2Detector {
     /// (rejected scripts) yield `None` outputs.
     pub fn predict_proba_payloads(
         &self,
-        payloads: &[Option<&jsdetect_features::FeaturePayload>],
+        payloads: &[Option<&FeaturePayload>],
     ) -> Vec<Option<Vec<f32>>> {
         crate::level1::batch_payload_proba(&self.space, &self.model, payloads, || {
             jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH)
@@ -106,7 +79,7 @@ impl Level2Detector {
         src: &str,
         k: usize,
         threshold: f32,
-    ) -> Result<Vec<Technique>, ParseError> {
+    ) -> Result<Vec<Technique>, AnalysisError> {
         let probs = self.predict_proba(src)?;
         Ok(thresholded_top_k(&probs, k, threshold).into_iter().map(|i| Technique::ALL[i]).collect())
     }

@@ -11,6 +11,18 @@
 //! - **Level 2** ([`Level2Detector`]): which of the ten transformation
 //!   techniques were used, reported through the thresholded Top-k rule.
 //!
+//! # Analysis
+//!
+//! One pipeline takes every script from source to `{outcome, payload}`
+//! ([`jsdetect_features::analyze`]), and five entry points drive it:
+//! [`analyze_one`] and [`analyze_many`] analyze under the
+//! [`AnalysisConfig`] limits with an optional verdict cache, and
+//! [`classify_one_cached`], [`classify_many_cached`] and
+//! [`classify_analyzed`] add both detector levels. Training and the
+//! detectors' `predict*` methods run the same batch driver and panic fence
+//! under [`Limits::trusted`] and keep `Ok` payloads only, as the paper
+//! skips files that do not parse.
+//!
 //! # Quickstart
 //!
 //! ```no_run
@@ -25,24 +37,21 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cached;
+mod analysis;
 mod classify;
 mod config;
 mod level1;
 mod level2;
 mod pipeline;
-mod vectorize;
 
-pub use cached::{analyze_many_cached, analyze_many_opt_cached, analyze_one_cached, CachedScript};
+pub use analysis::{analyze_many, analyze_one, CachedScript};
 pub use classify::{classify_analyzed, classify_many_cached, classify_one_cached, ScriptVerdict};
 pub use config::{AnalysisConfig, DetectorConfig};
 pub use level1::{Level1Detector, Level1Prediction, Level1Truth};
 pub use level2::{Level2Detector, DEFAULT_THRESHOLD};
 pub use pipeline::{train_pipeline, PipelineOutput, TrainedDetectors};
-pub use vectorize::{analyze_many, analyze_many_guarded, vectorize_dataset, vectorize_many};
 
 // Re-export the vocabulary types users need alongside the detectors.
-pub use jsdetect_features::GuardedScript;
 pub use jsdetect_guard::{AnalysisError, Limits, OutcomeKind, QuarantineReport};
 pub use jsdetect_ml::metrics;
 pub use jsdetect_ml::Strategy;

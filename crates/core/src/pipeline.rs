@@ -7,6 +7,7 @@
 //! every derived sample in one split comes from source scripts never seen
 //! by another split.
 
+use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
 use crate::level1::{Level1Detector, Level1Truth};
 use crate::level2::Level2Detector;
@@ -92,7 +93,7 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
     let sp = split(n_regular);
 
     // Analyze every training-partition sample exactly once; both detectors
-    // train from these shared analyses.
+    // train from these shared payloads.
     let mut train_samples: Vec<&LabeledSample> = Vec::new();
     let mut l1_quota: Vec<bool> = Vec::new(); // participate in level-1 set
     for s in &gt.regular[..sp.train_end] {
@@ -121,32 +122,32 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
         .collect();
 
     let srcs: Vec<&str> = train_samples.iter().map(|s| s.src.as_str()).collect();
-    let analyses = crate::vectorize::analyze_many(&srcs);
+    let payloads = analyze_trusted(&srcs);
     let partial_srcs: Vec<&str> = partials.iter().map(|s| s.src.as_str()).collect();
-    let partial_analyses = crate::vectorize::analyze_many(&partial_srcs);
+    let partial_payloads = analyze_trusted(&partial_srcs);
 
     let mut l1_set = Vec::new();
     let mut l2_set = Vec::new();
-    for ((sample, analysis), in_l1) in train_samples.iter().zip(&analyses).zip(&l1_quota) {
-        if let Some(a) = analysis {
+    for ((sample, payload), in_l1) in train_samples.iter().zip(&payloads).zip(&l1_quota) {
+        if let Ok(p) = payload {
             if *in_l1 {
-                l1_set.push((a, Level1Truth::from_techniques(&sample.techniques)));
+                l1_set.push((p, Level1Truth::from_techniques(&sample.techniques)));
             }
             if sample.is_transformed() {
-                l2_set.push((a, sample.label_vector()));
+                l2_set.push((p, sample.label_vector()));
             }
         }
     }
-    for (sample, analysis) in partials.iter().zip(&partial_analyses) {
-        if let Some(a) = analysis {
+    for (sample, payload) in partials.iter().zip(&partial_payloads) {
+        if let Ok(p) = payload {
             let mut truth = Level1Truth::from_techniques(&sample.techniques);
             truth.regular = true; // the page part is regular code
-            l1_set.push((a, truth));
-            l2_set.push((a, sample.label_vector()));
+            l1_set.push((p, truth));
+            l2_set.push((p, sample.label_vector()));
         }
     }
-    let level1 = Level1Detector::train_from_analyses(&l1_set, cfg);
-    let level2 = Level2Detector::train_from_analyses(&l2_set, cfg);
+    let level1 = Level1Detector::train_from_payloads(&l1_set, cfg);
+    let level2 = Level2Detector::train_from_payloads(&l2_set, cfg);
 
     // ---- held-out pools ------------------------------------------------------
     let test_regular = gt.regular[sp.train_end..sp.test_end].to_vec();

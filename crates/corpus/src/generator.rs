@@ -718,11 +718,11 @@ mod tests {
 
     #[test]
     fn looks_regular_to_feature_extractor() {
-        use jsdetect_features::{analyze_script, handpicked_features, FEATURE_NAMES};
+        use jsdetect_features::{analyze, Limits, FEATURE_NAMES};
         let idx = |n: &str| FEATURE_NAMES.iter().position(|f| *f == n).unwrap();
         for seed in 0..10 {
             let src = RegularJsGenerator::new(seed).generate();
-            let f = handpicked_features(&analyze_script(&src).unwrap());
+            let f = analyze(&src, &Limits::trusted()).into_ok().unwrap().handpicked;
             assert!(f[idx("avg_chars_per_line")] < 120.0, "seed {}", seed);
             assert_eq!(f[idx("hex_binding_ratio")], 0.0, "seed {}", seed);
             assert!(f[idx("jsfuck_charset_ratio")] < 0.4, "seed {}", seed);

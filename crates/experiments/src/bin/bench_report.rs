@@ -20,7 +20,7 @@
 //! through `jsdetect-obs`, so trajectory points are attributable and the
 //! analysis wall time can be decomposed without a profiler.
 
-use jsdetect::{analyze_many, analyze_many_cached, AnalysisConfig};
+use jsdetect::{analyze_many, AnalysisConfig};
 use jsdetect_cache::{preset_tag, AnalysisCache, CacheConfig};
 use jsdetect_experiments::{or_exit, IoError};
 use jsdetect_ml::reference::RowMajorForest;
@@ -268,7 +268,7 @@ fn git_sha() -> Option<String> {
 fn capture_telemetry(refs: &[&str]) -> TelemetryBreakdown {
     jsdetect_obs::set_enabled(true);
     jsdetect_obs::reset();
-    std::hint::black_box(analyze_many(refs));
+    std::hint::black_box(analyze_many(refs, &AnalysisConfig::trusted(), None));
     let snap = jsdetect_obs::snapshot();
     jsdetect_obs::set_enabled(false);
 
@@ -308,13 +308,13 @@ fn obs_overhead(refs: &[&str], reps: usize) -> ObsBench {
     for _ in 0..reps {
         jsdetect_obs::set_enabled(false);
         let t0 = Instant::now();
-        std::hint::black_box(analyze_many(refs));
+        std::hint::black_box(analyze_many(refs, &AnalysisConfig::trusted(), None));
         disabled.push(t0.elapsed().as_secs_f64() * 1e3);
 
         jsdetect_obs::set_enabled(true);
         jsdetect_obs::reset();
         let t0 = Instant::now();
-        std::hint::black_box(analyze_many(refs));
+        std::hint::black_box(analyze_many(refs, &AnalysisConfig::trusted(), None));
         enabled.push(t0.elapsed().as_secs_f64() * 1e3);
         let snap = jsdetect_obs::snapshot();
         trace_events = snap.events.len();
@@ -402,7 +402,7 @@ fn main() {
         .collect();
     let refs: Vec<&str> = scripts.iter().map(String::as_str).collect();
     stages.push(stage("analyze_many", n_scripts, fit_reps, || {
-        std::hint::black_box(analyze_many(&refs));
+        std::hint::black_box(analyze_many(&refs, &AnalysisConfig::trusted(), None));
     }));
 
     // Incremental-rescan cost: the same scripts through the content-
@@ -421,13 +421,13 @@ fn main() {
     stages.push(stage("scan_cold", n_scripts, fit_reps, || {
         cold_rep += 1;
         let cache = open_cache(&cache_base.join(format!("cold-{}", cold_rep)));
-        std::hint::black_box(analyze_many_cached(&refs, &config, &cache));
+        std::hint::black_box(analyze_many(&refs, &config, Some(&cache)));
     }));
     let warm_dir = cache_base.join("warm");
-    analyze_many_cached(&refs, &config, &open_cache(&warm_dir)); // populate, untimed
+    analyze_many(&refs, &config, Some(&open_cache(&warm_dir))); // populate, untimed
     stages.push(stage("scan_warm", n_scripts, pred_reps, || {
         let cache = open_cache(&warm_dir);
-        std::hint::black_box(analyze_many_cached(&refs, &config, &cache));
+        std::hint::black_box(analyze_many(&refs, &config, Some(&cache)));
     }));
     let _ = std::fs::remove_dir_all(&cache_base);
 
@@ -449,7 +449,7 @@ fn main() {
             } else {
                 jsdetect::Technique::MinificationAdvanced
             };
-            jsdetect_transform::apply(&src, &[t], seed + i as u64).unwrap_or_else(|_| src)
+            jsdetect_transform::apply(&src, &[t], seed + i as u64).unwrap_or(src)
         })
         .collect();
     let norm_opts = jsdetect_normalize::NormalizeOptions::wild();
@@ -510,7 +510,7 @@ fn main() {
     // front-end lost ES-module coverage; CI gates the rate at zero.
     let module_pop = jsdetect_corpus::module_population(if smoke { 12 } else { 60 }, seed);
     let module_refs: Vec<&str> = module_pop.iter().map(|s| s.src.as_str()).collect();
-    let module_results = jsdetect::analyze_many_guarded(&module_refs, &AnalysisConfig::wild());
+    let module_results = analyze_many(&module_refs, &AnalysisConfig::wild(), None);
     let n_module_goal = module_pop
         .iter()
         .filter(|s| jsdetect_parser::parse(&s.src).map(|p| p.module_goal()).unwrap_or(false))

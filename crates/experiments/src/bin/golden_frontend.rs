@@ -12,7 +12,8 @@
 //! `cargo run --release -p jsdetect-experiments --bin golden_frontend`
 
 use jsdetect_corpus::regular_corpus;
-use jsdetect_features::{analyze_script, FeatureConfig, VectorSpace};
+use jsdetect_features::{analyze, FeatureConfig, VectorSpace};
+use jsdetect_guard::Limits;
 use jsdetect_transform::{apply, Technique};
 use serde::{Deserialize, Serialize};
 
@@ -72,23 +73,24 @@ w" + '\8';"#),
 fn main() {
     let max_ngrams = 200;
     let scripts = golden_scripts();
-    let analyses: Vec<_> = scripts
+    let payloads: Vec<_> = scripts
         .iter()
         .map(|(label, src)| {
-            analyze_script(src).unwrap_or_else(|e| panic!("{} failed to parse: {}", label, e))
+            let analyzed = analyze(src, &Limits::trusted());
+            analyzed.into_ok().unwrap_or_else(|e| panic!("{} failed to analyze: {}", label, e))
         })
         .collect();
-    let space = VectorSpace::fit(analyses.iter(), max_ngrams, FeatureConfig::default());
+    let space = VectorSpace::fit(&payloads, max_ngrams, FeatureConfig::default());
     let golden = FrontendGolden {
         dim: space.dim(),
         max_ngrams,
         scripts: scripts
             .iter()
-            .zip(&analyses)
-            .map(|((label, src), a)| GoldenScript {
+            .zip(&payloads)
+            .map(|((label, src), p)| GoldenScript {
                 label: label.clone(),
                 src: src.clone(),
-                vector_bits: space.vectorize(a).iter().map(|v| v.to_bits()).collect(),
+                vector_bits: space.vectorize_payload(p).iter().map(|v| v.to_bits()).collect(),
             })
             .collect(),
     };

@@ -1,74 +1,202 @@
-//! Per-script static analysis bundle.
+//! The analysis front end: one script from source text to
+//! `{outcome, payload}`.
 //!
-//! [`analyze_script`] runs the full front-end once — tokens, comments,
-//! AST, scopes, control flow, data flow — and hands the result to the
-//! feature extractors.
+//! [`analyze`] runs every stage once — parse, lex, tree metrics, scopes
+//! with control and data flow, lint, normalization deltas — charging each
+//! to a [`Budget`] built from the caller's [`Limits`], and distils the
+//! result into a [`FeaturePayload`]. Every failure is classified into the
+//! three-way [`OutcomeKind`] verdict: full result, lexer-only fallback for
+//! a script that does not parse, or quarantined reject for a blown budget.
+//! [`Limits::trusted`] is the training preset: only the stack-overflow
+//! depth guard is on, and training keeps `Ok` payloads only (the paper
+//! skips files that do not parse).
 
+use crate::payload::FeaturePayload;
 use jsdetect_ast::metrics::{KindCounts, TreeShape};
-use jsdetect_ast::Program;
+use jsdetect_ast::{Program, Span};
 use jsdetect_flow::{analyze_with, DataFlowOptions, ProgramGraph};
-use jsdetect_lexer::{Comment, Token};
+use jsdetect_guard::{AnalysisError, Budget, Limits, OutcomeKind};
+use jsdetect_lexer::{tokenize_lossy, tokenize_with_budget, Comment, Token};
 use jsdetect_lint::{LintRunner, LintSummary};
 use jsdetect_obs::names;
-use jsdetect_parser::{parse_with_comments, ParseError};
+use jsdetect_parser::parse_with_comments_budget;
 
-/// Everything the feature extractors need about one script.
+/// Everything the feature extractors need about one script. Lives only
+/// until [`FeaturePayload::extract`] has run.
 #[derive(Debug)]
-pub struct ScriptAnalysis {
+pub(crate) struct ScriptAnalysis<'a> {
     /// Original source text.
-    pub src: String,
+    pub(crate) src: &'a str,
     /// Parsed AST.
-    pub program: Program,
+    pub(crate) program: Program,
     /// Lexical tokens (without comments).
-    pub tokens: Vec<Token>,
+    pub(crate) tokens: Vec<Token>,
     /// Comments.
-    pub comments: Vec<Comment>,
+    pub(crate) comments: Vec<Comment>,
     /// Scopes + control flow + data flow.
-    pub graph: ProgramGraph,
+    pub(crate) graph: ProgramGraph,
     /// Tree-shape metrics.
-    pub shape: TreeShape,
+    pub(crate) shape: TreeShape,
     /// Per-kind node counts.
-    pub kinds: KindCounts,
+    pub(crate) kinds: KindCounts,
     /// Obfuscation-signature lint summary (per-rule hit counts).
-    pub lint: LintSummary,
+    pub(crate) lint: LintSummary,
     /// Normalized-vs-original delta features
     /// ([`crate::deltas::N_NORMALIZE`] of them; the neutral vector when
     /// the analysis is degraded or normalization itself degrades).
-    pub normalize: Vec<f32>,
+    pub(crate) normalize: Vec<f32>,
     /// True when this is the lexer-only fallback produced after a parse
     /// failure: `program`/`graph`/`shape`/`kinds` describe an empty program
     /// and only `src`/`tokens`/`comments` carry real signal.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
 }
 
-/// Parses and analyzes one script.
-///
-/// # Errors
-///
-/// Returns the parse error if the script is not valid JavaScript.
+/// The stages' result: `Ok((analysis, None))` is a full analysis,
+/// `Ok((fallback, Some(cause)))` the lexer-only fallback, `Err` a reject.
+type Staged<'a> = Result<(ScriptAnalysis<'a>, Option<AnalysisError>), AnalysisError>;
+
+/// One script's analysis result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Analyzed {
+    /// Three-way verdict.
+    pub outcome: OutcomeKind,
+    /// The failure, absent only for `Ok`.
+    pub error: Option<AnalysisError>,
+    /// Feature payload: the full one for `Ok`, the lexer-only fallback
+    /// (with [`FeaturePayload::degraded`] set) for `Degraded`, absent for
+    /// `Rejected`.
+    pub payload: Option<FeaturePayload>,
+}
+
+impl Analyzed {
+    /// A reject carrying `error`, counted under the error's own counter
+    /// and `guard/rejected`.
+    pub fn rejected(error: AnalysisError) -> Analyzed {
+        jsdetect_obs::counter_add(error.counter_name(), 1);
+        jsdetect_obs::counter_add(names::CTR_GUARD_REJECTED, 1);
+        Analyzed { outcome: OutcomeKind::Rejected, error: Some(error), payload: None }
+    }
+
+    /// The payload of a full (`Ok`) analysis, else the failure.
+    pub fn into_ok(self) -> Result<FeaturePayload, AnalysisError> {
+        match self.error {
+            None => Ok(self.payload.expect("an Ok analysis carries its payload")),
+            Some(e) => Err(e),
+        }
+    }
+
+    fn from_stages(staged: Staged<'_>) -> Analyzed {
+        let (analysis, cause) = match staged {
+            Ok(staged) => staged,
+            Err(e) => return Analyzed::rejected(e),
+        };
+        let outcome = match &cause {
+            None => OutcomeKind::Ok,
+            Some(cause) => {
+                jsdetect_obs::counter_add(cause.counter_name(), 1);
+                jsdetect_obs::counter_add(names::CTR_GUARD_DEGRADED, 1);
+                OutcomeKind::Degraded
+            }
+        };
+        Analyzed { outcome, error: cause, payload: Some(FeaturePayload::extract(&analysis)) }
+    }
+}
+
+/// Analyzes one script under `limits`, never panicking on budget-class
+/// failures and degrading to a lexer-only payload when only the parse
+/// fails.
 ///
 /// # Examples
 ///
 /// ```
-/// use jsdetect_features::analyze_script;
-/// let a = analyze_script("var x = 1; f(x);").unwrap();
-/// assert!(a.shape.node_count > 4);
+/// use jsdetect_features::analyze;
+/// use jsdetect_guard::{Limits, OutcomeKind};
+///
+/// let ok = analyze("var x = 1;", &Limits::wild());
+/// assert_eq!(ok.outcome, OutcomeKind::Ok);
+///
+/// let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+/// let r = analyze(&bomb, &Limits::wild());
+/// assert_eq!(r.outcome, OutcomeKind::Rejected);
+/// assert_eq!(r.error.unwrap().kind(), "ast_depth_exceeded");
 /// ```
-pub fn analyze_script(src: &str) -> Result<ScriptAnalysis, ParseError> {
-    let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
-    jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+pub fn analyze(src: &str, limits: &Limits) -> Analyzed {
+    let staged = {
+        let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
+        jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+        stages(src, &Budget::new(limits))
+    };
+    Analyzed::from_stages(staged)
+}
+
+/// Lexer-only analysis under `limits`, skipping parse/flow/lint entirely.
+///
+/// This is the circuit-breaker's degraded service mode: when a resident
+/// daemon is overloaded it trades fidelity for latency by running only the
+/// lexical front-end. The result has the shape of a parse-failure fallback
+/// (degraded payload, outcome `Degraded`) with the typed cause
+/// [`AnalysisError::ServiceDegraded`], so caches and quarantine accounting
+/// can tell a deliberate skip from a broken script.
+pub fn analyze_lexer_only(src: &str, limits: &Limits) -> Analyzed {
+    let staged = {
+        let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
+        jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+        let budget = Budget::new(limits);
+        budget
+            .check_input(src.len())
+            .and_then(|()| degraded_fallback(src, &budget, AnalysisError::ServiceDegraded))
+    };
+    Analyzed::from_stages(staged)
+}
+
+fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
+    budget.check_input(src.len())?;
+
     let (program, comments) = {
         let _s = jsdetect_obs::span(names::SPAN_PARSE);
-        parse_with_comments(src)
-            .inspect_err(|_| jsdetect_obs::counter_add(names::CTR_PARSE_FAILURES, 1))?
+        match parse_with_comments_budget(src, budget) {
+            Ok(pc) => pc,
+            Err(parse_err) => {
+                jsdetect_obs::counter_add(names::CTR_PARSE_FAILURES, 1);
+                // A budget violation travels through `ParseError` stringly;
+                // the typed cause sits in the budget's side channel.
+                let e = budget
+                    .take_violation()
+                    .unwrap_or(AnalysisError::Parse { msg: parse_err.msg, pos: parse_err.pos });
+                if e.is_resource() {
+                    return Err(e);
+                }
+                return degraded_fallback(src, budget, e);
+            }
+        }
     };
+    budget.check_deadline()?;
+
     let tokens = {
         let _s = jsdetect_obs::span(names::SPAN_LEX);
-        jsdetect_lexer::tokenize(src).unwrap_or_else(|_| {
-            jsdetect_obs::counter_add(names::CTR_LEXER_ERRORS, 1);
-            Vec::new()
-        })
+        match tokenize_with_budget(src, budget) {
+            Ok((tokens, _)) => tokens,
+            Err(_) => {
+                if let Some(v) = budget.take_violation() {
+                    return Err(v);
+                }
+                // The AST parsed, so a standalone-lex hiccup only costs
+                // the token list.
+                jsdetect_obs::counter_add(names::CTR_LEXER_ERRORS, 1);
+                Vec::new()
+            }
+        }
     };
+
+    let (shape, kinds) = {
+        let _s = jsdetect_obs::span(names::SPAN_METRICS);
+        (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program))
+    };
+    // Charge the realized tree size before running the recursive consumers
+    // (flow, lint) over a potential node bomb.
+    budget.charge_nodes(shape.node_count as u64)?;
+    budget.check_deadline()?;
+
     let graph = {
         let _s = jsdetect_obs::span(names::SPAN_FLOW);
         analyze_with(&program, &DataFlowOptions::default())
@@ -80,19 +208,20 @@ pub fn analyze_script(src: &str) -> Result<ScriptAnalysis, ParseError> {
             graph.dataflow.truncated_bindings.len() as u64,
         );
     }
-    let (shape, kinds) = {
-        let _s = jsdetect_obs::span(names::SPAN_METRICS);
-        (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program))
-    };
+    budget.check_cfg_edges(graph.control_flow.edges.len() as u64)?;
+    budget.check_deadline()?;
+
     let lint = {
         let _s = jsdetect_obs::span(names::SPAN_LINT);
         let (diagnostics, lint) = LintRunner::default().run_with_summary(src, &program, &graph);
         jsdetect_obs::counter_add(names::CTR_LINT_FIRES, diagnostics.len() as u64);
         lint
     };
+
     let normalize = crate::deltas::normalize_deltas(src, &program, shape.node_count, &lint);
-    Ok(ScriptAnalysis {
-        src: src.to_string(),
+
+    let analysis = ScriptAnalysis {
+        src,
         program,
         tokens,
         comments,
@@ -102,7 +231,51 @@ pub fn analyze_script(src: &str) -> Result<ScriptAnalysis, ParseError> {
         lint,
         normalize,
         degraded: false,
-    })
+    };
+    Ok((analysis, None))
+}
+
+/// Builds the lexer-only fallback after a recoverable parse failure
+/// (paper-faithful: the paper drops unparseable files; we additionally keep
+/// their lexical signal, flagged by [`FeaturePayload::degraded`]).
+fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) -> Staged<'a> {
+    let _s = jsdetect_obs::span(names::SPAN_DEGRADED_FALLBACK);
+    let (tokens, comments, _lex_err) = tokenize_lossy(src, Some(budget));
+    // The lossy scan itself may blow a budget axis (token flood inside a
+    // syntactically broken file) — that escalates to a reject.
+    if let Some(v) = budget.take_violation() {
+        if v.is_resource() {
+            return Err(v);
+        }
+    }
+    let program = Program { body: Vec::new(), span: Span::new(0, src.len() as u32) };
+    let graph = analyze_with(&program, &DataFlowOptions::default());
+    let (shape, kinds) = (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program));
+    let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
+    jsdetect_obs::counter_add(names::CTR_DEGRADED_FALLBACKS, 1);
+    let analysis = ScriptAnalysis {
+        src,
+        program,
+        tokens,
+        comments,
+        graph,
+        shape,
+        kinds,
+        lint,
+        normalize: crate::deltas::neutral_deltas(),
+        degraded: true,
+    };
+    Ok((analysis, Some(cause)))
+}
+
+/// The stages under trusted limits, for unit tests that inspect the
+/// analysis itself rather than its payload.
+#[cfg(test)]
+pub(crate) fn analysis_of(src: &str) -> ScriptAnalysis<'_> {
+    match stages(src, &Budget::new(&Limits::trusted())) {
+        Ok((a, None)) => a,
+        other => panic!("{:?} did not analyze fully: {:?}", src, other.map(|(_, cause)| cause)),
+    }
 }
 
 #[cfg(test)]
@@ -111,7 +284,7 @@ mod tests {
 
     #[test]
     fn analysis_bundles_everything() {
-        let a = analyze_script("// c\nvar x = 1;\nif (x) { f(x); }").unwrap();
+        let a = analysis_of("// c\nvar x = 1;\nif (x) { f(x); }");
         assert_eq!(a.comments.len(), 1);
         assert!(!a.tokens.is_empty());
         assert!(a.graph.scopes.bindings().len() == 1);
@@ -120,19 +293,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_propagate() {
-        assert!(analyze_script("var ;;;=").is_err());
-    }
-
-    #[test]
     fn empty_and_comment_only_scripts() {
-        let a = analyze_script("").unwrap();
+        let a = analysis_of("");
         assert_eq!(a.shape.node_count, 1); // just the Program node
-        let b = analyze_script(
-            "// only a comment
-/* and a block */",
-        )
-        .unwrap();
+        let b = analysis_of("// only a comment\n/* and a block */");
         assert_eq!(b.comments.len(), 2);
         assert_eq!(b.program.body.len(), 0);
     }
@@ -141,17 +305,109 @@ mod tests {
     fn single_long_line_script() {
         // Minified-style single line with thousands of statements.
         let src = "var a=0;".to_string() + &"a=a+1;".repeat(2_000);
-        let a = analyze_script(&src).unwrap();
+        let a = analysis_of(&src);
         assert!(a.shape.node_count > 8_000);
-        assert!(jsdetect_ast::metrics::avg_chars_per_line(&a.src) > 1_000.0);
+        assert!(jsdetect_ast::metrics::avg_chars_per_line(a.src) > 1_000.0);
     }
 
     #[test]
     fn deep_but_legal_nesting() {
         let depth = 20;
-        let src = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
-        let src = format!("x = {};", src);
-        let a = analyze_script(&src).unwrap();
-        assert!(a.shape.max_depth >= 3);
+        let src = format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth));
+        assert!(analysis_of(&src).shape.max_depth >= 3);
+    }
+
+    #[test]
+    fn clean_script_is_ok() {
+        let r = analyze("var x = 1; if (x) { f(x); }", &Limits::wild());
+        assert_eq!(r.outcome, OutcomeKind::Ok);
+        assert!(r.error.is_none());
+        assert!(!r.payload.unwrap().degraded);
+    }
+
+    #[test]
+    fn syntax_error_degrades_with_lexical_signal() {
+        let src = "var x = ;;;=";
+        let (a, cause) = stages(src, &Budget::new(&Limits::wild())).unwrap();
+        assert!(a.degraded);
+        assert!(!a.tokens.is_empty(), "fallback should keep the token prefix");
+        assert_eq!(a.program.body.len(), 0);
+        assert_eq!(cause.unwrap().kind(), "parse_error");
+
+        let r = analyze(src, &Limits::wild());
+        assert_eq!(r.outcome, OutcomeKind::Degraded);
+        assert!(r.payload.as_ref().unwrap().degraded);
+        assert_eq!(r, analyze(src, &Limits::trusted()));
+        assert_eq!(r.into_ok().unwrap_err().kind(), "parse_error");
+    }
+
+    #[test]
+    fn input_cap_rejects_before_any_work() {
+        let limits = Limits { max_input_bytes: 8, ..Limits::wild() };
+        let r = analyze("var x = 1;", &limits);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert!(r.payload.is_none());
+        assert_eq!(r.error.unwrap().kind(), "input_too_large");
+    }
+
+    #[test]
+    fn depth_bomb_rejects_with_typed_cause() {
+        let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let r = analyze(&bomb, &Limits::wild());
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.unwrap().kind(), "ast_depth_exceeded");
+    }
+
+    #[test]
+    fn token_flood_rejects_even_when_unparseable() {
+        // Fails the parse *and* floods the token budget: must reject, not
+        // degrade.
+        let limits = Limits { max_tokens: 100, ..Limits::wild() };
+        let flood = format!("var x = ;;;= {}", "a ".repeat(1_000));
+        let r = analyze(&flood, &limits);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.unwrap().kind(), "token_budget_exceeded");
+    }
+
+    #[test]
+    fn node_budget_rejects_wide_programs() {
+        let limits = Limits { max_ast_nodes: 50, ..Limits::wild() };
+        let wide = "var a=0;".to_string() + &"a=a+1;".repeat(100);
+        let r = analyze(&wide, &limits);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.unwrap().kind(), "ast_node_budget_exceeded");
+    }
+
+    #[test]
+    fn cfg_edge_budget_rejects_branchy_programs() {
+        let limits = Limits { max_cfg_edges: 3, ..Limits::wild() };
+        let branchy = "if (a) { f(); } else { g(); } while (b) { h(); }";
+        let r = analyze(branchy, &limits);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.unwrap().kind(), "cfg_edge_budget_exceeded");
+    }
+
+    #[test]
+    fn lexer_only_mode_keeps_lexical_signal_with_typed_cause() {
+        let r = analyze_lexer_only("var x = 1; f(x);", &Limits::wild());
+        assert_eq!(r.outcome, OutcomeKind::Degraded);
+        let p = r.payload.unwrap();
+        assert!(p.degraded);
+        assert!(p.ngrams.is_empty(), "parse must be skipped");
+        assert_eq!(r.error.unwrap().kind(), "service_degraded");
+
+        // The input cap still applies before any work.
+        let limits = Limits { max_input_bytes: 4, ..Limits::wild() };
+        let r = analyze_lexer_only("var x = 1;", &limits);
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+    }
+
+    #[test]
+    fn trusted_and_wild_presets_agree_on_ordinary_scripts() {
+        for src in ["var x = 1;", "", "function f(a) { return a ? a + 1 : 0; }"] {
+            let trusted = analyze(src, &Limits::trusted());
+            assert_eq!(trusted.outcome, OutcomeKind::Ok);
+            assert_eq!(trusted, analyze(src, &Limits::wild()));
+        }
     }
 }

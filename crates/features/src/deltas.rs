@@ -21,7 +21,6 @@
 //! pins that equality over every corpus; 37% of the benchmark's seed-7
 //! `cold_scan` crawl takes this path.
 
-use crate::analysis::ScriptAnalysis;
 use crate::handpicked::byte_entropy;
 use jsdetect_ast::{walk, Expr, Lit, LitValue, NodeRef, Program};
 use jsdetect_guard::{Limits, OutcomeKind};
@@ -97,15 +96,6 @@ pub fn measure_deltas(
     v
 }
 
-/// Convenience wrapper over a finished analysis (used by tests and
-/// callers that did not keep the parts separate).
-pub fn normalize_deltas_for(a: &ScriptAnalysis) -> Vec<f32> {
-    if a.degraded {
-        return neutral_deltas();
-    }
-    normalize_deltas(&a.src, &a.program, a.shape.node_count, &a.lint)
-}
-
 /// Mean per-string byte entropy of the string literals in a program
 /// (0.0 when there are none) — the same statistic the hand-picked
 /// `avg_string_entropy` feature uses, recomputed on a rewritten AST.
@@ -128,8 +118,13 @@ fn avg_string_entropy(p: &Program) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::analyze;
     use jsdetect_transform::{apply, Technique};
+
+    /// The delta block the analysis front end computes for `src`.
+    fn deltas(src: &str) -> Vec<f32> {
+        analyze(src, &Limits::trusted()).into_ok().unwrap().normalize
+    }
 
     #[test]
     fn neutral_vector_shape() {
@@ -142,8 +137,7 @@ mod tests {
 
     #[test]
     fn clean_code_is_near_neutral() {
-        let a = analyze_script("function f(a) { return a + 1; }\nf(2);").unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = deltas("function f(a) { return a + 1; }\nf(2);");
         assert_eq!(v.len(), N_NORMALIZE);
         assert!((v[0] - 1.0).abs() < 1e-6, "nothing to normalize away: {:?}", v);
         assert!(v[2..].iter().all(|&x| x == 0.0), "{:?}", v);
@@ -157,18 +151,15 @@ mod tests {
             7,
         )
         .unwrap();
-        let a = analyze_script(&src).unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = deltas(&src);
         assert!(v[0] < 0.9, "pool + decoder must fold away, ratio {}", v[0]);
     }
 
     #[test]
     fn degraded_analysis_gets_neutral_vector() {
-        use jsdetect_guard::Limits;
-        let g = crate::analyze_script_guarded("var x = ;;;=", &Limits::wild());
-        let a = g.analysis.unwrap();
-        assert!(a.degraded);
-        assert_eq!(a.normalize, neutral_deltas());
+        let p = analyze("var x = ;;;=", &Limits::wild()).payload.unwrap();
+        assert!(p.degraded);
+        assert_eq!(p.normalize, neutral_deltas());
     }
 
     #[test]
@@ -179,8 +170,7 @@ mod tests {
             11,
         )
         .unwrap();
-        let a = analyze_script(&src).unwrap();
-        let v = normalize_deltas_for(&a);
+        let v = deltas(&src);
         let comma_dim = 2 + RULE_NAMES.iter().position(|r| *r == "comma-sequence-density").unwrap();
         assert!(v[comma_dim] < 0.0, "unflattening must drop the comma density: {:?}", v);
     }

@@ -16,7 +16,7 @@ use jsdetect_flow::{DefValueKind, RefKind};
 use jsdetect_lexer::TokenKind;
 
 /// Names of the hand-picked features, index-aligned with
-/// [`handpicked_features`].
+/// [`FeaturePayload::handpicked`](crate::FeaturePayload::handpicked).
 pub const FEATURE_NAMES: &[&str] = &[
     "avg_chars_per_line",
     "log_max_line_len",
@@ -82,8 +82,8 @@ pub const FEATURE_NAMES: &[&str] = &[
 pub const N_HANDPICKED: usize = FEATURE_NAMES.len();
 
 /// Computes the hand-picked feature vector for an analyzed script.
-pub fn handpicked_features(a: &ScriptAnalysis) -> Vec<f32> {
-    let src = &a.src;
+pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
+    let src = a.src;
     let bytes = src.len().max(1) as f64;
     let lines = line_count(src).max(1) as f64;
     let nodes = a.kinds.total().max(1) as f64;
@@ -510,10 +510,10 @@ pub(crate) fn byte_entropy(s: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::analysis::analysis_of;
 
     fn features(src: &str) -> Vec<f32> {
-        handpicked_features(&analyze_script(src).unwrap())
+        handpicked_features(&analysis_of(src))
     }
 
     fn feature(src: &str, name: &str) -> f32 {
@@ -531,8 +531,8 @@ mod tests {
         for src in
             ["", "var x = 1;", "f();", "'just a string';", "function f(){};", "while(true){}"]
         {
-            if let Ok(a) = analyze_script(src) {
-                for (i, v) in handpicked_features(&a).iter().enumerate() {
+            if let Ok(p) = crate::analyze(src, &jsdetect_guard::Limits::trusted()).into_ok() {
+                for (i, v) in p.handpicked.iter().enumerate() {
                     assert!(v.is_finite(), "feature {} ({}) = {}", i, FEATURE_NAMES[i], v);
                 }
             }

@@ -13,15 +13,18 @@ use std::collections::HashMap;
 /// One 4-gram of node-kind ids.
 pub type Gram = [u8; 4];
 
-/// Counts the 4-grams of a program's kind stream.
-pub fn ngram_counts(program: &Program) -> HashMap<Gram, u32> {
+/// Counts the 4-grams of a program's kind stream, as `(gram, count)`
+/// pairs sorted by gram.
+pub fn ngram_counts(program: &Program) -> Vec<(Gram, u32)> {
     let stream = kind_stream(program);
     let mut counts = HashMap::new();
     for w in stream.windows(4) {
         let gram: Gram = [w[0].id(), w[1].id(), w[2].id(), w[3].id()];
         *counts.entry(gram).or_insert(0) += 1;
     }
-    counts
+    let mut pairs: Vec<(Gram, u32)> = counts.into_iter().collect();
+    pairs.sort_unstable_by_key(|(g, _)| *g);
+    pairs
 }
 
 /// A fitted 4-gram vocabulary mapping grams to vector dimensions.
@@ -38,11 +41,11 @@ impl NgramVocab {
     /// lexicographically for determinism).
     pub fn build<'a, I>(documents: I, max_size: usize) -> Self
     where
-        I: IntoIterator<Item = &'a HashMap<Gram, u32>>,
+        I: IntoIterator<Item = &'a [(Gram, u32)]>,
     {
         let mut doc_freq: HashMap<Gram, u32> = HashMap::new();
         for doc in documents {
-            for gram in doc.keys() {
+            for (gram, _) in doc {
                 *doc_freq.entry(*gram).or_insert(0) += 1;
             }
         }
@@ -64,27 +67,10 @@ impl NgramVocab {
         self.grams.len()
     }
 
-    /// Vectorizes gram counts as relative frequencies over the vocabulary
-    /// dimensions.
-    pub fn vectorize(&self, counts: &HashMap<Gram, u32>) -> Vec<f32> {
-        let total: u32 = counts.values().sum();
-        let mut v = vec![0f32; self.grams.len()];
-        if total == 0 {
-            return v;
-        }
-        for (gram, c) in counts {
-            if let Some(&i) = self.index.get(gram) {
-                v[i] = *c as f32 / total as f32;
-            }
-        }
-        v
-    }
-
-    /// Vectorizes pre-counted gram pairs — the cache-replay sibling of
-    /// [`NgramVocab::vectorize`]. Bit-identical to counting the grams
-    /// fresh: the total is an exact integer sum (order-independent) and
-    /// each dimension is the same single f32 division.
-    pub fn vectorize_pairs(&self, pairs: &[(Gram, u32)]) -> Vec<f32> {
+    /// Vectorizes `(gram, count)` pairs as relative frequencies over the
+    /// vocabulary dimensions. The total is an exact integer sum, so the
+    /// result does not depend on the order of the pairs.
+    pub fn vectorize(&self, pairs: &[(Gram, u32)]) -> Vec<f32> {
         let total: u32 = pairs.iter().map(|(_, c)| *c).sum();
         let mut v = vec![0f32; self.grams.len()];
         if total == 0 {
@@ -115,7 +101,7 @@ mod tests {
     use super::*;
     use jsdetect_parser::parse;
 
-    fn counts(src: &str) -> HashMap<Gram, u32> {
+    fn counts(src: &str) -> Vec<(Gram, u32)> {
         ngram_counts(&parse(src).unwrap())
     }
 
@@ -129,7 +115,7 @@ mod tests {
     fn gram_count_matches_window_count() {
         let src = "var a = 1; var b = 2;";
         let stream_len = jsdetect_ast::kind_stream(&parse(src).unwrap()).len();
-        let total: u32 = counts(src).values().sum();
+        let total: u32 = counts(src).iter().map(|(_, c)| c).sum();
         assert_eq!(total as usize, stream_len - 3);
     }
 
@@ -149,7 +135,7 @@ mod tests {
         let a = counts("var x = 1; var y = 2;");
         let b = counts("var z = 3;");
         let c = counts("if (q) r();");
-        let vocab = NgramVocab::build([&a, &b, &c], 5);
+        let vocab = NgramVocab::build([&a[..], &b[..], &c[..]], 5);
         assert_eq!(vocab.dim(), 5);
         // Grams appearing in both var-programs must be present.
         let va = vocab.vectorize(&a);
@@ -159,7 +145,7 @@ mod tests {
     #[test]
     fn vectorize_is_relative_frequency() {
         let a = counts("var x = 1; var y = 2; var z = 3;");
-        let vocab = NgramVocab::build([&a], 1000);
+        let vocab = NgramVocab::build([&a[..]], 1000);
         let v = vocab.vectorize(&a);
         let sum: f32 = v.iter().sum();
         assert!((sum - 1.0).abs() < 1e-5, "sum={}", sum);
@@ -168,7 +154,7 @@ mod tests {
     #[test]
     fn unknown_grams_ignored() {
         let a = counts("var x = 1; var y = 2;");
-        let vocab = NgramVocab::build([&a], 1000);
+        let vocab = NgramVocab::build([&a[..]], 1000);
         let other = counts("class Q { m() { return 1; } }");
         let v = vocab.vectorize(&other);
         // Vector well-formed even when most grams are out-of-vocabulary.
@@ -178,15 +164,15 @@ mod tests {
     #[test]
     fn deterministic_vocab_order() {
         let a = counts("var x = 1; f(x); g(x, 2);");
-        let v1 = NgramVocab::build([&a], 10);
-        let v2 = NgramVocab::build([&a], 10);
+        let v1 = NgramVocab::build([&a[..]], 10);
+        let v2 = NgramVocab::build([&a[..]], 10);
         assert_eq!(v1.vectorize(&a), v2.vectorize(&a));
     }
 
     #[test]
     fn serde_roundtrip_with_index_rebuild() {
         let a = counts("var x = 1; var y = 2;");
-        let vocab = NgramVocab::build([&a], 50);
+        let vocab = NgramVocab::build([&a[..]], 50);
         let json = serde_json::to_string(&vocab).unwrap();
         let mut back: NgramVocab = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
@@ -196,7 +182,7 @@ mod tests {
     #[test]
     fn gram_names_are_readable() {
         let a = counts("var x = 1; var y = 2;");
-        let vocab = NgramVocab::build([&a], 3);
+        let vocab = NgramVocab::build([&a[..]], 3);
         let name = vocab.gram_name(0);
         assert!(name.contains('>'));
         assert!(name.contains("Var") || name.contains("Program") || name.contains("Ident"));

@@ -5,12 +5,11 @@
 //! 4-gram vocabulary comes from training), so caching final vectors would
 //! tie every cache record to one trained model. Instead the cache stores a
 //! [`FeaturePayload`]: the hand-picked and lint feature values exactly as
-//! computed (f32), plus the *raw* 4-gram counts. Projecting a payload into
-//! any fitted space with
+//! computed (f32), plus the *raw* 4-gram counts. Training fits its vector
+//! spaces from payloads too, and
 //! [`VectorSpace::vectorize_payload`](crate::VectorSpace::vectorize_payload)
-//! reproduces [`VectorSpace::vectorize`](crate::VectorSpace::vectorize)
-//! bit for bit: the stored blocks are copied verbatim and the n-gram block
-//! is recomputed from exact integer counts with the same f32 operations.
+//! is the only vectorizer, so a replayed payload projects bit-identically
+//! to a fresh one in any fitted space.
 
 use crate::analysis::ScriptAnalysis;
 use crate::handpicked::handpicked_features;
@@ -35,14 +34,12 @@ pub struct FeaturePayload {
 
 impl FeaturePayload {
     /// Distills one analysis into its cacheable payload.
-    pub fn extract(a: &ScriptAnalysis) -> FeaturePayload {
-        let mut ngrams: Vec<(Gram, u32)> = ngram_counts(&a.program).into_iter().collect();
-        ngrams.sort_unstable_by_key(|(g, _)| *g);
+    pub(crate) fn extract(a: &ScriptAnalysis<'_>) -> FeaturePayload {
         FeaturePayload {
             handpicked: handpicked_features(a),
             lint: a.lint.features(),
             normalize: a.normalize.clone(),
-            ngrams,
+            ngrams: ngram_counts(&a.program),
             degraded: a.degraded,
         }
     }
@@ -50,15 +47,17 @@ impl FeaturePayload {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analysis::analyze_script;
     use crate::space::{FeatureConfig, VectorSpace};
-    use crate::{LintSummary, N_HANDPICKED};
+    use crate::{analyze, LintSummary, N_HANDPICKED};
+    use jsdetect_guard::Limits;
+
+    fn payload(src: &str) -> super::FeaturePayload {
+        analyze(src, &Limits::trusted()).into_ok().unwrap()
+    }
 
     #[test]
-    fn extract_carries_all_three_blocks() {
-        let a = analyze_script("var x = 1; if (x) { f(x); }").unwrap();
-        let p = FeaturePayload::extract(&a);
+    fn extract_carries_all_blocks() {
+        let p = payload("var x = 1; if (x) { f(x); }");
         assert_eq!(p.handpicked.len(), N_HANDPICKED);
         assert_eq!(p.lint.len(), LintSummary::N_FEATURES);
         assert_eq!(p.normalize.len(), crate::deltas::N_NORMALIZE);
@@ -68,29 +67,35 @@ mod tests {
 
     #[test]
     fn ngram_pairs_are_sorted_and_deduplicated() {
-        let a = analyze_script("var x = 1; var y = 2; var z = 3;").unwrap();
-        let p = FeaturePayload::extract(&a);
+        let p = payload("var x = 1; var y = 2; var z = 3;");
         for w in p.ngrams.windows(2) {
             assert!(w[0].0 < w[1].0, "grams must be strictly increasing");
         }
     }
 
     #[test]
-    fn payload_vectorizes_bit_identically_for_every_config() {
-        let srcs = ["var x = 1; f(x);", "function g(a) { return a ? a + 1 : 0; }"];
-        let analyses: Vec<_> = srcs.iter().map(|s| analyze_script(s).unwrap()).collect();
-        for config in [
-            FeatureConfig::default(),
-            FeatureConfig { handpicked: true, ngrams: false, lint: false, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: true, lint: false, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: false, lint: true, normalize: false },
-            FeatureConfig { handpicked: false, ngrams: false, lint: false, normalize: true },
-        ] {
-            let vs = VectorSpace::fit(analyses.iter(), 64, config);
-            for a in &analyses {
-                let payload = FeaturePayload::extract(a);
-                assert_eq!(vs.vectorize_payload(&payload), vs.vectorize(a));
+    fn every_config_projects_its_blocks_in_order() {
+        let payloads: Vec<_> =
+            ["var x = 1; f(x);", "function g(a) { return a ? a + 1 : 0; }"].map(payload).into();
+        let only = |handpicked, ngrams, lint, normalize| FeatureConfig {
+            handpicked,
+            ngrams,
+            lint,
+            normalize,
+        };
+        let full = VectorSpace::fit(payloads.iter(), 64, FeatureConfig::default());
+        for p in &payloads {
+            let v = full.vectorize_payload(p);
+            let mut blocks = Vec::new();
+            for config in [
+                only(true, false, false, false),
+                only(false, false, true, false),
+                only(false, false, false, true),
+                only(false, true, false, false),
+            ] {
+                blocks.extend(VectorSpace::fit(payloads.iter(), 64, config).vectorize_payload(p));
             }
+            assert_eq!(v, blocks);
         }
     }
 }

@@ -2,9 +2,9 @@
 //! (paper §III-B: "each feature is associated with one consistent
 //! dimension").
 
-use crate::analysis::ScriptAnalysis;
-use crate::handpicked::{handpicked_features, FEATURE_NAMES, N_HANDPICKED};
-use crate::ngrams::{ngram_counts, NgramVocab};
+use crate::handpicked::{FEATURE_NAMES, N_HANDPICKED};
+use crate::ngrams::NgramVocab;
+use crate::FeaturePayload;
 use jsdetect_lint::LintSummary;
 use jsdetect_obs::names;
 use serde::{Deserialize, Serialize};
@@ -51,14 +51,14 @@ pub struct VectorSpace {
 }
 
 impl VectorSpace {
-    /// Fits the 4-gram vocabulary on a training corpus of analyses.
+    /// Fits the 4-gram vocabulary on a training corpus of payloads.
     pub fn fit<'a, I>(corpus: I, max_ngrams: usize, config: FeatureConfig) -> Self
     where
-        I: IntoIterator<Item = &'a ScriptAnalysis>,
+        I: IntoIterator<Item = &'a FeaturePayload>,
     {
         let _t = jsdetect_obs::span(names::SPAN_FIT_SPACE);
-        let docs: Vec<_> = corpus.into_iter().map(|a| ngram_counts(&a.program)).collect();
-        let vocab = NgramVocab::build(docs.iter(), max_ngrams);
+        let docs = corpus.into_iter().map(|p| p.ngrams.as_slice());
+        let vocab = NgramVocab::build(docs, max_ngrams);
         VectorSpace { version: FEATURE_SPACE_VERSION, config, vocab }
     }
 
@@ -85,41 +85,11 @@ impl VectorSpace {
         d
     }
 
-    /// Vectorizes one analyzed script.
-    pub fn vectorize(&self, a: &ScriptAnalysis) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.dim());
-        self.vectorize_into(a, &mut v);
-        v
-    }
-
-    /// Vectorizes into a caller-owned buffer (cleared first), so batch
-    /// vectorization can reuse one scratch row instead of allocating per
-    /// script.
-    pub fn vectorize_into(&self, a: &ScriptAnalysis, out: &mut Vec<f32>) {
-        let _t = jsdetect_obs::span(names::SPAN_VECTORIZE);
-        out.clear();
-        if self.config.handpicked {
-            let _s = jsdetect_obs::span(names::SPAN_HANDPICKED);
-            out.extend(handpicked_features(a));
-        }
-        if self.config.lint {
-            out.extend(a.lint.features());
-        }
-        if self.config.normalize {
-            out.extend_from_slice(&a.normalize);
-        }
-        if self.config.ngrams {
-            let _s = jsdetect_obs::span(names::SPAN_NGRAMS);
-            out.extend(self.vocab.vectorize(&ngram_counts(&a.program)));
-        }
-    }
-
-    /// Vectorizes a cached [`FeaturePayload`](crate::FeaturePayload)
-    /// without touching source text or AST. Bit-identical to
-    /// [`VectorSpace::vectorize`] on the analysis the payload was
-    /// extracted from: the hand-picked and lint blocks are replayed
-    /// verbatim and the n-gram block is recomputed from exact counts.
-    pub fn vectorize_payload(&self, p: &crate::FeaturePayload) -> Vec<f32> {
+    /// Vectorizes one script's [`FeaturePayload`]: the hand-picked, lint
+    /// and delta blocks are copied verbatim and the n-gram block is
+    /// computed from exact counts, so a payload replayed from the cache
+    /// projects bit-identically to a fresh one.
+    pub fn vectorize_payload(&self, p: &FeaturePayload) -> Vec<f32> {
         let _t = jsdetect_obs::span(names::SPAN_VECTORIZE);
         let mut out = Vec::with_capacity(self.dim());
         if self.config.handpicked {
@@ -132,7 +102,7 @@ impl VectorSpace {
             out.extend_from_slice(&p.normalize);
         }
         if self.config.ngrams {
-            out.extend(self.vocab.vectorize_pairs(&p.ngrams));
+            out.extend(self.vocab.vectorize(&p.ngrams));
         }
         out
     }
@@ -170,19 +140,28 @@ impl VectorSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_script;
+    use crate::analyze;
+    use jsdetect_guard::Limits;
 
-    fn spaces(srcs: &[&str]) -> (VectorSpace, Vec<ScriptAnalysis>) {
-        let analyses: Vec<_> = srcs.iter().map(|s| analyze_script(s).unwrap()).collect();
-        let vs = VectorSpace::fit(analyses.iter(), 64, FeatureConfig::default());
-        (vs, analyses)
+    fn payloads(srcs: &[&str]) -> Vec<FeaturePayload> {
+        srcs.iter().map(|s| analyze(s, &Limits::trusted()).into_ok().unwrap()).collect()
+    }
+
+    fn spaces(srcs: &[&str]) -> (VectorSpace, Vec<FeaturePayload>) {
+        let payloads = payloads(srcs);
+        let vs = VectorSpace::fit(payloads.iter(), 64, FeatureConfig::default());
+        (vs, payloads)
+    }
+
+    fn only(handpicked: bool, ngrams: bool, lint: bool) -> FeatureConfig {
+        FeatureConfig { handpicked, ngrams, lint, normalize: false }
     }
 
     #[test]
     fn consistent_dimensions() {
-        let (vs, analyses) = spaces(&["var x = 1;", "function f() { return 2; }"]);
-        let v0 = vs.vectorize(&analyses[0]);
-        let v1 = vs.vectorize(&analyses[1]);
+        let (vs, payloads) = spaces(&["var x = 1;", "function f() { return 2; }"]);
+        let v0 = vs.vectorize_payload(&payloads[0]);
+        let v1 = vs.vectorize_payload(&payloads[1]);
         assert_eq!(v0.len(), vs.dim());
         assert_eq!(v1.len(), vs.dim());
         assert_ne!(v0, v1);
@@ -190,35 +169,21 @@ mod tests {
 
     #[test]
     fn handpicked_only_config() {
-        let analyses = vec![analyze_script("var x = 1;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: true, ngrams: false, lint: false, normalize: false },
-        );
+        let vs = VectorSpace::fit(&payloads(&["var x = 1;"]), 64, only(true, false, false));
         assert_eq!(vs.dim(), crate::handpicked::N_HANDPICKED);
     }
 
     #[test]
     fn ngrams_only_config() {
-        let analyses = vec![analyze_script("var x = 1; var y = 2;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: false, ngrams: true, lint: false, normalize: false },
-        );
+        let corpus = payloads(&["var x = 1; var y = 2;"]);
+        let vs = VectorSpace::fit(&corpus, 64, only(false, true, false));
         assert!(vs.dim() > 0);
         assert!(vs.dim() <= 64);
     }
 
     #[test]
     fn lint_only_config() {
-        let analyses = vec![analyze_script("var x = 1;").unwrap()];
-        let vs = VectorSpace::fit(
-            analyses.iter(),
-            64,
-            FeatureConfig { handpicked: false, ngrams: false, lint: true, normalize: false },
-        );
+        let vs = VectorSpace::fit(&payloads(&["var x = 1;"]), 64, only(false, false, true));
         assert_eq!(vs.dim(), LintSummary::N_FEATURES);
         assert_eq!(vs.dim_name(0), format!("lint:{}", jsdetect_lint::RULE_NAMES[0]));
     }
@@ -246,23 +211,22 @@ mod tests {
     #[test]
     fn lint_dimensions_separate_obfuscated_from_clean() {
         let dirty = "while (running) { debugger; step(); }";
-        let (vs, analyses) = spaces(&[dirty, "var x = 1; f(x);"]);
-        let v = vs.vectorize(&analyses[0]);
-        let lint_block = &v[crate::handpicked::N_HANDPICKED
-            ..crate::handpicked::N_HANDPICKED + LintSummary::N_FEATURES];
-        assert!(lint_block.iter().any(|&x| x > 0.0), "{:?}", lint_block);
-        let clean = vs.vectorize(&analyses[1]);
-        let clean_block = &clean[crate::handpicked::N_HANDPICKED
-            ..crate::handpicked::N_HANDPICKED + LintSummary::N_FEATURES];
+        let (vs, payloads) = spaces(&[dirty, "var x = 1; f(x);"]);
+        let lint_block = |v: Vec<f32>| {
+            v[crate::handpicked::N_HANDPICKED..crate::handpicked::N_HANDPICKED + N_LINT].to_vec()
+        };
+        let dirty_block = lint_block(vs.vectorize_payload(&payloads[0]));
+        assert!(dirty_block.iter().any(|&x| x > 0.0), "{:?}", dirty_block);
+        let clean_block = lint_block(vs.vectorize_payload(&payloads[1]));
         assert!(clean_block.iter().all(|&x| x == 0.0), "{:?}", clean_block);
     }
 
     #[test]
     fn serde_roundtrip() {
-        let (vs, analyses) = spaces(&["var x = 1; f(x);"]);
+        let (vs, payloads) = spaces(&["var x = 1; f(x);"]);
         let json = serde_json::to_string(&vs).unwrap();
         let mut back: VectorSpace = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
-        assert_eq!(back.vectorize(&analyses[0]), vs.vectorize(&analyses[0]));
+        assert_eq!(back.vectorize_payload(&payloads[0]), vs.vectorize_payload(&payloads[0]));
     }
 }

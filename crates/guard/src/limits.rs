@@ -47,8 +47,9 @@ impl Limits {
     }
 
     /// Preset for trusted inputs (training corpora, fixtures): only the
-    /// stack-overflow depth guard stays on, so results are identical to the
-    /// pre-sandbox pipeline and deterministic (no wall-clock coupling).
+    /// stack-overflow depth guard stays on, and results are deterministic
+    /// (no wall-clock coupling). Training and the detectors' `predict*`
+    /// methods analyze under it.
     pub fn trusted() -> Limits {
         Limits {
             max_input_bytes: usize::MAX,

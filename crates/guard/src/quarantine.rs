@@ -8,7 +8,7 @@ pub enum OutcomeKind {
     /// Full analysis succeeded; the feature vector is the real thing.
     Ok,
     /// Parse (or a later stage) failed but the lexer-only fallback vector
-    /// was emitted, flagged by `ScriptAnalysis::degraded`.
+    /// was emitted, flagged by the feature payload's `degraded` bit.
     Degraded,
     /// A resource budget was blown or a stage panicked; nothing usable was
     /// produced beyond the error record itself.
@@ -68,9 +68,11 @@ impl QuarantineReport {
         });
     }
 
-    /// Records one file's outcome from already-rendered error fields (the
-    /// replay path: cache records store the kind tag and message, not the
-    /// structured [`AnalysisError`]). Empty strings mean "no error".
+    /// Records one file's outcome from already-rendered error fields, as
+    /// batch verdicts and cache records carry them (the kind tag and the
+    /// message, not the structured [`AnalysisError`]). Empty strings mean
+    /// "no error". Renders the same JSONL as [`QuarantineReport::push`]
+    /// with the structured error.
     pub fn push_replayed(
         &mut self,
         file: impl Into<String>,
@@ -217,5 +219,16 @@ mod tests {
         );
         assert!(lines[1].contains("\"error_kind\":\"stage_panicked\""));
         assert!(lines[1].contains("tab\\there"));
+    }
+
+    #[test]
+    fn rendered_and_structured_errors_export_identically() {
+        let e = AnalysisError::Parse { msg: "unexpected \"=\"".into(), pos: 7 };
+        let (mut structured, mut rendered) = (QuarantineReport::new(), QuarantineReport::new());
+        structured.push("a.js", OutcomeKind::Ok, None);
+        rendered.push_replayed("a.js", OutcomeKind::Ok, "", "");
+        structured.push("b.js", OutcomeKind::Degraded, Some(&e));
+        rendered.push_replayed("b.js", OutcomeKind::Degraded, e.kind(), &e.to_string());
+        assert_eq!(structured.to_jsonl(), rendered.to_jsonl());
     }
 }

@@ -32,16 +32,10 @@ pub const SPAN_LINT: &str = "lint";
 pub const SPAN_DEGRADED_FALLBACK: &str = "degraded_fallback";
 /// Batch analysis driver (covers the worker pool).
 pub const SPAN_ANALYZE_MANY: &str = "analyze_many";
-/// One worker's vectorization batch.
-pub const SPAN_VECTORIZE_BATCH: &str = "vectorize_batch";
 /// Feature-space fitting.
 pub const SPAN_FIT_SPACE: &str = "fit_space";
 /// Feature vectorization.
 pub const SPAN_VECTORIZE: &str = "vectorize";
-/// Handpicked-feature extraction.
-pub const SPAN_HANDPICKED: &str = "handpicked";
-/// N-gram feature extraction.
-pub const SPAN_NGRAMS: &str = "ngrams";
 /// Normalized-vs-original feature-delta block.
 pub const SPAN_NORMALIZE_DELTAS: &str = "normalize_deltas";
 /// Cache lookup.
@@ -194,11 +188,8 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_LINT,
     SPAN_DEGRADED_FALLBACK,
     SPAN_ANALYZE_MANY,
-    SPAN_VECTORIZE_BATCH,
     SPAN_FIT_SPACE,
     SPAN_VECTORIZE,
-    SPAN_HANDPICKED,
-    SPAN_NGRAMS,
     SPAN_NORMALIZE_DELTAS,
     SPAN_CACHE_GET,
     SPAN_CACHE_PUT,

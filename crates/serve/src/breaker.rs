@@ -12,7 +12,7 @@
 //!
 //! In `Open` and for non-probe requests in `HalfOpen`, workers skip the
 //! parser and serve lexer-only verdicts
-//! ([`jsdetect_features::analyze_script_lexer_only`]): the daemon sheds
+//! ([`jsdetect_features::analyze_lexer_only`]): the daemon sheds
 //! the expensive 90% of per-request work while still answering every
 //! request, instead of letting the queue's reject rate climb.
 

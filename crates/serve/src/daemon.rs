@@ -33,7 +33,7 @@ use jsdetect::{
 };
 use jsdetect_ast::{global_interner, INTERNER_EXHAUSTED_MSG};
 use jsdetect_cache::{AnalysisCache, ContentHash};
-use jsdetect_features::analyze_script_lexer_only;
+use jsdetect_features::analyze_lexer_only;
 use jsdetect_guard::{isolate, AnalysisError, OutcomeKind};
 use jsdetect_obs::names;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -628,7 +628,7 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
         limits.deadline_ms =
             if limits.deadline_ms == 0 { remaining } else { limits.deadline_ms.min(remaining) };
     }
-    let config = AnalysisConfig { limits, fail_fast: false };
+    let config = AnalysisConfig { limits };
     let mode = shared.breaker.admit_mode();
     let verdict = if mode.is_degraded() {
         let analyzed = degraded_analyze(shared, &job.src, &config);
@@ -652,25 +652,8 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
 /// same key a full verdict would, and must not shadow one.
 fn degraded_analyze(shared: &Shared, src: &str, config: &AnalysisConfig) -> CachedScript {
     let hash = ContentHash::of(src.as_bytes());
-    if let Some(rec) = shared.cache.as_deref().and_then(|c| c.get(&hash)) {
-        return CachedScript {
-            hash,
-            outcome: rec.outcome,
-            error_kind: rec.error_kind.clone(),
-            error_msg: rec.error_msg.clone(),
-            payload: rec.payload.clone(),
-            from_cache: true,
-        };
-    }
-    let g = analyze_script_lexer_only(src, &config.limits);
-    CachedScript {
-        hash,
-        outcome: g.outcome,
-        error_kind: g.error.as_ref().map(|e| e.kind().to_string()).unwrap_or_default(),
-        error_msg: g.error.as_ref().map(|e| e.to_string()).unwrap_or_default(),
-        payload: g.analysis.as_ref().map(jsdetect_features::FeaturePayload::extract),
-        from_cache: false,
-    }
+    CachedScript::replayed(shared.cache.as_deref(), hash)
+        .unwrap_or_else(|| CachedScript::computed(hash, analyze_lexer_only(src, &config.limits)))
 }
 
 fn verdict_response(v: &ScriptVerdict, degraded_mode: bool) -> AnalyzeResponse {

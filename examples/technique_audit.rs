@@ -10,7 +10,7 @@
 //! ```
 
 use jsdetect_suite::detector::{train_pipeline, DetectorConfig, DEFAULT_THRESHOLD};
-use jsdetect_suite::features::{analyze_script, handpicked_features, FEATURE_NAMES};
+use jsdetect_suite::features::{analyze, Limits, FEATURE_NAMES};
 use jsdetect_suite::transform::{apply, Technique};
 
 fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src: &str) {
@@ -18,7 +18,7 @@ fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src
     let verdict = match detectors.level1.predict(src) {
         Ok(v) => v,
         Err(e) => {
-            println!("  not valid JavaScript: {}", e);
+            println!("  not analyzable: {}", e);
             return;
         }
     };
@@ -40,8 +40,7 @@ fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src
     }
 
     // Show the most telling hand-picked features.
-    let analysis = analyze_script(src).unwrap();
-    let features = handpicked_features(&analysis);
+    let features = analyze(src, &Limits::trusted()).into_ok().unwrap().handpicked;
     let show = [
         "avg_chars_per_line",
         "whitespace_ratio",

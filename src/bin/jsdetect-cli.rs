@@ -443,7 +443,7 @@ fn collect_js_files(paths: &[&String]) -> Vec<std::path::PathBuf> {
 /// limits preset; `--cache-readonly` consults the store without writing.
 fn cmd_analyze(argv: &[String]) {
     use jsdetect_suite::cache::{AnalysisCache, CacheConfig};
-    use jsdetect_suite::detector::{analyze_many_cached, analyze_many_guarded, AnalysisConfig};
+    use jsdetect_suite::detector::{analyze_many, AnalysisConfig};
     use jsdetect_suite::guard::{AnalysisError, Limits, OutcomeKind, QuarantineReport};
 
     let format = arg_value(argv, "--telemetry").unwrap_or_else(|| "summary".to_string());
@@ -514,55 +514,39 @@ fn cmd_analyze(argv: &[String]) {
 
     let refs: Vec<&str> =
         sources.iter().filter_map(|s| s.as_ref().ok()).map(String::as_str).collect();
-    let config = AnalysisConfig { limits, fail_fast };
+    let config = AnalysisConfig { limits };
+    let cache = cache_dir.as_ref().map(|dir| {
+        let mut ccfg = CacheConfig::new(dir, &config.limits);
+        ccfg.readonly = cache_readonly;
+        AnalysisCache::open(ccfg).unwrap_or_else(|e| {
+            eprintln!("cannot open cache directory {}: {}", dir, e);
+            std::process::exit(1);
+        })
+    });
+    let results = analyze_many(&refs, &config, cache.as_ref());
+    if let Some(dir) = &cache_dir {
+        let n_replayed = results.iter().filter(|r| r.from_cache).count();
+        eprintln!("cache: {} of {} verdicts replayed from {}", n_replayed, results.len(), dir);
+    }
 
     // Reassemble per-file outcomes in input order (read failures never
     // reached the batch).
     let mut quarantine = QuarantineReport::new();
-    match &cache_dir {
-        Some(dir) => {
-            let mut ccfg = CacheConfig::new(dir, &config.limits);
-            ccfg.readonly = cache_readonly;
-            let store = AnalysisCache::open(ccfg).unwrap_or_else(|e| {
-                eprintln!("cannot open cache directory {}: {}", dir, e);
-                std::process::exit(1);
-            });
-            let results = analyze_many_cached(&refs, &config, &store);
-            let n_replayed = results.iter().filter(|r| r.from_cache).count();
-            eprintln!("cache: {} of {} verdicts replayed from {}", n_replayed, results.len(), dir);
-            let mut results_iter = results.into_iter();
-            for (f, src) in files.iter().zip(&sources) {
-                match src {
-                    Err(e) => {
-                        jsdetect_suite::obs::counter_add(e.counter_name(), 1);
-                        quarantine.push(f.display().to_string(), OutcomeKind::Rejected, Some(e));
-                    }
-                    Ok(_) => {
-                        let r = results_iter.next().expect("one result per readable file");
-                        quarantine.push_replayed(
-                            f.display().to_string(),
-                            r.outcome,
-                            &r.error_kind,
-                            &r.error_msg,
-                        );
-                    }
-                }
+    let mut results_iter = results.into_iter();
+    for (f, src) in files.iter().zip(&sources) {
+        match src {
+            Err(e) => {
+                jsdetect_suite::obs::counter_add(e.counter_name(), 1);
+                quarantine.push(f.display().to_string(), OutcomeKind::Rejected, Some(e));
             }
-        }
-        None => {
-            let results = analyze_many_guarded(&refs, &config);
-            let mut results_iter = results.into_iter();
-            for (f, src) in files.iter().zip(&sources) {
-                match src {
-                    Err(e) => {
-                        jsdetect_suite::obs::counter_add(e.counter_name(), 1);
-                        quarantine.push(f.display().to_string(), OutcomeKind::Rejected, Some(e));
-                    }
-                    Ok(_) => {
-                        let r = results_iter.next().expect("one result per readable file");
-                        quarantine.push(f.display().to_string(), r.outcome, r.error.as_ref());
-                    }
-                }
+            Ok(_) => {
+                let r = results_iter.next().expect("one result per readable file");
+                quarantine.push_replayed(
+                    f.display().to_string(),
+                    r.outcome,
+                    &r.error_kind,
+                    &r.error_msg,
+                );
             }
         }
     }

@@ -4,8 +4,8 @@
 //! never to a failed batch or a wrong answer.
 
 use jsdetect_suite::cache::{AnalysisCache, CacheConfig};
-use jsdetect_suite::detector::{analyze_many_cached, analyze_many_guarded, AnalysisConfig};
-use jsdetect_suite::features::{FeatureConfig, FeaturePayload, VectorSpace};
+use jsdetect_suite::detector::{analyze_many, AnalysisConfig};
+use jsdetect_suite::features::{analyze, FeatureConfig, Limits, VectorSpace};
 use jsdetect_suite::guard::OutcomeKind;
 use jsdetect_suite::obs;
 use std::path::PathBuf;
@@ -65,7 +65,7 @@ fn counted_scan(
 ) -> (Vec<jsdetect_suite::detector::CachedScript>, u64, u64, u64, u64) {
     obs::set_enabled(true);
     obs::reset();
-    let results = analyze_many_cached(srcs, config, cache);
+    let results = analyze_many(srcs, config, Some(cache));
     let snap = obs::snapshot();
     obs::set_enabled(false);
     (
@@ -102,25 +102,25 @@ fn warm_rescan_is_bit_identical_to_cold_over_the_fixture_corpus() {
 
     // Outcomes and payloads replay exactly; vectors are bit-identical in
     // any space fitted over the corpus.
-    let analyses: Vec<_> = srcs
+    let payloads: Vec<_> = srcs
         .iter()
-        .map(|s| jsdetect_suite::features::analyze_script(s).expect("fixture parses"))
+        .map(|s| analyze(s, &Limits::trusted()).into_ok().expect("fixture parses"))
         .collect();
-    let space = VectorSpace::fit(analyses.iter(), 120, FeatureConfig::default());
-    for ((c, w), a) in cold.iter().zip(&warm).zip(&analyses) {
+    let space = VectorSpace::fit(&payloads, 120, FeatureConfig::default());
+    for ((c, w), p) in cold.iter().zip(&warm).zip(&payloads) {
         assert_eq!(c.outcome, OutcomeKind::Ok);
         assert_eq!(c.outcome, w.outcome);
         assert_eq!(c.payload, w.payload);
-        let fresh = space.vectorize(a);
+        let fresh = space.vectorize_payload(p);
         assert_eq!(c.vectorize(&space).as_deref(), Some(fresh.as_slice()));
         assert_eq!(w.vectorize(&space).as_deref(), Some(fresh.as_slice()));
     }
 
     // The cached path agrees with the uncached guarded path.
-    let guarded = analyze_many_guarded(&srcs, &config);
+    let guarded = analyze_many(&srcs, &config, None);
     for (w, g) in warm.iter().zip(&guarded) {
         assert_eq!(w.outcome, g.outcome);
-        assert_eq!(w.payload, g.analysis.as_ref().map(FeaturePayload::extract));
+        assert_eq!(w.payload, g.payload);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,8 @@
 //! rejected}, with per-error-kind counters visible in telemetry.
 
 use jsdetect_suite::corpus::chaos_corpus;
-use jsdetect_suite::detector::{analyze_many_guarded, AnalysisConfig};
+use jsdetect_suite::detector::{analyze_many, AnalysisConfig};
+use jsdetect_suite::features::analyze;
 use jsdetect_suite::guard::{OutcomeKind, QuarantineReport};
 use jsdetect_suite::obs;
 use std::sync::Mutex;
@@ -22,32 +23,39 @@ fn chaos_corpus_survives_guarded_batch_analysis() {
 
     obs::set_enabled(true);
     obs::reset();
-    let results = analyze_many_guarded(&refs, &AnalysisConfig::wild());
+    let config = AnalysisConfig::wild();
+    let results = analyze_many(&refs, &config, None);
     let snap = obs::snapshot();
     obs::set_enabled(false);
 
     assert_eq!(results.len(), corpus.len());
     let mut quarantine = QuarantineReport::new();
-    for (case, r) in corpus.iter().zip(&results) {
-        quarantine.push(case.name, r.outcome, r.error.as_ref());
+    for (case, batch) in corpus.iter().zip(&results) {
+        quarantine.push_replayed(case.name, batch.outcome, &batch.error_kind, &batch.error_msg);
+        // The batch carries the error as rendered text; the same script
+        // analyzed on its own gives the structured error behind it.
+        let r = analyze(&case.src, &config.limits);
+        assert_eq!(r.outcome, batch.outcome, "case {}", case.name);
+        assert_eq!(r.payload, batch.payload, "case {}", case.name);
+        assert_eq!(r.error.as_ref().map_or("", |e| e.kind()), batch.error_kind);
         match r.outcome {
             OutcomeKind::Ok => {
-                let a = r
-                    .analysis
+                let p = r
+                    .payload
                     .as_ref()
-                    .unwrap_or_else(|| panic!("case {} is ok but carries no analysis", case.name));
-                assert!(!a.degraded, "case {} is ok but flagged degraded", case.name);
+                    .unwrap_or_else(|| panic!("case {} is ok but carries no payload", case.name));
+                assert!(!p.degraded, "case {} is ok but flagged degraded", case.name);
                 assert!(r.error.is_none());
             }
             OutcomeKind::Degraded => {
-                let a = r.analysis.as_ref().unwrap_or_else(|| {
+                let p = r.payload.as_ref().unwrap_or_else(|| {
                     panic!("case {} degraded but carries no fallback", case.name)
                 });
-                assert!(a.degraded, "case {} degraded without the degraded bit", case.name);
+                assert!(p.degraded, "case {} degraded without the degraded bit", case.name);
                 assert!(r.error.is_some());
             }
             OutcomeKind::Rejected => {
-                assert!(r.analysis.is_none(), "case {} rejected but carries analysis", case.name);
+                assert!(r.payload.is_none(), "case {} rejected but carries a payload", case.name);
                 let e = r.error.as_ref().expect("rejected cases carry their error");
                 assert!(
                     e.is_resource(),
@@ -154,7 +162,7 @@ fn chaos_corpus_under_trusted_limits_only_guards_depth() {
             .as_str()
     };
     let picks = [by_name("twelve_mb_input"), by_name("token_flood"), by_name("paren_bomb_50k")];
-    let results = analyze_many_guarded(&picks, &AnalysisConfig::trusted());
+    let results = analyze_many(&picks, &AnalysisConfig::trusted(), None);
     // twelve_mb_input and token_flood are syntactically fine: ok now.
     assert_eq!(results[0].outcome, OutcomeKind::Ok);
     assert_eq!(results[1].outcome, OutcomeKind::Ok);

@@ -16,7 +16,7 @@
 
 use jsdetect_ast::Atom;
 use jsdetect_corpus::{chaos_corpus, regular_corpus};
-use jsdetect_features::{analyze_script, FeatureConfig, VectorSpace};
+use jsdetect_features::{analyze, FeatureConfig, Limits, VectorSpace};
 use jsdetect_lexer::reference::{tokenize_reference, RefToken, RefTokenKind};
 use jsdetect_lexer::{tokenize, Token, TokenKind};
 use jsdetect_transform::{apply, Technique};
@@ -192,18 +192,19 @@ fn feature_vectors_bit_identical_to_pre_refactor_fixture() {
     let golden: FrontendGolden = serde_json::from_str(&raw).expect("fixture parses");
     assert!(golden.scripts.len() >= 30, "fixture shrank: {}", golden.scripts.len());
 
-    let analyses: Vec<_> = golden
+    let payloads: Vec<_> = golden
         .scripts
         .iter()
         .map(|s| {
-            analyze_script(&s.src).unwrap_or_else(|e| panic!("{} failed to parse: {}", s.label, e))
+            let analyzed = analyze(&s.src, &Limits::trusted());
+            analyzed.into_ok().unwrap_or_else(|e| panic!("{} failed to analyze: {}", s.label, e))
         })
         .collect();
-    let space = VectorSpace::fit(analyses.iter(), golden.max_ngrams, FeatureConfig::default());
+    let space = VectorSpace::fit(&payloads, golden.max_ngrams, FeatureConfig::default());
     assert_eq!(space.dim(), golden.dim, "vector dimensionality changed");
 
-    for (s, a) in golden.scripts.iter().zip(&analyses) {
-        let v = space.vectorize(a);
+    for (s, p) in golden.scripts.iter().zip(&payloads) {
+        let v = space.vectorize_payload(p);
         assert_eq!(v.len(), s.vector_bits.len(), "{}: vector length changed", s.label);
         for (i, (got, want)) in v.iter().zip(&s.vector_bits).enumerate() {
             assert_eq!(

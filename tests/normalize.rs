@@ -159,7 +159,8 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
 #[test]
 fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
     use jsdetect_suite::corpus::{chaos_corpus, module_corpus, regular_corpus};
-    use jsdetect_suite::features::{analyze_script_guarded, measure_deltas, neutral_deltas};
+    use jsdetect_suite::features::{analyze, measure_deltas, neutral_deltas};
+    use jsdetect_suite::lint::LintRunner;
     use jsdetect_suite::transform::presets::Tool;
 
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -199,26 +200,32 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
         let (mut analyzed, mut zero) = (0usize, 0usize);
         for (i, src) in sources.iter().enumerate() {
             let label = format!("{} #{}", name, i);
-            let guarded = analyze_script_guarded(src, &Limits::wild());
-            if guarded.outcome != OutcomeKind::Ok {
+            let result = analyze(src, &Limits::wild());
+            if result.outcome != OutcomeKind::Ok {
                 // Only chaos cases may fail the guarded front end.
-                assert_eq!(*name, "chaos", "{}: {:?}", label, guarded.error);
+                assert_eq!(*name, "chaos", "{}: {:?}", label, result.error);
                 continue;
             }
-            let a = guarded.analysis.expect("Ok carries an analysis");
-            let (normalized, report) = normalize_program(&a.program, &opts());
+            let production = result.payload.expect("Ok carries a payload").normalize;
+            // The original-side inputs of the measurement, computed as the
+            // front end computes them.
+            let program = parse(src).expect("an Ok script parses");
+            let nodes = jsdetect_suite::ast::metrics::tree_shape(&program).node_count;
+            let graph = jsdetect_suite::flow::analyze(&program);
+            let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
+            let (normalized, report) = normalize_program(&program, &opts());
             analyzed += 1;
             if report.outcome != OutcomeKind::Ok {
-                assert_eq!(bits(&a.normalize), neutral, "{}: degraded run is neutral", label);
+                assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
                 continue;
             }
-            let full = measure_deltas(src, &a.program, &normalized, a.shape.node_count, &a.lint);
+            let full = measure_deltas(src, &program, &normalized, nodes, &lint);
             if report.total_rewrites() == 0 {
                 zero += 1;
-                assert_eq!(normalized, a.program, "{}: zero rewrites changed the tree", label);
+                assert_eq!(normalized, program, "{}: zero rewrites changed the tree", label);
                 assert_eq!(bits(&full), neutral, "{}: full measurement is not neutral", label);
             }
-            assert_eq!(bits(&a.normalize), bits(&full), "{}: short-cut differs", label);
+            assert_eq!(bits(&production), bits(&full), "{}: short-cut differs", label);
         }
         assert!(analyzed > 0, "{}: nothing analyzed", name);
         eprintln!(

@@ -4,7 +4,7 @@
 //! the runtime-composed `guard/<kind>` counters), and the structure of the
 //! Chrome trace export end to end.
 
-use jsdetect_suite::detector::{analyze_many, analyze_many_guarded, AnalysisConfig};
+use jsdetect_suite::detector::{analyze_many, AnalysisConfig, OutcomeKind};
 use jsdetect_suite::obs::{self, names};
 use std::sync::Mutex;
 
@@ -29,7 +29,7 @@ fn representative_snapshot() -> obs::Snapshot {
     obs::reset();
     let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
     let srcs = [FIXTURE, "var ;;; broken ((", bomb.as_str()];
-    let out = analyze_many_guarded(&srcs, &AnalysisConfig::default());
+    let out = analyze_many(&srcs, &AnalysisConfig::default(), None);
     assert_eq!(out.len(), 3);
     let snap = obs::snapshot();
     obs::set_enabled(false);
@@ -104,8 +104,8 @@ fn chrome_trace_export_parses_with_expected_structure() {
     let _g = locked();
     obs::set_enabled(true);
     obs::reset();
-    let out = analyze_many(&[FIXTURE, FIXTURE, FIXTURE]);
-    assert!(out.iter().all(Option::is_some));
+    let out = analyze_many(&[FIXTURE, FIXTURE, FIXTURE], &AnalysisConfig::trusted(), None);
+    assert!(out.iter().all(|c| c.outcome == OutcomeKind::Ok));
     let snap = obs::snapshot();
     obs::set_enabled(false);
 

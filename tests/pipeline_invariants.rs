@@ -88,12 +88,13 @@ fn identifier_obfuscation_properties() {
 /// Feature extraction never produces NaN/∞ and has a stable width.
 #[test]
 fn features_always_finite() {
+    use jsdetect_suite::features::{analyze, Limits};
     for seed in 0..12u64 {
         let src = RegularJsGenerator::new(seed * 17 + 11).generate();
         for technique in Technique::ALL {
             let out = apply(&src, &[technique], seed).unwrap_or_else(|_| src.clone());
-            let analysis = jsdetect_suite::features::analyze_script(&out).unwrap();
-            let f = jsdetect_suite::features::handpicked_features(&analysis);
+            let analyzed = analyze(&out, &Limits::trusted());
+            let f = analyzed.into_ok().unwrap().handpicked;
             assert_eq!(f.len(), jsdetect_suite::features::N_HANDPICKED);
             for (i, v) in f.iter().enumerate() {
                 assert!(v.is_finite(), "feature {} not finite (seed {})", i, seed);

@@ -2,7 +2,7 @@
 //! pipeline: expected span coverage, failure counters, stage-sum
 //! accounting, and the disabled-path overhead bound.
 
-use jsdetect_suite::detector::analyze_many;
+use jsdetect_suite::detector::{analyze_many, AnalysisConfig, CachedScript, OutcomeKind};
 use jsdetect_suite::obs;
 use std::sync::Mutex;
 
@@ -12,6 +12,15 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn locked() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The batch analysis path under trusted limits, without a verdict cache.
+fn scan(srcs: &[&str]) -> Vec<CachedScript> {
+    analyze_many(srcs, &AnalysisConfig::trusted(), None)
+}
+
+fn is_ok(c: &CachedScript) -> bool {
+    c.outcome == OutcomeKind::Ok
 }
 
 const FIXTURE: &str = "function add(a, b) { return a + b; }\n\
@@ -24,8 +33,8 @@ fn analyze_emits_expected_span_set() {
     let _g = locked();
     obs::set_enabled(true);
     obs::reset();
-    let out = analyze_many(&[FIXTURE, FIXTURE]);
-    assert!(out.iter().all(Option::is_some));
+    let out = scan(&[FIXTURE, FIXTURE]);
+    assert!(out.iter().all(is_ok));
     let snap = obs::snapshot();
     obs::set_enabled(false);
 
@@ -52,8 +61,8 @@ fn parse_failure_counter_increments_on_malformed_script() {
     let _g = locked();
     obs::set_enabled(true);
     obs::reset();
-    let out = analyze_many(&[FIXTURE, "var ;;; broken ((", FIXTURE]);
-    assert_eq!(out.iter().filter(|a| a.is_some()).count(), 2);
+    let out = scan(&[FIXTURE, "var ;;; broken ((", FIXTURE]);
+    assert_eq!(out.iter().filter(|c| is_ok(c)).count(), 2);
     let snap = obs::snapshot();
     obs::set_enabled(false);
     assert_eq!(snap.counter("parse_failures"), 1);
@@ -74,8 +83,8 @@ fn stage_spans_sum_close_to_analyze_total() {
     let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
     obs::set_enabled(true);
     obs::reset();
-    let out = analyze_many(&refs);
-    assert!(out.iter().all(Option::is_some));
+    let out = scan(&refs);
+    assert!(out.iter().all(is_ok));
     let snap = obs::snapshot();
     obs::set_enabled(false);
 
@@ -118,7 +127,7 @@ fn disabled_telemetry_overhead_is_negligible() {
     let mut medians: Vec<f64> = (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(analyze_many(&refs));
+            std::hint::black_box(scan(&refs));
             t0.elapsed().as_nanos() as f64
         })
         .collect();
@@ -152,8 +161,8 @@ fn worker_telemetry_lands_before_snapshot_and_reset_isolates_runs() {
         let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
         obs::set_enabled(true);
         obs::reset();
-        let out = analyze_many(&refs);
-        assert!(out.iter().all(Option::is_some));
+        let out = scan(&refs);
+        assert!(out.iter().all(is_ok));
         let snap = obs::snapshot();
         obs::set_enabled(false);
         let analyze = snap.span("analyze").expect("analyze span recorded");
