@@ -1,6 +1,6 @@
 //! Persisted perf trajectory for the ML hot paths.
 //!
-//! Measures forest fit (legacy row-major vs columnar presorted), forest
+//! Measures forest fit (legacy row-major vs columnar rank-table), forest
 //! inference (serial row-major vs flattened batch), front-end tokenization
 //! (zero-copy byte-level scanner vs the preserved char-level reference),
 //! and parallel script analysis at a fixed synthetic scale mirroring the

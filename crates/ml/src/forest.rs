@@ -6,7 +6,7 @@
 //! inference walks contiguous memory instead of per-tree enum node soups.
 
 use crate::dataset::{Dataset, DatasetError};
-use crate::tree::{DecisionTree, FlatNodes, TreeParams};
+use crate::tree::{DecisionTree, FlatNodes, TreeParams, ValueRanks};
 use jsdetect_obs::names;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +55,7 @@ impl ForestParams {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomForest {
     roots: Vec<u32>,
-    nodes: FlatNodes,
+    pub(crate) nodes: FlatNodes,
 }
 
 impl RandomForest {
@@ -96,15 +96,10 @@ impl RandomForest {
     ) -> Self {
         assert_eq!(y.len(), data.n_rows(), "feature/label length mismatch");
         let _t = jsdetect_obs::span(names::SPAN_FOREST_FIT);
-        // In the per-node-sort regime, build per-column distinct-value
-        // rank tables once up front and share them read-only across all
-        // trees: they do not depend on the bootstrap index sets, and
-        // nodes counting-sort low-cardinality columns through them.
-        let ranks = (params.n_trees > 1
-            && crate::tree::wants_value_ranks(&params.tree, data.n_rows(), data.n_cols()))
-        .then(|| crate::tree::ValueRanks::build(data))
-        .flatten();
-        let vr = ranks.as_ref();
+        // Per-column distinct-value rank tables do not depend on the
+        // bootstrap index sets: build them once and share them read-only
+        // across all trees.
+        let ranks = &ValueRanks::build(data);
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
         let chunk = params.n_trees.div_ceil(n_threads.max(1)).max(1);
         crossbeam::thread::scope(|scope| {
@@ -123,7 +118,7 @@ impl RandomForest {
                             y,
                             &params.tree,
                             &mut rng,
-                            vr,
+                            ranks,
                         ));
                     }
                     jsdetect_obs::counter_add(names::CTR_TREES_FITTED, slot_chunk.len() as u64);
@@ -208,22 +203,27 @@ impl RandomForest {
     }
 
     /// Validates the flattened arrays after deserialization (array lengths
-    /// agree, child/root ids in bounds). Call after loading a serialized
-    /// model; corrupt input panics here instead of misindexing later.
+    /// agree, child/root ids in bounds, every walk moves forward). Call
+    /// after loading a serialized model; corrupt input panics here instead
+    /// of misindexing or looping later. Feature ids are only bounded by the
+    /// node layout here; [`crate::MultiLabel::rebuild_index`] also checks
+    /// them against each label's input width.
     ///
     /// # Panics
     ///
     /// Panics if any invariant is violated.
     pub fn rebuild_index(&mut self) {
-        if let Err(msg) = self.nodes.check_invariants(u16::MAX as usize) {
+        if let Err(msg) = self.check_invariants(usize::MAX) {
             panic!("corrupt serialized forest: {}", msg);
         }
-        for &r in &self.roots {
-            assert!(
-                (r as usize) < self.nodes.len(),
-                "corrupt serialized forest: root {} out of range",
-                r
-            );
+    }
+
+    /// Validates a deserialized forest whose inputs are `width` wide.
+    pub(crate) fn check_invariants(&self, width: usize) -> Result<(), String> {
+        self.nodes.check_invariants(width)?;
+        match self.roots.iter().find(|&&r| r as usize >= self.nodes.len()) {
+            Some(r) => Err(format!("root {} out of range", r)),
+            None => Ok(()),
         }
     }
 

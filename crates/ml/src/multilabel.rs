@@ -229,16 +229,25 @@ impl MultiLabel {
         self.strategy
     }
 
-    /// Validates every forest base model's flattened node arrays after
-    /// deserialization (see [`RandomForest::rebuild_index`]).
+    /// Validates every tree and forest base model's flattened node arrays
+    /// after deserialization: child ids in bounds and moving forward, and
+    /// feature ids within the label's input width (see
+    /// [`MultiLabel::feature_importances`]). A model file is outside input,
+    /// so corrupt arrays must fail here rather than at prediction time.
     ///
     /// # Panics
     ///
-    /// Panics if a serialized forest is corrupt.
+    /// Panics if a serialized base model is corrupt.
     pub fn rebuild_index(&mut self) {
-        for m in &mut self.models {
-            if let BaseModel::Forest(f) = m {
-                f.rebuild_index();
+        for (label, m) in self.models.iter().enumerate() {
+            let width = self.input_width(label);
+            let checked = match m {
+                BaseModel::Forest(f) => f.check_invariants(width),
+                BaseModel::Tree(t) => t.check_invariants(width),
+                BaseModel::Bayes(_) => Ok(()),
+            };
+            if let Err(msg) = checked {
+                panic!("corrupt serialized model for label {}: {}", label, msg);
             }
         }
     }
@@ -247,15 +256,20 @@ impl MultiLabel {
     /// only; other bases return `None`). With classifier chains, features
     /// beyond the base width are the chained label predictions.
     pub fn feature_importances(&self, label: usize) -> Option<Vec<f64>> {
-        let width = self.n_features
+        match self.models.get(label)? {
+            BaseModel::Forest(f) => Some(f.feature_importances(self.input_width(label))),
+            _ => None,
+        }
+    }
+
+    /// Input width of the classifier for `label`: the base features, plus
+    /// the chained predictions of labels `0..label` under classifier chains.
+    fn input_width(&self, label: usize) -> usize {
+        self.n_features
             + match self.strategy {
                 Strategy::BinaryRelevance => 0,
                 Strategy::ClassifierChain => label,
-            };
-        match self.models.get(label)? {
-            BaseModel::Forest(f) => Some(f.feature_importances(width)),
-            _ => None,
-        }
+            }
     }
 }
 
@@ -345,21 +359,74 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let (x, labels) = dataset(60);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
-        let mut back: MultiLabel =
-            serde_json::from_str(&serde_json::to_string(&ml).unwrap()).unwrap();
-        back.rebuild_index();
-        assert_eq!(back.predict_proba(&x[3]), ml.predict_proba(&x[3]));
-    }
-
-    #[test]
     fn deterministic() {
         let (x, labels) = dataset(100);
         let a = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
         let b = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
         assert_eq!(a.predict_proba(&x[7]), b.predict_proba(&x[7]));
+    }
+
+    /// Serializes `ml`, reloads it and validates it, as the CLI and the
+    /// daemon do with a model file.
+    fn reload(ml: &MultiLabel) -> MultiLabel {
+        let mut back: MultiLabel =
+            serde_json::from_str(&serde_json::to_string(ml).unwrap()).unwrap();
+        back.rebuild_index();
+        back
+    }
+
+    /// First split node of a flattened node block.
+    fn first_split(nodes: &crate::tree::FlatNodes) -> usize {
+        nodes.feature.iter().position(|&f| f != u16::MAX).expect("model has a split")
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt serialized model for label 0: node")]
+    fn right_child_pointing_back_is_rejected_at_load() {
+        let (x, labels) = dataset(60);
+        let mut ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let BaseModel::Forest(f) = &mut ml.models[0] else { unreachable!() };
+        let i = first_split(&f.nodes);
+        // A self-loop: `predict_row` would spin on this node forever.
+        f.nodes.children[i] = i as u32;
+        reload(&ml);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt serialized model for label 1: node")]
+    fn feature_beyond_the_chained_input_width_is_rejected_at_load() {
+        let (x, labels) = dataset(60);
+        let mut ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        // Label 1 of the chain sees the 2 base features plus label 0's
+        // prediction: ids 0..3. Id 3 would index past the row at predict.
+        let BaseModel::Forest(f) = &mut ml.models[1] else { unreachable!() };
+        let i = first_split(&f.nodes);
+        f.nodes.feature[i] = 3;
+        reload(&ml);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt serialized model for label 2: node")]
+    fn corrupt_single_tree_base_is_rejected_at_load() {
+        let (x, labels) = dataset(60);
+        let base = BaseParams::Tree(TreeParams::default(), 3);
+        let mut ml = MultiLabel::fit(&x, &labels, Strategy::BinaryRelevance, &base);
+        let BaseModel::Tree(t) = &mut ml.models[2] else { unreachable!() };
+        let i = first_split(&t.nodes);
+        t.nodes.children[i] = t.nodes.len() as u32;
+        reload(&ml);
+    }
+
+    #[test]
+    fn serde_roundtrip() {
+        let (x, labels) = dataset(60);
+        let bases = [forest_base(), BaseParams::Tree(TreeParams::default(), 3), BaseParams::Bayes];
+        for base in &bases {
+            for strategy in [Strategy::BinaryRelevance, Strategy::ClassifierChain] {
+                let ml = MultiLabel::fit(&x, &labels, strategy, base);
+                assert_eq!(reload(&ml).predict_proba(&x[3]), ml.predict_proba(&x[3]));
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Equivalence suite for the columnar rewrite.
+//! Equivalence suite for the columnar learner.
 //!
-//! The columnar presorted-CART path (`DecisionTree::fit_dataset`,
-//! `RandomForest::fit_dataset`) must produce *bit-identical* predictions
-//! to the legacy row-major implementation preserved in
-//! `jsdetect_ml::reference` — same splits, same thresholds, same leaf
-//! probabilities — for any fixed seed. These tests pin that, plus the
-//! deliberate per-tree seeding change, batch-vs-serial equality, thread
-//! invariance, and serde stability.
+//! The columnar path (`DecisionTree::fit_dataset`,
+//! `RandomForest::fit_dataset`) finds splits through per-column value-rank
+//! tables, counting-sorting low-cardinality columns and sorting packed
+//! ranks for the rest. It must produce *bit-identical* predictions to the
+//! legacy row-major implementation preserved in `jsdetect_ml::reference`
+//! (same splits, same thresholds, same leaf probabilities) for any fixed
+//! seed, at any row count. These tests pin that, plus the deliberate
+//! per-tree seeding change, batch-vs-serial equality, thread invariance,
+//! and serde stability.
 
 use jsdetect_ml::reference::{RowMajorForest, RowMajorTree};
 use jsdetect_ml::{
-    Dataset, DatasetError, DecisionTree, ForestParams, MaxFeatures, RandomForest, SplitMode,
-    TreeParams,
+    Dataset, DatasetError, DecisionTree, ForestParams, MaxFeatures, RandomForest, TreeParams,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +76,6 @@ fn tree_matches_reference_under_shallow_and_strict_params() {
         min_samples_split: 10,
         min_samples_leaf: 5,
         max_features: MaxFeatures::Sqrt,
-        split_mode: SplitMode::Exact,
     };
     let old = RowMajorTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
     let new = DecisionTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
@@ -100,12 +100,11 @@ fn forest_matches_row_major_reference_exactly() {
     }
 }
 
-/// Wide matrices land in the subsampled √d regime, where the exact split
-/// search switches from maintained presorted arrays to per-node machinery:
-/// counting sorts over shared distinct-value rank tables (forests),
-/// rank-packed u32 sorts for high-cardinality columns, and packed-u64
-/// sorts when no rank table exists (standalone trees). All of them must
-/// still reproduce the row-major reference bit for bit.
+/// Wide matrices with √d feature subsampling: nodes counting-sort the
+/// quantized columns and sort packed ranks of the high-cardinality ones,
+/// through a rank table built per fit (standalone trees) or shared across
+/// trees (forests). Both must reproduce the row-major reference bit for
+/// bit.
 #[test]
 fn wide_matrix_per_node_paths_match_reference_exactly() {
     let (x, y) = synthetic(220, 120, 41);
@@ -218,21 +217,49 @@ fn dataset_rejects_ragged_and_empty_input() {
     assert!(matches!(Dataset::from_rows(&ragged), Err(DatasetError::Ragged { row: 1, .. })));
 }
 
+/// More rows than a `u16` rank can count, with one column of all-distinct
+/// values (ranks past 65 535) beside low-cardinality ones, and wide enough
+/// that one sampled feature per split is few next to the column count.
+/// Fits must still match the row-major reference bit for bit.
 #[test]
-fn histogram_mode_stays_close_to_exact_on_separable_data() {
-    let (x, y) = synthetic(300, 8, 29);
-    let exact = TreeParams { max_features: MaxFeatures::All, ..Default::default() };
-    let hist = TreeParams {
-        max_features: MaxFeatures::All,
-        split_mode: SplitMode::Histogram { bins: 64 },
-        ..Default::default()
-    };
-    let te = DecisionTree::fit(&x, &y, &exact, &mut StdRng::seed_from_u64(1));
-    let th = DecisionTree::fit(&x, &y, &hist, &mut StdRng::seed_from_u64(1));
-    let agree = x
-        .iter()
-        .zip(&y)
-        .filter(|(row, _)| (te.predict_proba(row) >= 0.5) == (th.predict_proba(row) >= 0.5))
-        .count();
-    assert!(agree as f64 / x.len() as f64 > 0.9, "{}/{} agree", agree, x.len());
+fn more_rows_than_u16_ranks_match_reference_exactly() {
+    const N: usize = 70_000;
+    const D: usize = 20;
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut x = Vec::with_capacity(N);
+    let mut y = Vec::with_capacity(N);
+    for i in 0..N {
+        let row: Vec<f32> = (0..D)
+            .map(|j| match j % 4 {
+                // All distinct: 70 000 ranks in one column.
+                0 => ((i * 7_919) % N) as f32,
+                1 => rng.gen_range(0..6) as f32,
+                _ => rng.gen_range(0..100_000) as f32 / 10.0,
+            })
+            .collect();
+        let label = (row[0] > 30_000.0) ^ (row[1] > 2.0) ^ (rng.gen_range(0..10) == 0);
+        x.push(row);
+        y.push(label);
+    }
+    assert!(
+        x.iter().map(|r| r[0].to_bits()).collect::<std::collections::HashSet<_>>().len() > 65_536
+    );
+    let tree_params =
+        TreeParams { max_depth: 6, max_features: MaxFeatures::Fixed(1), ..Default::default() };
+    for seed in [2u64, 9] {
+        let old = RowMajorTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
+        let new = DecisionTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
+        assert_eq!(old.node_count(), new.node_count(), "tree structure differs (seed {})", seed);
+        for row in &x {
+            assert_eq!(old.predict_proba(row), new.predict_proba(row), "seed {}", seed);
+        }
+    }
+    let params = ForestParams { n_trees: 3, bootstrap: true, tree: tree_params, seed: 31 };
+    let old = RowMajorForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&x, &y, &params);
+    for row in &x {
+        let po = old.predict_proba(row);
+        let pn = new.predict_proba(row);
+        assert!(po == pn, "large forest prediction differs: old {} vs new {}", po, pn);
+    }
 }

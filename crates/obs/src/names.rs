@@ -100,16 +100,10 @@ pub const CTR_TREES_FITTED: &str = "trees_fitted";
 pub const CTR_TREES_TRAVERSED: &str = "trees_traversed";
 /// Obfuscation transform applications that failed.
 pub const CTR_TRANSFORM_FAILURES: &str = "transform_failures";
-/// Split-search columns served by the presorted-order regime.
-pub const CTR_SPLIT_PRESORT_COLS: &str = "split_presort_cols";
 /// Split-search columns served by the counting-sort regime.
 pub const CTR_SPLIT_COUNTING_COLS: &str = "split_counting_cols";
 /// Split-search columns served by the packed-rank regime.
 pub const CTR_SPLIT_RANKED_COLS: &str = "split_ranked_cols";
-/// Split-search columns served by the key-sort regime.
-pub const CTR_SPLIT_KEYED_COLS: &str = "split_keyed_cols";
-/// Split-search columns served by the histogram regime.
-pub const CTR_SPLIT_HIST_COLS: &str = "split_hist_cols";
 /// Cache lookups that replayed a stored verdict.
 pub const CTR_CACHE_HIT: &str = "cache/hit";
 /// Cache lookups that missed.
@@ -223,11 +217,8 @@ pub const ALL_COUNTERS: &[&str] = &[
     CTR_TREES_FITTED,
     CTR_TREES_TRAVERSED,
     CTR_TRANSFORM_FAILURES,
-    CTR_SPLIT_PRESORT_COLS,
     CTR_SPLIT_COUNTING_COLS,
     CTR_SPLIT_RANKED_COLS,
-    CTR_SPLIT_KEYED_COLS,
-    CTR_SPLIT_HIST_COLS,
     CTR_CACHE_HIT,
     CTR_CACHE_MISS,
     CTR_CACHE_STALE_VERSION,
