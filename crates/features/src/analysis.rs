@@ -1,8 +1,9 @@
 //! The analysis front end: one script from source text to
 //! `{outcome, payload}`.
 //!
-//! [`analyze`] runs every stage once — parse, lex, tree metrics, scopes
-//! with control and data flow, lint, normalization deltas — charging each
+//! [`analyze`] runs every stage once — parse (which also counts the
+//! tokens, so the script is lexed once), tree metrics, scopes with control
+//! and data flow, lint, normalization deltas — charging each
 //! to a [`Budget`] built from the caller's [`Limits`], and distils the
 //! result into a [`FeaturePayload`]. Every failure is classified into the
 //! three-way [`OutcomeKind`] verdict: full result, lexer-only fallback for
@@ -16,7 +17,7 @@ use jsdetect_ast::metrics::{KindCounts, TreeShape};
 use jsdetect_ast::{Program, Span};
 use jsdetect_flow::{analyze_with, DataFlowOptions, ProgramGraph};
 use jsdetect_guard::{AnalysisError, Budget, Limits, OutcomeKind};
-use jsdetect_lexer::{tokenize_lossy, tokenize_with_budget, Comment, Token};
+use jsdetect_lexer::{tokenize_lossy, Comment, TokenCounts};
 use jsdetect_lint::{LintRunner, LintSummary};
 use jsdetect_obs::names;
 use jsdetect_parser::parse_with_comments_budget;
@@ -29,8 +30,8 @@ pub(crate) struct ScriptAnalysis<'a> {
     pub(crate) src: &'a str,
     /// Parsed AST.
     pub(crate) program: Program,
-    /// Lexical tokens (without comments).
-    pub(crate) tokens: Vec<Token>,
+    /// Token statistics (comments are not tokens).
+    pub(crate) tokens: TokenCounts,
     /// Comments.
     pub(crate) comments: Vec<Comment>,
     /// Scopes + control flow + data flow.
@@ -152,7 +153,7 @@ pub fn analyze_lexer_only(src: &str, limits: &Limits) -> Analyzed {
 fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
     budget.check_input(src.len())?;
 
-    let (program, comments) = {
+    let (program, comments, tokens) = {
         let _s = jsdetect_obs::span(names::SPAN_PARSE);
         match parse_with_comments_budget(src, budget) {
             Ok(pc) => pc,
@@ -171,22 +172,6 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
         }
     };
     budget.check_deadline()?;
-
-    let tokens = {
-        let _s = jsdetect_obs::span(names::SPAN_LEX);
-        match tokenize_with_budget(src, budget) {
-            Ok((tokens, _)) => tokens,
-            Err(_) => {
-                if let Some(v) = budget.take_violation() {
-                    return Err(v);
-                }
-                // The AST parsed, so a standalone-lex hiccup only costs
-                // the token list.
-                jsdetect_obs::counter_add(names::CTR_LEXER_ERRORS, 1);
-                Vec::new()
-            }
-        }
-    };
 
     let (shape, kinds) = {
         let _s = jsdetect_obs::span(names::SPAN_METRICS);
@@ -240,7 +225,13 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
 /// their lexical signal, flagged by [`FeaturePayload::degraded`]).
 fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) -> Staged<'a> {
     let _s = jsdetect_obs::span(names::SPAN_DEGRADED_FALLBACK);
-    let (tokens, comments, _lex_err) = tokenize_lossy(src, Some(budget));
+    let (tokens, comments) = {
+        // The one standalone scan left: it charges the same budget the
+        // failed parse did, so the token cap bounds both passes together.
+        let _s = jsdetect_obs::span(names::SPAN_LEX);
+        let (tokens, comments, _lex_err) = tokenize_lossy(src, Some(budget));
+        (TokenCounts::of(&tokens), comments)
+    };
     // The lossy scan itself may blow a budget axis (token flood inside a
     // syntactically broken file) — that escalates to a reject.
     if let Some(v) = budget.take_violation() {
@@ -286,7 +277,7 @@ mod tests {
     fn analysis_bundles_everything() {
         let a = analysis_of("// c\nvar x = 1;\nif (x) { f(x); }");
         assert_eq!(a.comments.len(), 1);
-        assert!(!a.tokens.is_empty());
+        assert!(a.tokens.total > 0);
         assert!(a.graph.scopes.bindings().len() == 1);
         assert!(a.shape.max_depth >= 2);
         assert!(a.kinds.total() > 0);
@@ -330,7 +321,7 @@ mod tests {
         let src = "var x = ;;;=";
         let (a, cause) = stages(src, &Budget::new(&Limits::wild())).unwrap();
         assert!(a.degraded);
-        assert!(!a.tokens.is_empty(), "fallback should keep the token prefix");
+        assert!(a.tokens.total > 0, "fallback should keep the token prefix");
         assert_eq!(a.program.body.len(), 0);
         assert_eq!(cause.unwrap().kind(), "parse_error");
 
@@ -339,6 +330,38 @@ mod tests {
         assert!(r.payload.as_ref().unwrap().degraded);
         assert_eq!(r, analyze(src, &Limits::trusted()));
         assert_eq!(r.into_ok().unwrap_err().kind(), "parse_error");
+    }
+
+    #[test]
+    fn regex_after_paren_counts_the_parsed_tokens() {
+        // The parser reads the `/` after `if (x)` as a regex; a standalone
+        // scan with the prev-token heuristic reads division and fails.
+        // `if ( x ) /a+/ . test ( y ) ; EOF`: 6 punctuators of 12 tokens.
+        let r = analyze("if (x) /a+/.test(y);", &Limits::wild());
+        assert_eq!(r.outcome, OutcomeKind::Ok);
+        let p = r.into_ok().unwrap();
+        let at = crate::FEATURE_NAMES.iter().position(|n| *n == "punct_token_ratio").unwrap();
+        assert_eq!(p.handpicked[at], 0.5);
+    }
+
+    #[test]
+    fn token_cap_bounds_parse_and_fallback_scan_together() {
+        let src = format!("{}var x = ;", "a;".repeat(40));
+        let unbounded = Budget::new(&Limits::unbounded());
+        assert!(jsdetect_parser::parse_with_budget(&src, &unbounded).is_err());
+        let parse_prefix = unbounded.tokens_used();
+        let scan = tokenize_lossy(&src, None).0.len() as u64;
+        let under = |max_tokens| analyze(&src, &Limits { max_tokens, ..Limits::wild() });
+
+        // Each pass fits the cap on its own, but the budget is one running
+        // charge over both.
+        let r = under(parse_prefix.max(scan));
+        assert_eq!(r.outcome, OutcomeKind::Rejected);
+        assert_eq!(r.error.unwrap().kind(), "token_budget_exceeded");
+
+        let r = under(parse_prefix + scan);
+        assert_eq!(r.outcome, OutcomeKind::Degraded);
+        assert_eq!(r.error.unwrap().kind(), "parse_error");
     }
 
     #[test]

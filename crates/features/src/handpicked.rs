@@ -13,7 +13,6 @@ use crate::analysis::ScriptAnalysis;
 use jsdetect_ast::metrics::{avg_chars_per_line, line_count};
 use jsdetect_ast::*;
 use jsdetect_flow::{DefValueKind, RefKind};
-use jsdetect_lexer::TokenKind;
 
 /// Names of the hand-picked features, index-aligned with
 /// [`FeaturePayload::handpicked`](crate::FeaturePayload::handpicked).
@@ -135,9 +134,8 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
         a.graph.scopes.references().iter().filter(|r| r.kind != RefKind::Write).count().max(1)
             as f64;
 
-    let punct_tokens =
-        a.tokens.iter().filter(|t| matches!(t.kind, TokenKind::Punct(_))).count() as f64;
-    let n_tokens = a.tokens.len().max(1) as f64;
+    let punct_tokens = a.tokens.punct as f64;
+    let n_tokens = a.tokens.total.max(1) as f64;
 
     let jsfuck_chars =
         src.chars().filter(|c| matches!(c, '[' | ']' | '(' | ')' | '!' | '+')).count() as f64;

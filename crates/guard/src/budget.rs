@@ -50,7 +50,9 @@ impl Budget {
         &self.limits
     }
 
-    /// Tokens charged so far (includes parser-backtracking re-lexes).
+    /// Tokens charged so far: one running total over every token any lexer
+    /// produced under this budget, parser-backtracking re-lexes and the
+    /// degraded fallback's scan included.
     pub fn tokens_used(&self) -> u64 {
         self.tokens.get()
     }
@@ -76,25 +78,6 @@ impl Budget {
             );
         }
         self.tick(n)
-    }
-
-    /// Reconciles one lexing pass's running token count with the budget.
-    ///
-    /// The pipeline lexes a script up to twice — once inside the parser and
-    /// once standalone for the token list — so the charged total is the
-    /// *maximum* across passes, not their sum: the cap bounds each pass.
-    /// Backtracking re-lexes still count because a pass's running total is
-    /// monotonic. Ticks the deadline clock once per call.
-    pub fn note_tokens(&self, pass_total: u64) -> Result<(), AnalysisError> {
-        if pass_total > self.tokens.get() {
-            self.tokens.set(pass_total);
-        }
-        if pass_total > self.limits.max_tokens {
-            return Err(
-                self.record(AnalysisError::TokenBudgetExceeded { limit: self.limits.max_tokens })
-            );
-        }
-        self.tick(1)
     }
 
     /// Checks a recursion depth against the AST depth cap.
@@ -201,22 +184,6 @@ mod tests {
         let _ = b.charge_tokens(1);
         assert_eq!(b.take_violation(), Some(AnalysisError::TokenBudgetExceeded { limit: 3 }));
         assert_eq!(b.take_violation(), None);
-    }
-
-    #[test]
-    fn note_tokens_boundary_is_exact_and_max_across_passes() {
-        let limits = Limits { max_tokens: 4, ..Limits::unbounded() };
-        let b = Budget::new(&limits);
-        // First pass: exactly at the cap is fine, one past it fails.
-        for total in 1..=4 {
-            assert!(b.note_tokens(total).is_ok());
-        }
-        // Second pass restarts its own count; the budget keeps the max.
-        for total in 1..=4 {
-            assert!(b.note_tokens(total).is_ok());
-        }
-        assert_eq!(b.tokens_used(), 4);
-        assert_eq!(b.note_tokens(5), Err(AnalysisError::TokenBudgetExceeded { limit: 4 }));
     }
 
     #[test]

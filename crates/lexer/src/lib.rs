@@ -22,10 +22,8 @@ pub mod reference;
 mod scanner;
 mod token;
 
-pub use scanner::{
-    tokenize, tokenize_lossy, tokenize_with_budget, tokenize_with_comments, LexError, Lexer,
-};
-pub use token::{Comment, Kw, Punct, Token, TokenKind};
+pub use scanner::{tokenize, tokenize_lossy, tokenize_with_comments, LexError, Lexer};
+pub use token::{Comment, Kw, Punct, Token, TokenCounts, TokenKind};
 
 #[cfg(test)]
 mod tests {
@@ -330,13 +328,17 @@ mod tests {
         let src = "1 + 1 + 1 + 1";
         let limits = Limits { max_tokens: 4, ..Limits::unbounded() };
         let budget = Budget::new(&limits);
-        assert!(tokenize_with_budget(src, &budget).is_err());
+        let (toks, _, err) = tokenize_lossy(src, Some(&budget));
+        assert!(err.is_some());
+        assert_eq!(toks.len(), 4, "the scan stops at the token that blows the cap");
         assert_eq!(budget.take_violation(), Some(AnalysisError::TokenBudgetExceeded { limit: 4 }));
-        // Under the cap, budgeted tokenization matches the plain one.
+        // Under the cap, budgeted tokenization matches the plain one and
+        // charges exactly one unit per token.
         let budget = Budget::new(&Limits::unbounded());
-        let (toks, _) = tokenize_with_budget(src, &budget).unwrap();
-        assert_eq!(toks.len(), tokenize(src).unwrap().len());
-        assert!(budget.tokens_used() >= toks.len() as u64);
+        let (toks, _, err) = tokenize_lossy(src, Some(&budget));
+        assert!(err.is_none());
+        assert_eq!(toks, tokenize(src).unwrap());
+        assert_eq!(budget.tokens_used(), toks.len() as u64);
     }
 
     #[test]

@@ -118,21 +118,17 @@ pub struct Lexer<'s> {
     pos: usize,
     comments: Vec<Comment>,
     budget: Option<&'s Budget>,
-    /// Running count of tokens produced by *this* lexer, including re-lexes
-    /// during parser backtracking. Reconciled with the shared budget via
-    /// [`Budget::note_tokens`] (max across lexing passes).
-    produced: u64,
 }
 
 impl<'s> Lexer<'s> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'s str) -> Self {
-        Lexer { src, pos: 0, comments: Vec::new(), budget: None, produced: 0 }
+        Lexer { src, pos: 0, comments: Vec::new(), budget: None }
     }
 
     /// Creates a lexer that charges every produced token to `budget`.
     pub fn with_budget(src: &'s str, budget: &'s Budget) -> Self {
-        Lexer { src, pos: 0, comments: Vec::new(), budget: Some(budget), produced: 0 }
+        Lexer { src, pos: 0, comments: Vec::new(), budget: Some(budget) }
     }
 
     /// Comments encountered so far.
@@ -214,9 +210,8 @@ impl<'s> Lexer<'s> {
     /// the budget for callers to recover via `Budget::take_violation`.
     fn charge(&mut self) -> Result<(), LexError> {
         if let Some(budget) = self.budget {
-            self.produced += 1;
             budget
-                .note_tokens(self.produced)
+                .charge_tokens(1)
                 .map_err(|e| LexError { msg: e.to_string(), pos: self.pos as u32 })?;
         }
         Ok(())
@@ -990,19 +985,6 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
 /// Tokenizes and also returns the comments.
 pub fn tokenize_with_comments(src: &str) -> Result<(Vec<Token>, Vec<Comment>), LexError> {
     let mut lexer = Lexer::new(src);
-    let mut tokens = Vec::new();
-    tokenize_into(&mut lexer, &mut tokens)?;
-    Ok((tokens, lexer.into_comments()))
-}
-
-/// Tokenizes under a [`Budget`]: every produced token is charged, so a
-/// token flood fails with a `LexError` whose typed cause is recorded in the
-/// budget ([`Budget::take_violation`]).
-pub fn tokenize_with_budget<'s>(
-    src: &'s str,
-    budget: &'s Budget,
-) -> Result<(Vec<Token>, Vec<Comment>), LexError> {
-    let mut lexer = Lexer::with_budget(src, budget);
     let mut tokens = Vec::new();
     tokenize_into(&mut lexer, &mut tokens)?;
     Ok((tokens, lexer.into_comments()))

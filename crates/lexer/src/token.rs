@@ -392,6 +392,31 @@ impl Token {
     }
 }
 
+/// The token statistics the feature front end reads: how many tokens a
+/// script has (EOF included) and how many of them are punctuators.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TokenCounts {
+    /// Every token, EOF included.
+    pub total: u32,
+    /// [`TokenKind::Punct`] tokens.
+    pub punct: u32,
+}
+
+impl TokenCounts {
+    /// Counts one token.
+    pub fn add(&mut self, tok: &Token) {
+        self.total += 1;
+        self.punct += matches!(tok.kind, TokenKind::Punct(_)) as u32;
+    }
+
+    /// Counts a whole token list.
+    pub fn of(tokens: &[Token]) -> TokenCounts {
+        let mut counts = TokenCounts::default();
+        tokens.iter().for_each(|t| counts.add(t));
+        counts
+    }
+}
+
 /// A comment encountered while lexing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Comment {

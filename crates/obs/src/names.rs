@@ -20,7 +20,8 @@
 pub const SPAN_ANALYZE: &str = "analyze";
 /// Parser stage.
 pub const SPAN_PARSE: &str = "parse";
-/// Lexer stage.
+/// Standalone lexer scan (only the degraded fallback runs one; a full
+/// analysis takes its token counts from the parse).
 pub const SPAN_LEX: &str = "lex";
 /// Data-flow analysis stage.
 pub const SPAN_FLOW: &str = "flow";
@@ -75,8 +76,6 @@ pub const SPAN_PREDICT_CHUNK: &str = "predict_chunk";
 
 /// Scripts whose parse failed.
 pub const CTR_PARSE_FAILURES: &str = "parse_failures";
-/// Lexer error tokens encountered.
-pub const CTR_LEXER_ERRORS: &str = "lexer_errors";
 /// Data-flow analyses truncated by the binding cap.
 pub const CTR_FLOW_TRUNCATIONS: &str = "flow_truncations";
 /// Bindings dropped by data-flow truncation.
@@ -206,7 +205,6 @@ pub const ALL_SPANS: &[&str] = &[
 /// Every counter name constant above.
 pub const ALL_COUNTERS: &[&str] = &[
     CTR_PARSE_FAILURES,
-    CTR_LEXER_ERRORS,
     CTR_FLOW_TRUNCATIONS,
     CTR_FLOW_TRUNCATED_BINDINGS,
     CTR_LINT_FIRES,

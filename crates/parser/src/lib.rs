@@ -1,7 +1,9 @@
 //! Recursive-descent JavaScript parser for the `jsdetect` suite.
 //!
 //! Plays the role Esprima plays in the paper: source text in, ESTree-style
-//! AST out. See [`parse`] and [`parse_with_comments`].
+//! AST out. See [`parse`], and [`parse_with_comments_budget`] for the
+//! analysis front end's entry point, which also returns the comments and
+//! the token statistics, so a script is lexed once.
 //!
 //! # Examples
 //!
@@ -20,4 +22,4 @@ mod error;
 mod parser;
 
 pub use error::ParseError;
-pub use parser::{parse, parse_with_budget, parse_with_comments, parse_with_comments_budget};
+pub use parser::{parse, parse_with_budget, parse_with_comments_budget};

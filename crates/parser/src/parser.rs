@@ -19,7 +19,7 @@
 use crate::error::ParseError;
 use jsdetect_ast::*;
 use jsdetect_guard::Budget;
-use jsdetect_lexer::{Comment, Kw, Lexer, Punct, Token, TokenKind};
+use jsdetect_lexer::{Comment, Kw, Lexer, Punct, Token, TokenCounts, TokenKind};
 
 /// Maximum AST nesting depth accepted by the parser.
 ///
@@ -49,14 +49,7 @@ const CHAIN_DEPTH_GRAIN: u32 = 8;
 /// assert_eq!(prog.body.len(), 1);
 /// ```
 pub fn parse(src: &str) -> Result<Program, ParseError> {
-    Parser::new(src)?.parse_program()
-}
-
-/// Parses a program and returns the comments alongside.
-pub fn parse_with_comments(src: &str) -> Result<(Program, Vec<Comment>), ParseError> {
-    let mut p = Parser::new(src)?;
-    let prog = p.parse_program()?;
-    Ok((prog, p.lexer.into_comments()))
+    Parser::new(src, None)?.parse_program()
 }
 
 /// Parses under a [`Budget`]: tokens and recursion depth are charged as the
@@ -64,23 +57,31 @@ pub fn parse_with_comments(src: &str) -> Result<(Program, Vec<Comment>), ParseEr
 /// typed cause stays recorded in the budget for the caller to recover via
 /// `Budget::take_violation`.
 pub fn parse_with_budget(src: &str, budget: &Budget) -> Result<Program, ParseError> {
-    Parser::new_with_budget(src, budget)?.parse_program()
+    Parser::new(src, Some(budget))?.parse_program()
 }
 
-/// [`parse_with_budget`], returning the comments alongside.
+/// [`parse_with_budget`], returning the comments and the counts of the
+/// tokens the parse committed to alongside. Backtracked tokens are not
+/// counted, and a `/` or `}` the parser re-lexed counts as the regex or
+/// template token it became, so the counts are those of the script's one
+/// token list, EOF included.
 pub fn parse_with_comments_budget<'s>(
     src: &'s str,
     budget: &'s Budget,
-) -> Result<(Program, Vec<Comment>), ParseError> {
-    let mut p = Parser::new_with_budget(src, budget)?;
+) -> Result<(Program, Vec<Comment>, TokenCounts), ParseError> {
+    let mut p = Parser::new(src, Some(budget))?;
     let prog = p.parse_program()?;
-    Ok((prog, p.lexer.into_comments()))
+    p.counts.add(&p.cur); // EOF
+    Ok((prog, p.lexer.into_comments(), p.counts))
 }
 
 struct Parser<'s> {
     lexer: Lexer<'s>,
     cur: Token,
     peeked: Option<Token>,
+    /// Tokens the parse has moved past. A token is counted when it stops
+    /// being `cur`, so the rescans that replace `cur` need no correction.
+    counts: TokenCounts,
     depth: u32,
     src_len: u32,
     budget: Option<&'s Budget>,
@@ -91,31 +92,31 @@ struct State {
     lex_pos: u32,
     cur: Token,
     comments_len: usize,
+    counts: TokenCounts,
 }
 
 impl<'s> Parser<'s> {
-    fn new(src: &'s str) -> Result<Self, ParseError> {
-        let mut lexer = Lexer::new(src);
-        let cur = lexer.next_token(false)?;
-        Ok(Parser { lexer, cur, peeked: None, depth: 0, src_len: src.len() as u32, budget: None })
-    }
-
-    fn new_with_budget(src: &'s str, budget: &'s Budget) -> Result<Self, ParseError> {
-        let mut lexer = Lexer::with_budget(src, budget);
+    fn new(src: &'s str, budget: Option<&'s Budget>) -> Result<Self, ParseError> {
+        let mut lexer = match budget {
+            Some(b) => Lexer::with_budget(src, b),
+            None => Lexer::new(src),
+        };
         let cur = lexer.next_token(false)?;
         Ok(Parser {
             lexer,
             cur,
             peeked: None,
+            counts: TokenCounts::default(),
             depth: 0,
             src_len: src.len() as u32,
-            budget: Some(budget),
+            budget,
         })
     }
 
     // ---- token plumbing -------------------------------------------------
 
     fn advance(&mut self) -> Result<(), ParseError> {
+        self.counts.add(&self.cur);
         self.cur = match self.peeked.take() {
             Some(t) => t,
             None => self.lexer.next_token(false)?,
@@ -140,6 +141,7 @@ impl<'s> Parser<'s> {
             },
             cur: self.cur,
             comments_len: self.lexer.comments_len(),
+            counts: self.counts,
         }
     }
 
@@ -147,6 +149,7 @@ impl<'s> Parser<'s> {
         self.lexer.set_pos(st.lex_pos);
         self.lexer.truncate_comments(st.comments_len);
         self.cur = st.cur;
+        self.counts = st.counts;
         self.peeked = None;
     }
 
@@ -2103,10 +2106,10 @@ impl<'s> Parser<'s> {
                     if !self.is_punct(Punct::RBrace) {
                         return Err(self.err_here("expected `}` in template literal"));
                     }
-                    let tok = self.lexer.continue_template(self.cur.span.start)?;
+                    self.cur = self.lexer.continue_template(self.cur.span.start)?;
                     self.peeked = None;
-                    let tspan = tok.span;
-                    match tok.kind {
+                    let tspan = self.cur.span;
+                    match self.cur.kind {
                         TokenKind::TemplateMiddle { cooked, raw } => {
                             quasis.push(TemplateElement { cooked, raw, tail: false, span: tspan });
                             self.advance()?;

@@ -8,7 +8,9 @@
 //!    generated regular corpus, one variant per transformation technique,
 //!    the full chaos corpus, and a set of literal-heavy edge cases; token
 //!    kinds, payloads (atoms resolved back to strings), spans, newline
-//!    flags, and error positions must all agree.
+//!    flags, and error positions must all agree. Wherever the script also
+//!    parses, the token counts the parser reports (the analysis front
+//!    end's only lexing pass) must equal the standalone list's.
 //! 2. **Feature vectors** — `tests/fixtures/frontend_golden.json` embeds
 //!    f32 *bit patterns* of full feature vectors produced by the
 //!    pre-refactor front end. The current pipeline must reproduce every
@@ -17,8 +19,10 @@
 use jsdetect_ast::Atom;
 use jsdetect_corpus::{chaos_corpus, regular_corpus};
 use jsdetect_features::{analyze, FeatureConfig, Limits, VectorSpace};
+use jsdetect_guard::Budget;
 use jsdetect_lexer::reference::{tokenize_reference, RefToken, RefTokenKind};
 use jsdetect_lexer::{tokenize, Token, TokenKind};
+use jsdetect_parser::parse_with_comments_budget;
 use jsdetect_transform::{apply, Technique};
 use serde::Deserialize;
 
@@ -77,6 +81,7 @@ fn assert_streams_equal(label: &str, src: &str) {
             for (i, (o, n)) in old.iter().zip(&new).enumerate() {
                 assert_token_eq(label, i, o, n);
             }
+            assert_parser_counts_eq(label, src, &new);
         }
         (Err(eo), Err(en)) => {
             assert_eq!(eo.msg, en.msg, "{}: error message diverged", label);
@@ -104,6 +109,21 @@ fn assert_token_eq(label: &str, i: usize, o: &RefToken, n: &Token) {
     );
 }
 
+/// The parser's committed `(total, punct)` token counts against the
+/// standalone token list, for a script that parses.
+fn assert_parser_counts_eq(label: &str, src: &str, tokens: &[Token]) {
+    let budget = Budget::new(&Limits::trusted());
+    if let Ok((_, _, counts)) = parse_with_comments_budget(src, &budget) {
+        let punct = tokens.iter().filter(|t| matches!(t.kind, TokenKind::Punct(_))).count();
+        assert_eq!(
+            (counts.total as usize, counts.punct as usize),
+            (tokens.len(), punct),
+            "{}: parser token counts diverged from the standalone lexer",
+            label
+        );
+    }
+}
+
 /// The script set every stream test runs over: regular corpus, one variant
 /// per technique, plus literal-heavy edge cases mirroring the golden
 /// fixture's generator.
@@ -127,6 +147,19 @@ fn token_streams_match_reference_on_generated_corpus() {
     for (label, src) in technique_scripts() {
         assert_streams_equal(&label, &src);
     }
+}
+
+#[test]
+fn token_streams_match_reference_on_example_corpus() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/corpus");
+    let mut n = 0;
+    for entry in std::fs::read_dir(dir).expect("examples/corpus present") {
+        let path = entry.unwrap().path();
+        let src = std::fs::read_to_string(&path).unwrap();
+        assert_streams_equal(&path.file_name().unwrap().to_string_lossy(), &src);
+        n += 1;
+    }
+    assert!(n >= 4, "example corpus shrank: {}", n);
 }
 
 #[test]

@@ -41,7 +41,6 @@ fn analyze_emits_expected_span_set() {
     for path in [
         "analyze",
         "analyze/parse",
-        "analyze/lex",
         "analyze/flow",
         "analyze/metrics",
         "analyze/lint",
@@ -50,6 +49,8 @@ fn analyze_emits_expected_span_set() {
         let stat = snap.span(path).unwrap_or_else(|| panic!("missing span {}", path));
         assert!(stat.count >= 1, "span {} has zero count", path);
     }
+    // The parse is the only lexing pass of a full analysis.
+    assert!(snap.span("analyze/lex").is_none(), "a standalone scan ran on the full path");
     assert_eq!(snap.span("analyze").unwrap().count, 2);
     assert_eq!(snap.counter("scripts_analyzed"), 2);
     assert_eq!(snap.counter("parse_failures"), 0);
