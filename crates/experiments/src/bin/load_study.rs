@@ -10,11 +10,11 @@
 //! every accepted request answered, the rest explicitly rejected — and
 //! records p50/p99 latency, throughput, reject rate, and degraded rate.
 //!
-//! Results land in `results/load_study.json`; a compact `serve` provenance
+//! Results land in `results/load_study.json`; a compact `serve_chaos`
 //! block is merged into `BENCH_ml.json` next to the perf trajectory.
 
 use jsdetect_corpus::wild::{alexa_population, malware_population, npm_population, MalwareSource};
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args, IoError};
+use jsdetect_experiments::{merge_bench_block, or_exit, train_cached, write_json, Args};
 use jsdetect_serve::{AnalyzeRequest, ChaosConfig, Daemon, ServeConfig};
 use serde::Serialize;
 use serde_json::JsonValue;
@@ -203,7 +203,7 @@ fn main() {
     println!("  breaker at exit        {:>10}", result.breaker_state);
 
     or_exit(write_json(&args, "load_study", &result));
-    or_exit(merge_bench_provenance(&result));
+    or_exit(merge_bench_block("serve_chaos", bench_block(&result)));
 }
 
 #[derive(Serialize)]
@@ -224,20 +224,12 @@ struct BenchProvenance {
     source: String,
 }
 
-/// Merges a compact `serve` block into the top level of `BENCH_ml.json`,
-/// preserving everything else (bench_report's deserializer carries the
-/// block as an opaque value across rewrites).
-fn merge_bench_provenance(result: &StudyResult) -> Result<(), IoError> {
-    let path = std::path::Path::new("BENCH_ml.json");
-    let mut root: JsonValue = match std::fs::read_to_string(path) {
-        Ok(s) => serde_json::from_str(&s).map_err(|e| IoError {
-            op: "parse",
-            path: path.into(),
-            msg: e.to_string(),
-        })?,
-        Err(_) => JsonValue::Obj(Vec::new()),
-    };
-    let block = BenchProvenance {
+/// The compact `serve_chaos` block merged into the top level of
+/// `BENCH_ml.json`: accounting evidence under overload and injected
+/// faults, not a speed number (the `serve` headline is the perfbench
+/// trajectory's full-mode `serve` workload).
+fn bench_block(result: &StudyResult) -> JsonValue {
+    BenchProvenance {
         n_requests: result.n_requests,
         clients: result.clients,
         workers: result.workers,
@@ -253,30 +245,5 @@ fn merge_bench_provenance(result: &StudyResult) -> Result<(), IoError> {
         scale: result.scale,
         source: "crates/experiments/src/bin/load_study.rs".to_string(),
     }
-    .to_value();
-    match &mut root {
-        JsonValue::Obj(entries) => {
-            entries.retain(|(k, _)| k != "serve");
-            entries.push(("serve".to_string(), block));
-        }
-        _ => {
-            return Err(IoError {
-                op: "update",
-                path: path.into(),
-                msg: "BENCH_ml.json is not a JSON object".to_string(),
-            })
-        }
-    }
-    let json = serde_json::to_string_pretty(&root).map_err(|e| IoError {
-        op: "serialize",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    std::fs::write(path, json).map_err(|e| IoError {
-        op: "write",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    eprintln!("[experiments] merged serve provenance into {}", path.display());
-    Ok(())
+    .to_value()
 }

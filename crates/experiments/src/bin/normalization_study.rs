@@ -17,7 +17,7 @@
 //! travel with the benchmark history.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args, IoError};
+use jsdetect_experiments::{merge_bench_block, or_exit, train_cached, write_json, Args};
 use jsdetect_guard::Limits;
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use serde::Serialize;
@@ -175,24 +175,14 @@ fn main() {
     println!("\n  mean |dF1| across techniques: {:.3}", result.mean_abs_delta_f1);
 
     or_exit(write_json(&args, "normalization_study", &result));
-    or_exit(merge_bench_provenance(&result));
+    or_exit(merge_bench_block("normalize", bench_block(&result)));
 }
 
-/// Merges a compact `normalize` block into the top level of
-/// `BENCH_ml.json`, preserving everything else in the file (the perf
-/// trajectory deserializer ignores unknown keys, so the block rides
-/// along harmlessly).
-fn merge_bench_provenance(result: &StudyResult) -> Result<(), IoError> {
-    let path = std::path::Path::new("BENCH_ml.json");
-    let mut root: JsonValue = match std::fs::read_to_string(path) {
-        Ok(s) => serde_json::from_str(&s).map_err(|e| IoError {
-            op: "parse",
-            path: path.into(),
-            msg: e.to_string(),
-        })?,
-        Err(_) => JsonValue::Obj(Vec::new()),
-    };
-    let block = BenchProvenance {
+/// The compact `normalize` block merged into the top level of
+/// `BENCH_ml.json`, so the study's headline travels with the benchmark
+/// history.
+fn bench_block(result: &StudyResult) -> JsonValue {
+    BenchProvenance {
         n_scripts: result.n_scripts,
         rewrites_total: result.rewrites_total,
         mean_abs_delta_f1: result.mean_abs_delta_f1,
@@ -201,32 +191,7 @@ fn merge_bench_provenance(result: &StudyResult) -> Result<(), IoError> {
         feature_space_version: result.feature_space_version,
         source: "crates/experiments/src/bin/normalization_study.rs".to_string(),
     }
-    .to_value();
-    match &mut root {
-        JsonValue::Obj(entries) => {
-            entries.retain(|(k, _)| k != "normalize");
-            entries.push(("normalize".to_string(), block));
-        }
-        _ => {
-            return Err(IoError {
-                op: "update",
-                path: path.into(),
-                msg: "BENCH_ml.json is not a JSON object".to_string(),
-            })
-        }
-    }
-    let json = serde_json::to_string_pretty(&root).map_err(|e| IoError {
-        op: "serialize",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    std::fs::write(path, json).map_err(|e| IoError {
-        op: "write",
-        path: path.into(),
-        msg: e.to_string(),
-    })?;
-    eprintln!("[experiments] merged normalize provenance into {}", path.display());
-    Ok(())
+    .to_value()
 }
 
 #[derive(Serialize)]

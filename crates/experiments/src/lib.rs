@@ -1,12 +1,13 @@
 //! Shared harness for the per-table / per-figure experiment binaries.
 //!
-//! Every binary accepts `--scale <f64>` (dataset size multiplier, default
-//! 1.0) and `--seed <u64>` (default 42), prints the paper-shaped rows to
-//! stdout, and writes a JSON record under `results/`.
+//! Every table/figure binary accepts `--scale <f64>` (dataset size
+//! multiplier, default 1.0) and `--seed <u64>` (default 42), prints the
+//! paper-shaped rows to stdout, and writes a JSON record under `results/`.
 
 use jsdetect::{train_pipeline, DetectorConfig, Technique};
 use serde::Serialize;
-use std::path::PathBuf;
+use serde_json::JsonValue;
+use std::path::{Path, PathBuf};
 
 /// A file-IO failure with enough context to act on: the operation that was
 /// attempted, the path it was attempted on, and the OS rendering.
@@ -209,6 +210,61 @@ pub fn write_json<T: Serialize>(args: &Args, name: &str, value: &T) -> Result<Pa
     Ok(path)
 }
 
+/// The persisted perf record, relative to the repository root: the
+/// perfbench trajectory `bench_report` ingests plus the headline blocks
+/// the studies write.
+pub const BENCH_FILE: &str = "BENCH_ml.json";
+
+/// Reads [`BENCH_FILE`]'s top-level object (empty when the file does not
+/// exist yet).
+///
+/// # Errors
+///
+/// Returns an [`IoError`] when the file cannot be read, does not parse,
+/// or is not a JSON object.
+pub fn read_bench_file() -> Result<JsonValue, IoError> {
+    read_bench_at(Path::new(BENCH_FILE)).map(JsonValue::Obj)
+}
+
+/// Replaces the top-level `key` of [`BENCH_FILE`] with `value` (appending
+/// it when absent), keeping every other block as it was, and pretty-writes
+/// the file. The one writer of the file.
+///
+/// # Errors
+///
+/// Returns an [`IoError`] when the file cannot be read, parsed or written.
+pub fn merge_bench_block(key: &str, value: JsonValue) -> Result<(), IoError> {
+    merge_bench_block_at(Path::new(BENCH_FILE), key, value)
+}
+
+/// The top-level entries of the object at `path`.
+fn read_bench_at(path: &Path) -> Result<Vec<(String, JsonValue)>, IoError> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(IoError::new("read", path, e)),
+    };
+    match serde_json::from_str(&text).map_err(|e| IoError::new("parse", path, e))? {
+        JsonValue::Obj(entries) => Ok(entries),
+        other => {
+            Err(IoError::new("parse", path, format!("expected an object, found {}", other.kind())))
+        }
+    }
+}
+
+fn merge_bench_block_at(path: &Path, key: &str, value: JsonValue) -> Result<(), IoError> {
+    let mut entries = read_bench_at(path)?;
+    match entries.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) => *slot = value,
+        None => entries.push((key.to_string(), value)),
+    }
+    let json = serde_json::to_string_pretty(&JsonValue::Obj(entries))
+        .map_err(|e| IoError::new("serialize", path, e))?;
+    std::fs::write(path, json).map_err(|e| IoError::new("write", path, e))?;
+    eprintln!("[experiments] merged `{}` into {}", key, path.display());
+    Ok(())
+}
+
 /// Mean per-technique probability over scripts flagged transformed —
 /// the quantity plotted in the paper's Figures 2/3/5/7/8 ("average
 /// probability of a given technique being used, based on our detector
@@ -272,5 +328,38 @@ mod tests {
         assert_eq!(a.test_regular.len(), 4); // n/4
         assert_eq!(a.validation_regular.len(), 4);
         assert!(a.test_regular.iter().zip(&b.test_regular).all(|(x, y)| x.src == y.src));
+    }
+
+    #[test]
+    fn merging_one_block_keeps_every_other_block() {
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(BENCH_FILE);
+        let before = read_bench_at(&committed).expect("committed BENCH_ml.json reads");
+        let dir = std::env::temp_dir().join(format!("jsdetect-merge-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(BENCH_FILE);
+        std::fs::copy(&committed, &path).unwrap();
+
+        let block = JsonValue::Obj(vec![("n".to_string(), JsonValue::Int(7))]);
+        merge_bench_block_at(&path, "normalize", block.clone()).unwrap();
+        merge_bench_block_at(&path, "fresh", JsonValue::Bool(true)).unwrap();
+        let after = read_bench_at(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(after.len(), before.len() + 1);
+        for ((key, old), (new_key, new)) in before.iter().zip(&after) {
+            assert_eq!(key, new_key, "blocks keep their order");
+            let expected = if key == "normalize" { &block } else { old };
+            assert_eq!(new, expected, "block `{}`", key);
+        }
+        assert_eq!(after.last(), Some(&("fresh".to_string(), JsonValue::Bool(true))));
+        assert!(before
+            .iter()
+            .any(|(k, v)| k == "trajectory" && v.as_arr().is_some_and(|t| !t.is_empty())));
+    }
+
+    #[test]
+    fn a_missing_bench_file_reads_as_empty() {
+        let path = std::env::temp_dir().join("jsdetect-no-such-dir").join(BENCH_FILE);
+        assert!(read_bench_at(&path).unwrap().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the telemetry layer as wired through the real
 //! pipeline: expected span coverage, failure counters, stage-sum
-//! accounting, and the disabled-path overhead bound.
+//! accounting, and the overhead bounds with recording off and on.
 
 use jsdetect_suite::detector::{analyze_many, AnalysisConfig, CachedScript, OutcomeKind};
 use jsdetect_suite::obs;
@@ -106,12 +106,35 @@ fn stage_spans_sum_close_to_analyze_total() {
     );
 }
 
-#[test]
-fn disabled_telemetry_overhead_is_negligible() {
-    let _g = locked();
+/// The span, counter and histogram events one scan records.
+fn events_recorded(srcs: &[&str]) -> u64 {
+    obs::set_enabled(true);
+    obs::reset();
+    std::hint::black_box(scan(srcs));
+    let snap = obs::snapshot();
     obs::set_enabled(false);
+    assert_eq!(snap.dropped_events, 0, "the trace ring held every event of one scan");
+    snap.spans.iter().map(|s| s.count).sum::<u64>()
+        + snap.counter_events.len() as u64
+        + snap.hists.iter().map(|(_, h)| h.count()).sum::<u64>()
+}
 
-    // Per-call cost of the disabled path, amortized over many calls.
+/// Bounds what telemetry adds to a scan, recording off or on: the cost of
+/// one span plus one counter add (amortized over many calls in that mode)
+/// per instrumentation point that pays it, over the scan's own wall time
+/// with recording off. With recording off every point the front end
+/// passes (~25 per script) pays the flag check; with recording on, the
+/// recording cost falls on the events the scan records.
+fn assert_telemetry_overhead_within(enabled: bool, bound: f64) {
+    let _g = locked();
+    let srcs: Vec<String> = (0..16)
+        .map(|i| (0..60).map(|s| format!("var q{}_{} = {};", i, s, s)).collect::<String>())
+        .collect();
+    let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+    let points = if enabled { events_recorded(&refs) } else { 25 * refs.len() as u64 };
+    assert!(points > 0, "a scan recorded no events");
+
+    obs::set_enabled(enabled);
     let calls = 1_000_000u32;
     let t0 = std::time::Instant::now();
     for _ in 0..calls {
@@ -119,12 +142,9 @@ fn disabled_telemetry_overhead_is_negligible() {
         obs::counter_add("bench", 1);
     }
     let per_call_ns = t0.elapsed().as_nanos() as f64 / calls as f64;
+    obs::set_enabled(false);
+    obs::reset();
 
-    // The analyze front-end passes ~25 instrumentation points per script.
-    let srcs: Vec<String> = (0..16)
-        .map(|i| (0..60).map(|s| format!("var q{}_{} = {};", i, s, s)).collect::<String>())
-        .collect();
-    let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
     let mut medians: Vec<f64> = (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
@@ -135,15 +155,27 @@ fn disabled_telemetry_overhead_is_negligible() {
     medians.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let workload_ns = medians[medians.len() / 2];
 
-    let overhead_ns = per_call_ns * 25.0 * refs.len() as f64;
-    let overhead = overhead_ns / workload_ns;
+    let overhead = per_call_ns * points as f64 / workload_ns;
     assert!(
-        overhead <= 0.02,
-        "disabled telemetry overhead {:.4}% exceeds 2% ({}ns per call, workload {}ns)",
+        overhead <= bound,
+        "telemetry (enabled={}) overhead {:.4}% exceeds {}% ({}ns per point, {} points, workload {}ns)",
+        enabled,
         overhead * 100.0,
+        bound * 100.0,
         per_call_ns,
+        points,
         workload_ns
     );
+}
+
+#[test]
+fn disabled_telemetry_overhead_is_negligible() {
+    assert_telemetry_overhead_within(false, 0.02);
+}
+
+#[test]
+fn enabled_telemetry_overhead_stays_under_five_percent() {
+    assert_telemetry_overhead_within(true, 0.05);
 }
 
 #[test]
