@@ -1,6 +1,6 @@
 //! The batch driver and the cache-aware analysis path: every analysis in
-//! the crate — training, the detectors' `predict*` methods, the CLI, the
-//! verdict cache and the daemon — goes through [`run_stealing`] and one
+//! the crate — training, the CLI, the verdict cache, the daemon and the
+//! experiment binaries — goes through [`run_stealing`] and one
 //! panic fence around [`jsdetect_features::analyze`].
 //!
 //! Work is distributed with a shared atomic claim counter instead of
@@ -166,9 +166,9 @@ pub fn analyze_many(
     run_stealing(srcs.len(), |i| analyze_one(srcs[i], config, cache))
 }
 
-/// Trusted-limits analysis for training and the detectors' `predict*`
-/// methods: the payload of every script that analyzes fully, the failure
-/// otherwise (the paper skips files that do not parse).
+/// Trusted-limits analysis for training: the payload of every script that
+/// analyzes fully, the failure otherwise (the paper skips files that do not
+/// parse).
 pub(crate) fn analyze_trusted(srcs: &[&str]) -> Vec<Result<FeaturePayload, AnalysisError>> {
     let limits = Limits::trusted();
     run_stealing(srcs.len(), |i| fenced(|| analyze(srcs[i], &limits)).into_ok())

@@ -54,7 +54,7 @@ impl AnalysisConfig {
     }
 
     /// Preset for trusted inputs: only the stack-overflow depth guard, the
-    /// limits training and the detectors' `predict*` methods analyze under.
+    /// limits training and the experiment binaries analyze under.
     pub fn trusted() -> Self {
         AnalysisConfig { limits: Limits::trusted() }
     }

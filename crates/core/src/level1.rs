@@ -1,10 +1,8 @@
 //! The level-1 detector: regular vs. minified vs. obfuscated
 //! (paper §III-C).
 
-use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
 use jsdetect_features::{FeaturePayload, VectorSpace};
-use jsdetect_guard::AnalysisError;
 use jsdetect_ml::{Dataset, MultiLabel};
 use jsdetect_obs::names;
 use serde::{Deserialize, Serialize};
@@ -88,25 +86,6 @@ impl Level1Detector {
         let y: Vec<Vec<bool>> = samples.iter().map(|(_, t)| t.label_vector()).collect();
         let (space, model) = fit(samples.iter().map(|(p, _)| *p), &y, cfg);
         Level1Detector { space, model }
-    }
-
-    /// Classifies one script, analyzed under trusted limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the analysis failure for a script that does not analyze
-    /// fully (e.g. invalid JavaScript).
-    pub fn predict(&self, src: &str) -> Result<Level1Prediction, AnalysisError> {
-        let payload = analyze_trusted(&[src]).pop().expect("one result per script")?;
-        Ok(self.predict_payload(&payload))
-    }
-
-    /// Classifies many scripts in parallel (analyzed under trusted limits,
-    /// predicted in one flattened-forest batch); scripts that do not
-    /// analyze fully yield `None`.
-    pub fn predict_many(&self, srcs: &[&str]) -> Vec<Option<Level1Prediction>> {
-        let payloads = analyze_trusted(srcs);
-        self.predict_payloads(&payloads.iter().map(|p| p.as_ref().ok()).collect::<Vec<_>>())
     }
 
     /// Classifies one pre-extracted feature payload (the cache/serve path:

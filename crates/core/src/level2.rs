@@ -1,11 +1,8 @@
 //! The level-2 detector: which of the ten transformation techniques were
 //! used (paper §III-C).
 
-use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
 use jsdetect_features::{FeaturePayload, VectorSpace};
-use jsdetect_guard::AnalysisError;
-use jsdetect_ml::metrics::thresholded_top_k;
 use jsdetect_ml::MultiLabel;
 use jsdetect_obs::names;
 use jsdetect_transform::Technique;
@@ -34,26 +31,6 @@ impl Level2Detector {
         Level2Detector { space, model }
     }
 
-    /// Per-technique probabilities, indexed by [`Technique::index`], for
-    /// one script analyzed under trusted limits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the analysis failure for a script that does not analyze
-    /// fully (e.g. invalid JavaScript).
-    pub fn predict_proba(&self, src: &str) -> Result<Vec<f32>, AnalysisError> {
-        let payload = analyze_trusted(&[src]).pop().expect("one result per script")?;
-        Ok(self.predict_proba_payload(&payload))
-    }
-
-    /// Batch probabilities (analysis under trusted limits, one
-    /// flattened-forest batch); scripts that do not analyze fully yield
-    /// `None`.
-    pub fn predict_proba_many(&self, srcs: &[&str]) -> Vec<Option<Vec<f32>>> {
-        let payloads = analyze_trusted(srcs);
-        self.predict_proba_payloads(&payloads.iter().map(|p| p.as_ref().ok()).collect::<Vec<_>>())
-    }
-
     /// Per-technique probabilities for one pre-extracted feature payload
     /// (the cache/serve path: no lexing or parsing).
     pub fn predict_proba_payload(&self, payload: &FeaturePayload) -> Vec<f32> {
@@ -70,18 +47,6 @@ impl Level2Detector {
         crate::level1::batch_payload_proba(&self.space, &self.model, payloads, || {
             jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH)
         })
-    }
-
-    /// The thresholded Top-k rule of §III-E2: the `k` most probable
-    /// techniques whose probability exceeds `threshold`.
-    pub fn predict_techniques(
-        &self,
-        src: &str,
-        k: usize,
-        threshold: f32,
-    ) -> Result<Vec<Technique>, AnalysisError> {
-        let probs = self.predict_proba(src)?;
-        Ok(thresholded_top_k(&probs, k, threshold).into_iter().map(|i| Technique::ALL[i]).collect())
     }
 
     /// The fitted vector space (for inspection).

@@ -19,19 +19,23 @@
 //! [`AnalysisConfig`] limits with an optional verdict cache, and
 //! [`classify_one_cached`], [`classify_many_cached`] and
 //! [`classify_analyzed`] add both detector levels. Training and the
-//! detectors' `predict*` methods run the same batch driver and panic fence
-//! under [`Limits::trusted`] and keep `Ok` payloads only, as the paper
-//! skips files that do not parse.
+//! experiment binaries run the same batch driver and panic fence under
+//! [`Limits::trusted`] and keep `Ok` outcomes only, as the paper skips
+//! files that do not parse.
 //!
 //! # Quickstart
 //!
 //! ```no_run
-//! use jsdetect::{train_pipeline, DetectorConfig};
+//! use jsdetect::{
+//!     classify_one_cached, train_pipeline, AnalysisConfig, DetectorConfig, DEFAULT_THRESHOLD,
+//! };
 //!
 //! // Train at a laptop scale (the paper uses 21,000 source scripts).
 //! let out = train_pipeline(200, 42, &DetectorConfig::default());
-//! let verdict = out.detectors.level1.predict("var x=1;f(x);").unwrap();
-//! println!("transformed: {}", verdict.is_transformed());
+//! let config = AnalysisConfig::default();
+//! let verdict =
+//!     classify_one_cached("var x=1;f(x);", &config, None, &out.detectors, 4, DEFAULT_THRESHOLD);
+//! println!("transformed: {}, techniques: {:?}", verdict.is_transformed(), verdict.techniques);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,7 +53,9 @@ pub use classify::{classify_analyzed, classify_many_cached, classify_one_cached,
 pub use config::{AnalysisConfig, DetectorConfig};
 pub use level1::{Level1Detector, Level1Prediction, Level1Truth};
 pub use level2::{Level2Detector, DEFAULT_THRESHOLD};
-pub use pipeline::{train_pipeline, PipelineOutput, TrainedDetectors};
+pub use pipeline::{
+    held_out_pools, train_pipeline, HeldOutPools, PipelineOutput, TrainedDetectors,
+};
 
 // Re-export the vocabulary types users need alongside the detectors.
 pub use jsdetect_guard::{AnalysisError, Limits, OutcomeKind, QuarantineReport};

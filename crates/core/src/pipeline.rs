@@ -12,6 +12,7 @@ use crate::config::DetectorConfig;
 use crate::level1::{Level1Detector, Level1Truth};
 use crate::level2::Level2Detector;
 use jsdetect_corpus::{GroundTruth, LabeledSample};
+use jsdetect_features::FEATURE_SPACE_VERSION;
 use jsdetect_obs::names;
 use jsdetect_transform::Technique;
 use serde::{Deserialize, Serialize};
@@ -37,8 +38,25 @@ impl TrainedDetectors {
     }
 
     /// Deserializes from JSON and rebuilds internal indexes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse failure, or a version error naming both versions
+    /// when either level was fitted under another feature layout than
+    /// [`FEATURE_SPACE_VERSION`]: its vectors would not line up with what
+    /// today's analysis extracts, so such a model must be refitted.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let mut d: TrainedDetectors = serde_json::from_str(json)?;
+        for version in [d.level1.space().version(), d.level2.space().version()] {
+            if version != FEATURE_SPACE_VERSION {
+                return Err(serde::DeError::new(format!(
+                    "model fitted under feature space version {}, this build extracts \
+                     version {}; refit it",
+                    version, FEATURE_SPACE_VERSION
+                ))
+                .into());
+            }
+        }
         d.level1.rebuild_index();
         d.level2.rebuild_index();
         Ok(d)
@@ -51,13 +69,22 @@ impl TrainedDetectors {
 pub struct PipelineOutput {
     /// The trained detectors.
     pub detectors: TrainedDetectors,
+    /// The held-out pools of the corpus the detectors were trained on.
+    pub pools: HeldOutPools,
+}
+
+/// The samples of a [`GroundTruth`] that training never sees, carved by
+/// [`held_out_pools`].
+#[derive(Debug)]
+pub struct HeldOutPools {
     /// Held-out regular samples.
     pub test_regular: Vec<LabeledSample>,
     /// Held-out minified samples (simple + advanced).
     pub test_minified: Vec<LabeledSample>,
     /// Held-out obfuscated samples (all eight techniques).
     pub test_obfuscated: Vec<LabeledSample>,
-    /// Held-out per-technique samples for level 2.
+    /// Held-out per-technique samples for level 2: `test_obfuscated`
+    /// followed by `test_minified`.
     pub test_level2: Vec<LabeledSample>,
     /// Validation regular samples (model-selection experiments).
     pub validation_regular: Vec<LabeledSample>,
@@ -149,29 +176,28 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
     let level1 = Level1Detector::train_from_payloads(&l1_set, cfg);
     let level2 = Level2Detector::train_from_payloads(&l2_set, cfg);
 
-    // ---- held-out pools ------------------------------------------------------
-    let test_regular = gt.regular[sp.train_end..sp.test_end].to_vec();
-    let validation_regular = gt.regular[sp.test_end..].to_vec();
-    let mut test_minified = Vec::new();
-    for t in [Technique::MinificationSimple, Technique::MinificationAdvanced] {
-        test_minified.extend(pool_slice(&gt, t, sp.train_end, sp.test_end).to_vec());
-    }
-    let mut test_obfuscated = Vec::new();
-    for t in OBFUSCATIONS {
-        test_obfuscated.extend(pool_slice(&gt, t, sp.train_end, sp.test_end).to_vec());
-    }
-    let mut test_level2 = Vec::new();
-    for t in Technique::ALL {
-        test_level2.extend(pool_slice(&gt, t, sp.train_end, sp.test_end).to_vec());
-    }
+    PipelineOutput { detectors: TrainedDetectors { level1, level2 }, pools: held_out_pools(&gt) }
+}
 
-    PipelineOutput {
-        detectors: TrainedDetectors { level1, level2 },
-        test_regular,
-        test_minified,
-        test_obfuscated,
-        test_level2,
-        validation_regular,
+/// Carves the test and validation pools out of `gt` with the same split
+/// [`train_pipeline`] trains on, so a model trained on
+/// `GroundTruth::generate(n, seed)` is evaluated on exactly the samples it
+/// never saw.
+pub fn held_out_pools(gt: &GroundTruth) -> HeldOutPools {
+    let sp = split(gt.regular.len());
+    let slices = |techniques: &[Technique]| -> Vec<LabeledSample> {
+        techniques
+            .iter()
+            .flat_map(|t| pool_slice(gt, *t, sp.train_end, sp.test_end))
+            .cloned()
+            .collect()
+    };
+    HeldOutPools {
+        test_regular: gt.regular[sp.train_end..sp.test_end].to_vec(),
+        test_minified: slices(&[Technique::MinificationSimple, Technique::MinificationAdvanced]),
+        test_obfuscated: slices(&OBFUSCATIONS),
+        test_level2: slices(&Technique::ALL),
+        validation_regular: gt.regular[sp.test_end..].to_vec(),
     }
 }
 
@@ -194,6 +220,20 @@ mod tests {
         let sp = split(100);
         assert_eq!(sp.train_end, 50);
         assert_eq!(sp.test_end, 75);
+    }
+
+    #[test]
+    fn pools_are_deterministic_and_disjoint_sized() {
+        let a = held_out_pools(&GroundTruth::generate(16, 3));
+        let b = held_out_pools(&GroundTruth::generate(16, 3));
+        assert_eq!(a.test_regular.len(), b.test_regular.len());
+        assert_eq!(a.test_regular.len(), 4); // n/4
+        assert_eq!(a.validation_regular.len(), 4);
+        assert!(a.test_regular.iter().zip(&b.test_regular).all(|(x, y)| x.src == y.src));
+        // The ablations score level 1 on test_level2 split at this seam.
+        let seam: Vec<&str> =
+            a.test_obfuscated.iter().chain(&a.test_minified).map(|s| s.src.as_str()).collect();
+        assert_eq!(seam, a.test_level2.iter().map(|s| s.src.as_str()).collect::<Vec<_>>());
     }
 
     #[test]

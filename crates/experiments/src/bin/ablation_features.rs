@@ -3,9 +3,11 @@
 //! family's contribution.
 
 use jsdetect::{train_pipeline, DetectorConfig};
-use jsdetect_experiments::{or_exit, write_json, Args};
+use jsdetect_corpus::LabeledSample;
+use jsdetect_experiments::{
+    classify_ok, exact_match_pct, level2_kept, or_exit, write_json, Args, Level1Score,
+};
 use jsdetect_features::FeatureConfig;
-use jsdetect_ml::metrics;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,39 +37,18 @@ fn main() {
         let cfg = DetectorConfig { features, ..DetectorConfig::default() }.with_seed(args.seed);
         let out = train_pipeline(n, args.seed, &cfg);
 
-        let mut ok = 0usize;
-        let mut total = 0usize;
-        for (pool, class) in [
-            (&out.test_regular, "regular"),
-            (&out.test_minified, "minified"),
-            (&out.test_obfuscated, "obfuscated"),
-        ] {
-            let srcs: Vec<&str> = pool.iter().map(|s| s.src.as_str()).collect();
-            for p in out.detectors.level1.predict_many(&srcs).iter().flatten() {
-                total += 1;
-                let correct = match class {
-                    "regular" => !p.is_transformed(),
-                    "minified" => p.minified >= 0.5,
-                    _ => p.obfuscated >= 0.5,
-                };
-                if correct {
-                    ok += 1;
-                }
-            }
-        }
-        let l1 = 100.0 * ok as f64 / total.max(1) as f64;
-
-        let srcs: Vec<&str> = out.test_level2.iter().map(|s| s.src.as_str()).collect();
-        let probs = out.detectors.level2.predict_proba_many(&srcs);
-        let mut hard = Vec::new();
-        let mut truth = Vec::new();
-        for (p, s) in probs.into_iter().zip(&out.test_level2) {
-            if let Some(p) = p {
-                hard.push(p.iter().map(|v| *v >= 0.5).collect::<Vec<bool>>());
-                truth.push(s.label_vector());
-            }
-        }
-        let l2 = 100.0 * metrics::exact_match(&hard, &truth);
+        // Both levels from one classification of each held-out pool;
+        // test_level2 is test_obfuscated followed by test_minified.
+        let pools = &out.pools;
+        let classify = |samples: &[LabeledSample]| {
+            classify_ok(&out.detectors, &samples.iter().map(|s| s.src.as_str()).collect::<Vec<_>>())
+        };
+        let regular = classify(&pools.test_regular);
+        let level2 = classify(&pools.test_level2);
+        let (obfuscated, minified) = level2.split_at(pools.test_obfuscated.len());
+        let l1 = Level1Score::of(&regular, minified, obfuscated).overall_pct();
+        let (probs, truth) = level2_kept(&level2, &pools.test_level2);
+        let l2 = exact_match_pct(&probs, &truth);
 
         println!("{:18} level1 {:6.2}%  level2-exact {:6.2}%", name, l1, l2);
         rows.push(FeatureRow {

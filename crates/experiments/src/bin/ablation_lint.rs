@@ -7,7 +7,7 @@
 //! extra dimensions help each per-technique head.
 
 use jsdetect::{train_pipeline, DetectorConfig, Technique};
-use jsdetect_experiments::{or_exit, write_json, Args};
+use jsdetect_experiments::{classify_ok, exact_match_pct, level2_kept, or_exit, write_json, Args};
 use jsdetect_features::FeatureConfig;
 use jsdetect_ml::metrics;
 use serde::Serialize;
@@ -33,21 +33,14 @@ fn main() {
         let cfg = DetectorConfig { features, ..DetectorConfig::default() }.with_seed(args.seed);
         let out = train_pipeline(n, args.seed, &cfg);
 
-        let srcs: Vec<&str> = out.test_level2.iter().map(|s| s.src.as_str()).collect();
-        let probs = out.detectors.level2.predict_proba_many(&srcs);
-        let mut pred: Vec<Vec<bool>> = Vec::new();
-        let mut truth: Vec<Vec<bool>> = Vec::new();
-        for (p, s) in probs.into_iter().zip(&out.test_level2) {
-            if let Some(p) = p {
-                pred.push(p.iter().map(|v| *v >= 0.5).collect());
-                truth.push(s.label_vector());
-            }
-        }
+        let samples = &out.pools.test_level2;
+        let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
+        let (probs, truth) = level2_kept(&classify_ok(&out.detectors, &srcs), samples);
 
         println!("== {} (space dim {}) ==", name, out.detectors.level2.space().dim());
-        let exact = 100.0 * metrics::exact_match(&pred, &truth);
+        let exact = exact_match_pct(&probs, &truth);
         for (i, t) in Technique::ALL.iter().enumerate() {
-            let col_pred: Vec<bool> = pred.iter().map(|v| v[i]).collect();
+            let col_pred: Vec<bool> = probs.iter().map(|v| v[i] >= 0.5).collect();
             let col_truth: Vec<bool> = truth.iter().map(|v| v[i]).collect();
             let m = metrics::prf(&col_pred, &col_truth);
             println!(

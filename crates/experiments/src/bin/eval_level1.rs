@@ -5,7 +5,9 @@
 //! overall 99.41%; transformed-vs-regular 99.69%.
 
 use jsdetect_corpus::LabeledSample;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, pct, train_cached, transformed_hits, write_json, Args, Level1Score,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -34,34 +36,24 @@ fn main() {
     let args = Args::parse();
     let (detectors, pools) = or_exit(train_cached(&args));
 
-    let count = |samples: &[LabeledSample], check: &dyn Fn(&jsdetect::Level1Prediction) -> bool| {
-        let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-        let preds = detectors.level1.predict_many(&srcs);
-        let mut ok = 0usize;
-        let mut n = 0usize;
-        for p in preds.iter().flatten() {
-            n += 1;
-            if check(p) {
-                ok += 1;
-            }
-        }
-        (ok, n)
+    let classify = |samples: &[LabeledSample]| {
+        classify_ok(&detectors, &samples.iter().map(|s| s.src.as_str()).collect::<Vec<_>>())
     };
-
-    let (reg_ok, reg_n) = count(&pools.test_regular, &|p| !p.is_transformed());
-    let (min_ok, min_n) = count(&pools.test_minified, &|p| p.minified >= 0.5);
-    let (obf_ok, obf_n) = count(&pools.test_obfuscated, &|p| p.obfuscated >= 0.5);
+    let regular = classify(&pools.test_regular);
+    let minified = classify(&pools.test_minified);
+    let obfuscated = classify(&pools.test_obfuscated);
+    let score = Level1Score::of(&regular, &minified, &obfuscated);
+    let ((reg_ok, reg_n), (min_ok, min_n), (obf_ok, obf_n)) =
+        (score.regular, score.minified, score.obfuscated);
     // Transformed = minified and/or obfuscated flag fires.
-    let (tr_min_ok, _) = count(&pools.test_minified, &|p| p.is_transformed());
-    let (tr_obf_ok, _) = count(&pools.test_obfuscated, &|p| p.is_transformed());
+    let tr_ok = transformed_hits(&minified).0 + transformed_hits(&obfuscated).0;
 
-    let pct = |ok: usize, n: usize| 100.0 * ok as f64 / n.max(1) as f64;
     let result = Level1Result {
         regular_acc: pct(reg_ok, reg_n),
         minified_acc: pct(min_ok, min_n),
         obfuscated_acc: pct(obf_ok, obf_n),
-        overall_acc: pct(reg_ok + min_ok + obf_ok, reg_n + min_n + obf_n),
-        transformed_acc: pct(reg_ok + tr_min_ok + tr_obf_ok, reg_n + min_n + obf_n),
+        overall_acc: score.overall_pct(),
+        transformed_acc: pct(reg_ok + tr_ok, reg_n + min_n + obf_n),
         n_regular: reg_n,
         n_minified: min_n,
         n_obfuscated: obf_n,

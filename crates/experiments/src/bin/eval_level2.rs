@@ -6,7 +6,9 @@
 //! truths carry up to 3 labels). Also reports per-technique recall.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, exact_match_pct, level2_kept, or_exit, pct, train_cached, write_json, Args,
+};
 use jsdetect_ml::metrics;
 use serde::Serialize;
 
@@ -25,19 +27,8 @@ fn main() {
     let (detectors, pools) = or_exit(train_cached(&args));
 
     let srcs: Vec<&str> = pools.test_level2.iter().map(|s| s.src.as_str()).collect();
-    let probs = detectors.level2.predict_proba_many(&srcs);
-    let mut kept_probs: Vec<Vec<f32>> = Vec::new();
-    let mut kept_truth: Vec<Vec<bool>> = Vec::new();
-    for (p, s) in probs.into_iter().zip(&pools.test_level2) {
-        if let Some(p) = p {
-            kept_probs.push(p);
-            kept_truth.push(s.label_vector());
-        }
-    }
-
-    let hard: Vec<Vec<bool>> =
-        kept_probs.iter().map(|p| p.iter().map(|v| *v >= 0.5).collect()).collect();
-    let exact = 100.0 * metrics::exact_match(&hard, &kept_truth);
+    let (kept_probs, kept_truth) = level2_kept(&classify_ok(&detectors, &srcs), &pools.test_level2);
+    let exact = exact_match_pct(&kept_probs, &kept_truth);
     let top_k: Vec<f64> =
         (1..=3).map(|k| 100.0 * metrics::top_k_accuracy(&kept_probs, &kept_truth, k)).collect();
 
@@ -53,7 +44,7 @@ fn main() {
                 }
             }
         }
-        recalls.push((t.as_str().to_string(), 100.0 * ok as f64 / n.max(1) as f64, n));
+        recalls.push((t.as_str().to_string(), pct(ok, n), n));
     }
 
     let result = Level2Result {

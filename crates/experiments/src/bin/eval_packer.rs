@@ -5,9 +5,11 @@
 //! thresholded Top-4 reports minification (advanced and simple),
 //! identifier obfuscation, and string obfuscation.
 
-use jsdetect::Technique;
+use jsdetect::{Technique, DEFAULT_THRESHOLD};
 use jsdetect_corpus::packer_set;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, pct, train_cached, transformed_hits, write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,33 +29,22 @@ fn main() {
     let samples = packer_set(n, args.seed ^ 0x9acc);
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
 
-    let l1 = detectors.level1.predict_many(&srcs);
-    let mut transformed = 0usize;
-    let mut total = 0usize;
-    for p in l1.iter().flatten() {
-        total += 1;
-        if p.is_transformed() {
-            transformed += 1;
-        }
-    }
-    let acc = 100.0 * transformed as f64 / total.max(1) as f64;
+    let verdicts = classify_ok(&detectors, &srcs);
+    let (transformed, total) = transformed_hits(&verdicts);
+    let acc = pct(transformed, total);
 
-    // Thresholded Top-4 technique reports across the set.
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    // Thresholded Top-4 technique reports across the set, read from the
+    // level-2 probabilities of every sample (no level-1 gate).
     let mut counts = [0usize; 10];
-    let mut n_pred = 0usize;
-    for p in probs.into_iter().flatten() {
-        n_pred += 1;
-        for i in jsdetect_ml::metrics::thresholded_top_k(&p, 4, 0.10) {
+    for p in verdicts.iter().flatten().filter_map(|v| v.level2.as_ref()) {
+        for i in jsdetect_ml::metrics::thresholded_top_k(p, 4, DEFAULT_THRESHOLD) {
             counts[i] += 1;
         }
     }
     let mut rates: Vec<(String, f64)> = counts
         .iter()
         .enumerate()
-        .map(|(i, c)| {
-            (Technique::ALL[i].as_str().to_string(), 100.0 * *c as f64 / n_pred.max(1) as f64)
-        })
+        .map(|(i, c)| (Technique::ALL[i].as_str().to_string(), pct(*c, total)))
         .collect();
     rates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 

@@ -3,7 +3,9 @@
 //! target: 98.65% classified regular).
 
 use jsdetect_corpus::regular_corpus;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, pct, train_cached, transformed_hits, write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,16 +24,8 @@ fn main() {
     // Seed offset far outside the training stream.
     let scripts = regular_corpus(n, args.seed.wrapping_add(0xDEAD_0000));
     let srcs: Vec<&str> = scripts.iter().map(|s| s.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
-    let mut ok = 0usize;
-    let mut total = 0usize;
-    for p in preds.iter().flatten() {
-        total += 1;
-        if !p.is_transformed() {
-            ok += 1;
-        }
-    }
-    let acc = 100.0 * ok as f64 / total.max(1) as f64;
+    let (transformed, total) = transformed_hits(&classify_ok(&detectors, &srcs));
+    let acc = pct(total - transformed, total);
 
     println!("Fresh regular-corpus holdout (§IV-B1 verification), n={}", total);
     println!("classified regular: {:.2}% (paper, Raychev corpus: 98.65%)", acc);

@@ -4,7 +4,7 @@
 //! reference** (dot accesses rewritten to bracket notation).
 
 use jsdetect_corpus::regular_corpus;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify_ok, or_exit, pct, train_cached, write_json, Args};
 use jsdetect_transform::presets::obfuscate_field_references;
 use serde::Serialize;
 
@@ -33,17 +33,18 @@ fn main() {
 
     let base_refs: Vec<&str> = base.iter().map(|s| s.as_str()).collect();
     let obf_refs: Vec<&str> = rewritten.iter().map(|s| s.as_str()).collect();
-    let p_base = detectors.level1.predict_many(&base_refs);
-    let p_obf = detectors.level1.predict_many(&obf_refs);
-
-    let flagged = |preds: &[Option<jsdetect::Level1Prediction>]| {
-        let t = preds.iter().flatten().filter(|p| p.is_transformed()).count();
-        let n = preds.iter().flatten().count().max(1);
-        100.0 * t as f64 / n as f64
+    let level1 = |srcs: &[&str]| -> Vec<jsdetect::Level1Prediction> {
+        classify_ok(&detectors, srcs).into_iter().flatten().filter_map(|v| v.level1).collect()
     };
-    let mean_obf = |preds: &[Option<jsdetect::Level1Prediction>]| {
-        let s: f64 = preds.iter().flatten().map(|p| p.obfuscated as f64).sum();
-        s / preds.iter().flatten().count().max(1) as f64
+    let p_base = level1(&base_refs);
+    let p_obf = level1(&obf_refs);
+
+    let flagged = |preds: &[jsdetect::Level1Prediction]| {
+        pct(preds.iter().filter(|p| p.is_transformed()).count(), preds.len())
+    };
+    let mean_obf = |preds: &[jsdetect::Level1Prediction]| {
+        let s: f64 = preds.iter().map(|p| p.obfuscated as f64).sum();
+        s / preds.len().max(1) as f64
     };
 
     let result = UnmonitoredResult {

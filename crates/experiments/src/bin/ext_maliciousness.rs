@@ -14,7 +14,7 @@
 //!    technique *mixture* carries the signal the paper points at.
 
 use jsdetect_corpus::{alexa_population, malware_population, npm_population, MalwareSource};
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{classify_ok, or_exit, train_cached, write_json, Args};
 use jsdetect_ml::{metrics, Dataset, ForestParams, RandomForest};
 use serde::Serialize;
 
@@ -33,17 +33,14 @@ struct MaliciousnessResult {
 
 /// 13-dimensional meta-feature vector: level-1 + level-2 confidences.
 fn meta_features(detectors: &jsdetect::TrainedDetectors, srcs: &[&str]) -> Vec<Option<Vec<f32>>> {
-    let l1 = detectors.level1.predict_many(srcs);
-    let l2 = detectors.level2.predict_proba_many(srcs);
-    l1.into_iter()
-        .zip(l2)
-        .map(|(a, b)| match (a, b) {
-            (Some(a), Some(b)) => {
-                let mut v = vec![a.regular, a.minified, a.obfuscated];
-                v.extend(b);
-                Some(v)
-            }
-            _ => None,
+    classify_ok(detectors, srcs)
+        .into_iter()
+        .map(|v| {
+            let v = v?;
+            let (a, b) = (v.level1?, v.level2?);
+            let mut features = vec![a.regular, a.minified, a.obfuscated];
+            features.extend(b);
+            Some(features)
         })
         .collect()
 }

@@ -6,7 +6,9 @@
 //! plus the level-1 transformed rate on mixed samples (paper: 99.99%).
 
 use jsdetect_corpus::mixed_set;
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, level2_kept, or_exit, pct, train_cached, transformed_hits, write_json, Args,
+};
 use jsdetect_ml::metrics;
 use serde::Serialize;
 
@@ -39,29 +41,16 @@ fn main() {
     let mixed = mixed_set(n_mixed, args.seed ^ MIXED_SALT);
     let srcs: Vec<&str> = mixed.iter().map(|s| s.src.as_str()).collect();
 
+    let verdicts = classify_ok(&detectors, &srcs);
     // Level 1 on mixed samples: everything is transformed.
-    let l1 = detectors.level1.predict_many(&srcs);
-    let mut l1_ok = 0usize;
-    let mut l1_n = 0usize;
-    for p in l1.iter().flatten() {
-        l1_n += 1;
-        if p.is_transformed() {
-            l1_ok += 1;
-        }
-    }
-    let l1_acc = 100.0 * l1_ok as f64 / l1_n.max(1) as f64;
+    let (l1_ok, l1_n) = transformed_hits(&verdicts);
+    let l1_acc = pct(l1_ok, l1_n);
 
-    // Level 2 probabilities.
-    let probs = detectors.level2.predict_proba_many(&srcs);
-    let mut kept_probs = Vec::new();
-    let mut kept_truth = Vec::new();
+    // Level 2 probabilities, read without the level-1 gate.
+    let (kept_probs, kept_truth) = level2_kept(&verdicts, &mixed);
     let mut labels_histogram = vec![0usize; 11];
-    for (p, s) in probs.into_iter().zip(&mixed) {
-        if let Some(p) = p {
-            labels_histogram[s.techniques.len().min(10)] += 1;
-            kept_probs.push(p);
-            kept_truth.push(s.label_vector());
-        }
+    for (_, s) in verdicts.iter().zip(&mixed).filter(|(v, _)| v.is_some()) {
+        labels_histogram[s.techniques.len().min(10)] += 1;
     }
 
     let sweep = |threshold: f32| -> Vec<FigPoint> {

@@ -10,7 +10,8 @@
 use jsdetect::Technique;
 use jsdetect_corpus::alexa_population;
 use jsdetect_experiments::{
-    or_exit, print_technique_table, technique_usage_probability, train_cached, write_json, Args,
+    classify_ok, or_exit, pct, print_technique_table, technique_usage_probability, train_cached,
+    write_json, Args,
 };
 use serde::Serialize;
 use std::collections::HashMap;
@@ -51,7 +52,7 @@ fn main() {
     }
     eprintln!("[alexa] classifying {} scripts...", all_scripts.len());
     let srcs: Vec<&str> = all_scripts.iter().map(|s| s.src.as_str()).collect();
-    let l1 = detectors.level1.predict_many(&srcs);
+    let verdicts = classify_ok(&detectors, &srcs);
 
     let mut transformed = 0usize;
     let mut minified = 0usize;
@@ -59,8 +60,8 @@ fn main() {
     let mut total = 0usize;
     let mut bucket_counts = [(0usize, 0usize); 10];
     let mut site_any: HashMap<usize, bool> = HashMap::new();
-    for ((p, script), bucket) in l1.iter().zip(&all_scripts).zip(&bucket_of_script) {
-        if let Some(p) = p {
+    for ((v, script), bucket) in verdicts.iter().zip(&all_scripts).zip(&bucket_of_script) {
+        if let Some(p) = v.as_ref().and_then(|v| v.level1) {
             total += 1;
             let entry = site_any.entry(script.container).or_insert(false);
             if p.is_transformed() {
@@ -77,14 +78,13 @@ fn main() {
             bucket_counts[*bucket].1 += 1;
         }
     }
-    let pct = |a: usize, b: usize| 100.0 * a as f64 / b.max(1) as f64;
     let sites_with = site_any.values().filter(|v| **v).count();
     let bucket_pct: Vec<f64> = bucket_counts.iter().map(|(t, n)| pct(*t, *n)).collect();
     let gen_rate =
         pct(all_scripts.iter().filter(|s| s.is_transformed()).count(), all_scripts.len());
 
     // Figure 2: technique usage probability over transformed scripts.
-    let (usage, n_transformed) = technique_usage_probability(&detectors, &srcs);
+    let (usage, n_transformed) = technique_usage_probability(&verdicts);
     let usage_rows: Vec<(String, f64)> =
         Technique::ALL.iter().map(|t| (t.as_str().to_string(), 100.0 * usage[t.index()])).collect();
 

@@ -8,7 +8,8 @@
 use jsdetect::Technique;
 use jsdetect_corpus::npm_population;
 use jsdetect_experiments::{
-    or_exit, print_technique_table, technique_usage_probability, train_cached, write_json, Args,
+    classify_ok, or_exit, pct, print_technique_table, technique_usage_probability, train_cached,
+    write_json, Args,
 };
 use serde::Serialize;
 use std::collections::HashMap;
@@ -43,15 +44,15 @@ fn main() {
     }
     eprintln!("[npm] classifying {} scripts...", all_scripts.len());
     let srcs: Vec<&str> = all_scripts.iter().map(|s| s.src.as_str()).collect();
-    let l1 = detectors.level1.predict_many(&srcs);
+    let verdicts = classify_ok(&detectors, &srcs);
 
     let mut transformed = 0usize;
     let mut minified = 0usize;
     let mut obfuscated = 0usize;
     let mut total = 0usize;
     let mut pkg_any: HashMap<usize, bool> = HashMap::new();
-    for (p, script) in l1.iter().zip(&all_scripts) {
-        if let Some(p) = p {
+    for (v, script) in verdicts.iter().zip(&all_scripts) {
+        if let Some(p) = v.as_ref().and_then(|v| v.level1) {
             total += 1;
             let entry = pkg_any.entry(script.container).or_insert(false);
             if p.is_transformed() {
@@ -66,12 +67,11 @@ fn main() {
             }
         }
     }
-    let pct = |a: usize, b: usize| 100.0 * a as f64 / b.max(1) as f64;
     let pkgs_with = pkg_any.values().filter(|v| **v).count();
     let gen_rate =
         pct(all_scripts.iter().filter(|s| s.is_transformed()).count(), all_scripts.len());
 
-    let (usage, n_transformed) = technique_usage_probability(&detectors, &srcs);
+    let (usage, n_transformed) = technique_usage_probability(&verdicts);
     let usage_rows: Vec<(String, f64)> =
         Technique::ALL.iter().map(|t| (t.as_str().to_string(), 100.0 * usage[t.index()])).collect();
 

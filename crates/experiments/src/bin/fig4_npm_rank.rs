@@ -7,7 +7,10 @@
 
 use jsdetect::Technique;
 use jsdetect_corpus::npm_population;
-use jsdetect_experiments::{or_exit, technique_usage_probability, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, pct, technique_usage_probability, train_cached, transformed_hits,
+    write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -46,19 +49,12 @@ fn main() {
             ));
         }
         let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-        let l1 = detectors.level1.predict_many(&srcs);
-        let mut transformed = 0usize;
-        let mut total = 0usize;
-        for p in l1.iter().flatten() {
-            total += 1;
-            if p.is_transformed() {
-                transformed += 1;
-            }
-        }
-        let (usage, _) = technique_usage_probability(&detectors, &srcs);
+        let verdicts = classify_ok(&detectors, &srcs);
+        let (transformed, total) = transformed_hits(&verdicts);
+        let (usage, _) = technique_usage_probability(&verdicts);
         buckets.push(Bucket {
             rank_start: bucket * 1000,
-            transformed_pct: 100.0 * transformed as f64 / total.max(1) as f64,
+            transformed_pct: pct(transformed, total),
             min_simple_usage: 100.0 * usage[Technique::MinificationSimple.index()],
             min_advanced_usage: 100.0 * usage[Technique::MinificationAdvanced.index()],
             n: total,

@@ -5,7 +5,9 @@
 //! stable ~17.95%, then ~15.17%).
 
 use jsdetect_corpus::{alexa_population, npm_population};
-use jsdetect_experiments::{or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, pct, train_cached, transformed_hits, write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,17 +35,9 @@ fn main() {
         npm.extend(npm_population(month, packages / 2, 1000, args.seed ^ (month as u64) ^ 0x9a));
         let rate = |pop: &[jsdetect_corpus::WildScript]| -> (f64, f64) {
             let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-            let l1 = detectors.level1.predict_many(&srcs);
-            let mut tr = 0usize;
-            let mut n = 0usize;
-            for p in l1.iter().flatten() {
-                n += 1;
-                if p.is_transformed() {
-                    tr += 1;
-                }
-            }
+            let (tr, n) = transformed_hits(&classify_ok(&detectors, &srcs));
             let truth = pop.iter().filter(|s| s.is_transformed()).count() as f64 / pop.len() as f64;
-            (100.0 * tr as f64 / n.max(1) as f64, 100.0 * truth)
+            (pct(tr, n), 100.0 * truth)
         };
         let (a, at) = rate(&alexa);
         let (n, nt) = rate(&npm);

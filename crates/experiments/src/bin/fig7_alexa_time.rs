@@ -6,7 +6,9 @@
 
 use jsdetect::Technique;
 use jsdetect_corpus::alexa_population;
-use jsdetect_experiments::{or_exit, technique_usage_probability, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, or_exit, technique_usage_probability, train_cached, write_json, Args,
+};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,7 +28,7 @@ fn main() {
     for month in (0..jsdetect_corpus::N_MONTHS).step_by(stride) {
         let pop = alexa_population(month, sites, 0, args.seed ^ (month as u64) ^ 0x7a);
         let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-        let (usage, n) = technique_usage_probability(&detectors, &srcs);
+        let (usage, n) = technique_usage_probability(&classify_ok(&detectors, &srcs));
         eprintln!(
             "[fig7] month {:>2}: simple {:.1}% adv {:.1}% ident {:.1}% ({} transformed)",
             month,

@@ -17,7 +17,9 @@
 //! travel with the benchmark history.
 
 use jsdetect::Technique;
-use jsdetect_experiments::{merge_bench_block, or_exit, train_cached, write_json, Args};
+use jsdetect_experiments::{
+    classify_ok, merge_bench_block, or_exit, train_cached, write_json, Args,
+};
 use jsdetect_guard::Limits;
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use serde::Serialize;
@@ -107,15 +109,16 @@ fn main() {
 
     let orig_refs: Vec<&str> = pools.test_level2.iter().map(|s| s.src.as_str()).collect();
     let norm_refs: Vec<&str> = normalized.iter().map(String::as_str).collect();
-    let orig_probs = detectors.level2.predict_proba_many(&orig_refs);
-    let norm_probs = detectors.level2.predict_proba_many(&norm_refs);
+    let orig = classify_ok(&detectors, &orig_refs);
+    let norm = classify_ok(&detectors, &norm_refs);
 
     // Keep only rows where both variants produced a prediction.
     let mut kept_orig: Vec<Vec<f32>> = Vec::new();
     let mut kept_norm: Vec<Vec<f32>> = Vec::new();
     let mut kept_truth: Vec<Vec<bool>> = Vec::new();
-    for ((o, n), s) in orig_probs.into_iter().zip(norm_probs).zip(&pools.test_level2) {
-        if let (Some(o), Some(n)) = (o, n) {
+    let level2 = |v: Option<jsdetect::ScriptVerdict>| v.and_then(|v| v.level2);
+    for ((o, n), s) in orig.into_iter().zip(norm).zip(&pools.test_level2) {
+        if let (Some(o), Some(n)) = (level2(o), level2(n)) {
             kept_orig.push(o);
             kept_norm.push(n);
             kept_truth.push(s.label_vector());

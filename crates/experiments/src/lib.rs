@@ -4,7 +4,13 @@
 //! multiplier, default 1.0) and `--seed <u64>` (default 42), prints the
 //! paper-shaped rows to stdout, and writes a JSON record under `results/`.
 
-use jsdetect::{train_pipeline, DetectorConfig, Technique};
+use jsdetect::{
+    classify_many_cached, held_out_pools, train_pipeline, AnalysisConfig, DetectorConfig,
+    HeldOutPools, Level1Prediction, OutcomeKind, ScriptVerdict, Technique, TrainedDetectors,
+    DEFAULT_THRESHOLD,
+};
+use jsdetect_corpus::{GroundTruth, LabeledSample};
+use jsdetect_ml::metrics;
 use serde::Serialize;
 use serde_json::JsonValue;
 use std::path::{Path, PathBuf};
@@ -106,54 +112,9 @@ impl Args {
     }
 }
 
-/// The held-out evaluation pools the experiments share.
-#[derive(Debug)]
-pub struct Pools {
-    /// Held-out regular samples.
-    pub test_regular: Vec<jsdetect_corpus::LabeledSample>,
-    /// Held-out minified samples.
-    pub test_minified: Vec<jsdetect_corpus::LabeledSample>,
-    /// Held-out obfuscated samples.
-    pub test_obfuscated: Vec<jsdetect_corpus::LabeledSample>,
-    /// Held-out per-technique samples.
-    pub test_level2: Vec<jsdetect_corpus::LabeledSample>,
-    /// Validation regular samples.
-    pub validation_regular: Vec<jsdetect_corpus::LabeledSample>,
-}
-
-/// Rebuilds the deterministic held-out pools for `(n, seed)`.
-pub fn make_pools(n: usize, seed: u64) -> Pools {
-    let gt = jsdetect_corpus::GroundTruth::generate(n, seed);
-    let train_end = n / 2;
-    let test_end = n / 2 + n / 4;
-    let slice = |t: Technique| {
-        let pool = gt.pool(t);
-        pool[train_end.min(pool.len())..test_end.min(pool.len())].to_vec()
-    };
-    let mut test_minified = Vec::new();
-    for t in [Technique::MinificationSimple, Technique::MinificationAdvanced] {
-        test_minified.extend(slice(t));
-    }
-    let mut test_obfuscated = Vec::new();
-    for t in Technique::ALL.iter().filter(|t| !t.is_minification()) {
-        test_obfuscated.extend(slice(*t));
-    }
-    let mut test_level2 = Vec::new();
-    for t in Technique::ALL {
-        test_level2.extend(slice(t));
-    }
-    Pools {
-        test_regular: gt.regular[train_end..test_end].to_vec(),
-        test_minified,
-        test_obfuscated,
-        test_level2,
-        validation_regular: gt.regular[test_end..].to_vec(),
-    }
-}
-
 /// Trains the detectors, reusing a JSON cache under `results/` so the
 /// experiment binaries share one training run per (seed, n). Returns the
-/// detectors along with the deterministic held-out pools.
+/// detectors along with the held-out pools of their training corpus.
 ///
 /// # Errors
 ///
@@ -161,16 +122,16 @@ pub fn make_pools(n: usize, seed: u64) -> Pools {
 /// cannot be created or the freshly trained model cannot be persisted
 /// (a *read* failure on the model cache just falls through to retraining —
 /// a missing cache is the normal first run).
-pub fn train_cached(args: &Args) -> Result<(jsdetect::TrainedDetectors, Pools), IoError> {
+pub fn train_cached(args: &Args) -> Result<(TrainedDetectors, HeldOutPools), IoError> {
     let n = args.n_train();
     let cfg = DetectorConfig::default().with_seed(args.seed);
     let cache = args.out_dir.join(format!("model_n{}_s{}.json", n, args.seed));
     std::fs::create_dir_all(&args.out_dir)
         .map_err(|e| IoError::new("create directory", &args.out_dir, e))?;
     if let Ok(json) = std::fs::read_to_string(&cache) {
-        if let Ok(detectors) = jsdetect::TrainedDetectors::from_json(&json) {
+        if let Ok(detectors) = TrainedDetectors::from_json(&json) {
             eprintln!("[experiments] loaded cached detectors from {}", cache.display());
-            return Ok((detectors, make_pools(n, args.seed)));
+            return Ok((detectors, held_out_pools(&GroundTruth::generate(n, args.seed))));
         }
     }
     eprintln!("[experiments] training detectors (n={}, seed={})...", n, args.seed);
@@ -183,14 +144,7 @@ pub fn train_cached(args: &Args) -> Result<(jsdetect::TrainedDetectors, Pools), 
         }
         Err(e) => eprintln!("[experiments] could not serialize model: {}", e),
     }
-    let pools = Pools {
-        test_regular: out.test_regular,
-        test_minified: out.test_minified,
-        test_obfuscated: out.test_obfuscated,
-        test_level2: out.test_level2,
-        validation_regular: out.validation_regular,
-    };
-    Ok((out.detectors, pools))
+    Ok((out.detectors, out.pools))
 }
 
 /// Writes a JSON result record, returning the path it landed on.
@@ -265,25 +219,98 @@ fn merge_bench_block_at(path: &Path, key: &str, value: JsonValue) -> Result<(), 
     Ok(())
 }
 
-/// Mean per-technique probability over scripts flagged transformed —
+/// Classifies `srcs` once under trusted limits, without a verdict cache,
+/// with the paper's Top-4 rule at [`DEFAULT_THRESHOLD`]. Keeps the verdict
+/// of every script whose analysis is `Ok` and yields `None` for degraded
+/// or rejected ones, as the paper skips files that do not parse. Every
+/// number the experiments report is read from these verdicts.
+pub fn classify_ok(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<ScriptVerdict>> {
+    classify_many_cached(srcs, &AnalysisConfig::trusted(), None, detectors, 4, DEFAULT_THRESHOLD)
+        .into_iter()
+        .map(|v| (v.outcome == OutcomeKind::Ok).then_some(v))
+        .collect()
+}
+
+/// `100 * hits / n`, reading an empty set as 0%.
+pub fn pct(hits: usize, n: usize) -> f64 {
+    100.0 * hits as f64 / n.max(1) as f64
+}
+
+/// `(flagged transformed, kept)` level-1 counts over a classification's
+/// kept verdicts.
+pub fn transformed_hits(verdicts: &[Option<ScriptVerdict>]) -> (usize, usize) {
+    let kept = verdicts.iter().flatten();
+    (kept.clone().filter(|v| v.is_transformed()).count(), kept.count())
+}
+
+/// Level-1 `(correct, scored)` counts per held-out class (Test Set 1,
+/// §III-E1), over the kept verdicts of each class's pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Level1Score {
+    /// Regular scripts are correct when not flagged transformed.
+    pub regular: (usize, usize),
+    /// Minified scripts are correct when the minified flag fires.
+    pub minified: (usize, usize),
+    /// Obfuscated scripts are correct when the obfuscated flag fires.
+    pub obfuscated: (usize, usize),
+}
+
+impl Level1Score {
+    /// Scores the verdicts of the regular, minified and obfuscated pools.
+    pub fn of(
+        regular: &[Option<ScriptVerdict>],
+        minified: &[Option<ScriptVerdict>],
+        obfuscated: &[Option<ScriptVerdict>],
+    ) -> Level1Score {
+        let hits = |verdicts: &[Option<ScriptVerdict>], correct: fn(&Level1Prediction) -> bool| {
+            let preds: Vec<Level1Prediction> =
+                verdicts.iter().flatten().filter_map(|v| v.level1).collect();
+            (preds.iter().filter(|p| correct(p)).count(), preds.len())
+        };
+        Level1Score {
+            regular: hits(regular, |p| !p.is_transformed()),
+            minified: hits(minified, |p| p.minified >= 0.5),
+            obfuscated: hits(obfuscated, |p| p.obfuscated >= 0.5),
+        }
+    }
+
+    /// Accuracy (%) over all three classes.
+    pub fn overall_pct(&self) -> f64 {
+        let [r, m, o] = [self.regular, self.minified, self.obfuscated];
+        pct(r.0 + m.0 + o.0, r.1 + m.1 + o.1)
+    }
+}
+
+/// The level-2 probabilities of the kept verdicts, paired with the label
+/// vectors of their `samples` (verdicts in sample order).
+pub fn level2_kept(
+    verdicts: &[Option<ScriptVerdict>],
+    samples: &[LabeledSample],
+) -> (Vec<Vec<f32>>, Vec<Vec<bool>>) {
+    verdicts
+        .iter()
+        .zip(samples)
+        .filter_map(|(v, s)| Some((v.as_ref()?.level2.clone()?, s.label_vector())))
+        .unzip()
+}
+
+/// Level-2 exact-set accuracy (%) of `probs` thresholded at 0.5 against
+/// `truth` (§III-E1).
+pub fn exact_match_pct(probs: &[Vec<f32>], truth: &[Vec<bool>]) -> f64 {
+    let hard: Vec<Vec<bool>> =
+        probs.iter().map(|p| p.iter().map(|v| *v >= 0.5).collect()).collect();
+    100.0 * metrics::exact_match(&hard, truth)
+}
+
+/// Mean per-technique probability over the verdicts flagged transformed —
 /// the quantity plotted in the paper's Figures 2/3/5/7/8 ("average
 /// probability of a given technique being used, based on our detector
-/// confidence score").
-pub fn technique_usage_probability(
-    detectors: &jsdetect::TrainedDetectors,
-    srcs: &[&str],
-) -> ([f64; 10], usize) {
-    let l1 = detectors.level1.predict_many(srcs);
-    let transformed: Vec<&str> = srcs
-        .iter()
-        .zip(&l1)
-        .filter(|(_, p)| p.map(|p| p.is_transformed()).unwrap_or(false))
-        .map(|(s, _)| *s)
-        .collect();
-    let probs = detectors.level2.predict_proba_many(&transformed);
+/// confidence score") — and the number of such verdicts.
+pub fn technique_usage_probability(verdicts: &[Option<ScriptVerdict>]) -> ([f64; 10], usize) {
     let mut sums = [0f64; 10];
     let mut n = 0usize;
-    for p in probs.into_iter().flatten() {
+    let transformed = verdicts.iter().flatten().filter(|v| v.is_transformed());
+    for p in transformed.filter_map(|v| v.level2.as_ref()) {
         for (i, v) in p.iter().enumerate() {
             sums[i] += *v as f64;
         }
@@ -321,13 +348,19 @@ mod tests {
     }
 
     #[test]
-    fn pools_are_deterministic_and_disjoint_sized() {
-        let a = make_pools(16, 3);
-        let b = make_pools(16, 3);
-        assert_eq!(a.test_regular.len(), b.test_regular.len());
-        assert_eq!(a.test_regular.len(), 4); // n/4
-        assert_eq!(a.validation_regular.len(), 4);
-        assert!(a.test_regular.iter().zip(&b.test_regular).all(|(x, y)| x.src == y.src));
+    fn classify_ok_keeps_ok_outcomes_only() {
+        let detectors = train_pipeline(24, 11, &DetectorConfig::fast()).detectors;
+        let valid = "function add(a, b) { return a + b; } add(1, 2);";
+        let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
+        let v = classify_ok(&detectors, &[valid, "var ;;; broken", bomb.as_str()]);
+        let ok = v[0].as_ref().expect("a valid script is kept");
+        let payload = jsdetect_features::analyze(valid, &jsdetect::Limits::trusted())
+            .into_ok()
+            .expect("a valid script analyzes fully");
+        assert_eq!(ok.level1, Some(detectors.level1.predict_payload(&payload)));
+        assert_eq!(ok.level2, Some(detectors.level2.predict_proba_payload(&payload)));
+        assert!(v[1].is_none(), "a script that degrades under trusted limits is skipped");
+        assert!(v[2].is_none(), "a rejected script is skipped");
     }
 
     #[test]

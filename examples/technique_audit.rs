@@ -9,33 +9,33 @@
 //! cargo run --release --example technique_audit
 //! ```
 
-use jsdetect_suite::detector::{train_pipeline, DetectorConfig, DEFAULT_THRESHOLD};
+use jsdetect_suite::detector::{
+    classify_one_cached, train_pipeline, AnalysisConfig, DetectorConfig, OutcomeKind,
+    TrainedDetectors, DEFAULT_THRESHOLD,
+};
 use jsdetect_suite::features::{analyze, Limits, FEATURE_NAMES};
 use jsdetect_suite::transform::{apply, Technique};
 
-fn audit(detectors: &jsdetect_suite::detector::TrainedDetectors, name: &str, src: &str) {
+fn audit(detectors: &TrainedDetectors, name: &str, src: &str) {
     println!("\n=== {} ({} bytes) ===", name, src.len());
-    let verdict = match detectors.level1.predict(src) {
-        Ok(v) => v,
-        Err(e) => {
-            println!("  not analyzable: {}", e);
-            return;
-        }
+    let config = AnalysisConfig::trusted();
+    let verdict = classify_one_cached(src, &config, None, detectors, 4, DEFAULT_THRESHOLD);
+    let Some(p) = verdict.level1.filter(|_| verdict.outcome == OutcomeKind::Ok) else {
+        println!("  not analyzable: {}", verdict.error_msg);
+        return;
     };
     println!(
         "  level 1: regular={:.2} minified={:.2} obfuscated={:.2} → {}",
-        verdict.regular,
-        verdict.minified,
-        verdict.obfuscated,
-        if verdict.is_transformed() { "TRANSFORMED" } else { "regular" }
+        p.regular,
+        p.minified,
+        p.obfuscated,
+        if p.is_transformed() { "TRANSFORMED" } else { "regular" }
     );
-    if verdict.is_transformed() {
-        let techniques =
-            detectors.level2.predict_techniques(src, 4, DEFAULT_THRESHOLD).unwrap_or_default();
+    if p.is_transformed() {
         println!(
             "  level 2 (top-4 over {:.0}% threshold): {}",
             DEFAULT_THRESHOLD * 100.0,
-            techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", ")
+            verdict.techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", ")
         );
     }
 

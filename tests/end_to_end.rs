@@ -5,41 +5,49 @@
 
 use jsdetect_suite::corpus::{packer_set, LabeledSample};
 use jsdetect_suite::detector::{
-    train_pipeline, DetectorConfig, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
+    classify_many_cached, train_pipeline, AnalysisConfig, DetectorConfig, HeldOutPools,
+    Level1Prediction, OutcomeKind, Technique, TrainedDetectors, DEFAULT_THRESHOLD,
 };
+use jsdetect_suite::features::FEATURE_SPACE_VERSION;
+use jsdetect_suite::ml::metrics::thresholded_top_k;
 
 /// One shared training run for the whole file (training dominates cost).
-fn trained() -> &'static (TrainedDetectors, TestPools) {
+fn trained() -> &'static (TrainedDetectors, HeldOutPools) {
     use std::sync::OnceLock;
-    static CELL: OnceLock<(TrainedDetectors, TestPools)> = OnceLock::new();
+    static CELL: OnceLock<(TrainedDetectors, HeldOutPools)> = OnceLock::new();
     CELL.get_or_init(|| {
         let out = train_pipeline(64, 1234, &DetectorConfig::fast().with_seed(1234));
-        (
-            out.detectors,
-            TestPools {
-                regular: out.test_regular,
-                minified: out.test_minified,
-                obfuscated: out.test_obfuscated,
-                level2: out.test_level2,
-            },
-        )
+        (out.detectors, out.pools)
     })
 }
 
-struct TestPools {
-    regular: Vec<LabeledSample>,
-    minified: Vec<LabeledSample>,
-    obfuscated: Vec<LabeledSample>,
-    level2: Vec<LabeledSample>,
+/// Both levels for every script that analyzes fully under trusted limits,
+/// `None` for the rest (the paper skips files that do not parse).
+fn classify(
+    detectors: &TrainedDetectors,
+    srcs: &[&str],
+) -> Vec<Option<(Level1Prediction, Vec<f32>)>> {
+    classify_many_cached(srcs, &AnalysisConfig::trusted(), None, detectors, 4, DEFAULT_THRESHOLD)
+        .into_iter()
+        .map(|v| match v.outcome {
+            OutcomeKind::Ok => Some((v.level1?, v.level2?)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Level-1 predictions of the scripts [`classify`] keeps.
+fn level1(detectors: &TrainedDetectors, srcs: &[&str]) -> Vec<Option<Level1Prediction>> {
+    classify(detectors, srcs).into_iter().map(|v| v.map(|(p, _)| p)).collect()
 }
 
 fn accuracy(
     detectors: &TrainedDetectors,
     samples: &[LabeledSample],
-    check: impl Fn(&jsdetect_suite::detector::Level1Prediction) -> bool,
+    check: impl Fn(&Level1Prediction) -> bool,
 ) -> f64 {
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let mut ok = 0usize;
     let mut n = 0usize;
     for p in preds.iter().flatten() {
@@ -54,9 +62,9 @@ fn accuracy(
 #[test]
 fn level1_separates_held_out_classes() {
     let (detectors, pools) = trained();
-    let reg = accuracy(detectors, &pools.regular, |p| !p.is_transformed());
-    let min = accuracy(detectors, &pools.minified, |p| p.minified >= 0.5);
-    let obf = accuracy(detectors, &pools.obfuscated, |p| p.obfuscated >= 0.5);
+    let reg = accuracy(detectors, &pools.test_regular, |p| !p.is_transformed());
+    let min = accuracy(detectors, &pools.test_minified, |p| p.minified >= 0.5);
+    let obf = accuracy(detectors, &pools.test_obfuscated, |p| p.obfuscated >= 0.5);
     assert!(reg >= 0.85, "regular accuracy too low: {}", reg);
     assert!(min >= 0.85, "minified accuracy too low: {}", min);
     assert!(obf >= 0.75, "obfuscated accuracy too low: {}", obf);
@@ -65,12 +73,12 @@ fn level1_separates_held_out_classes() {
 #[test]
 fn level2_top1_identifies_techniques() {
     let (detectors, pools) = trained();
-    let srcs: Vec<&str> = pools.level2.iter().map(|s| s.src.as_str()).collect();
-    let probs = detectors.level2.predict_proba_many(&srcs);
+    let srcs: Vec<&str> = pools.test_level2.iter().map(|s| s.src.as_str()).collect();
+    let verdicts = classify(detectors, &srcs);
     let mut ok = 0usize;
     let mut n = 0usize;
-    for (p, s) in probs.into_iter().zip(&pools.level2) {
-        if let Some(p) = p {
+    for (v, s) in verdicts.into_iter().zip(&pools.test_level2) {
+        if let Some((_, p)) = v {
             n += 1;
             let truth = s.label_vector();
             if jsdetect_suite::ml::metrics::top_k_correct(&p, &truth, 1) {
@@ -87,14 +95,25 @@ fn detectors_roundtrip_through_json() {
     let (detectors, pools) = trained();
     let json = detectors.to_json().expect("serialization");
     let restored = TrainedDetectors::from_json(&json).expect("deserialization");
-    let sample = &pools.level2[0].src;
-    assert_eq!(
-        detectors.level2.predict_proba(sample).unwrap(),
-        restored.level2.predict_proba(sample).unwrap()
-    );
-    let p1 = detectors.level1.predict(sample).unwrap();
-    let p2 = restored.level1.predict(sample).unwrap();
+    let sample = pools.test_level2[0].src.as_str();
+    let (p1, l2_1) = classify(detectors, &[sample]).pop().flatten().unwrap();
+    let (p2, l2_2) = classify(&restored, &[sample]).pop().flatten().unwrap();
+    assert_eq!(l2_1, l2_2);
     assert_eq!(p1.minified, p2.minified);
+
+    // A model fitted under another feature layout is refused, not served.
+    let current = format!("\"version\":{}", FEATURE_SPACE_VERSION);
+    let stale = format!("\"version\":{}", FEATURE_SPACE_VERSION - 1);
+    assert!(json.contains(&current));
+    let err = TrainedDetectors::from_json(&json.replacen(&current, &stale, 1))
+        .expect_err("a stale feature-space version must not load");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&(FEATURE_SPACE_VERSION - 1).to_string())
+            && msg.contains(&FEATURE_SPACE_VERSION.to_string()),
+        "error names both versions: {}",
+        msg
+    );
 }
 
 #[test]
@@ -104,7 +123,7 @@ fn packer_generalization() {
     let (detectors, _) = trained();
     let samples = packer_set(12, 777);
     let srcs: Vec<&str> = samples.iter().map(|s| s.src.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let flagged = preds.iter().flatten().filter(|p| p.is_transformed()).count();
     assert!(
         flagged as f64 / samples.len() as f64 >= 0.8,
@@ -119,7 +138,7 @@ fn fresh_regular_scripts_stay_regular() {
     let (detectors, _) = trained();
     let fresh = jsdetect_suite::corpus::regular_corpus(24, 0xFEED_F00D);
     let srcs: Vec<&str> = fresh.iter().map(|s| s.as_str()).collect();
-    let preds = detectors.level1.predict_many(&srcs);
+    let preds = level1(detectors, &srcs);
     let regular = preds.iter().flatten().filter(|p| !p.is_transformed()).count();
     assert!(
         regular as f64 / fresh.len() as f64 >= 0.85,
@@ -147,8 +166,7 @@ fn unmonitored_technique_still_flagged_transformed() {
         if obf == *src {
             continue; // no member accesses to rewrite
         }
-        let (Ok(p0), Ok(p1)) = (detectors.level1.predict(src), detectors.level1.predict(&obf))
-        else {
+        let [Some(p0), Some(p1)] = level1(detectors, &[src.as_str(), obf.as_str()])[..] else {
             continue;
         };
         before += p0.obfuscated as f64;
@@ -174,7 +192,7 @@ fn tool_presets_detectable() {
         let mut total = 0usize;
         for (i, src) in base.iter().enumerate() {
             if let Ok(out) = tool.apply(src, i as u64) {
-                if let Ok(p) = detectors.level1.predict(&out) {
+                if let Some(p) = level1(detectors, &[&out]).pop().flatten() {
                     total += 1;
                     if p.is_transformed() {
                         flagged += 1;
@@ -196,7 +214,7 @@ fn wild_population_shapes() {
     let npm = jsdetect_suite::corpus::npm_population(64, 16, 2500, 5);
     let rate = |pop: &[jsdetect_suite::corpus::WildScript]| {
         let srcs: Vec<&str> = pop.iter().map(|s| s.src.as_str()).collect();
-        let preds = detectors.level1.predict_many(&srcs);
+        let preds = level1(detectors, &srcs);
         let t = preds.iter().flatten().filter(|p| p.is_transformed()).count();
         t as f64 / pop.len().max(1) as f64
     };
@@ -228,7 +246,11 @@ fn thresholded_topk_reports_applied_technique() {
         9,
     )
     .unwrap();
-    let report = detectors.level2.predict_techniques(&obf, 4, DEFAULT_THRESHOLD).unwrap();
+    let (_, probs) = classify(detectors, &[&obf]).pop().flatten().unwrap();
+    let report: Vec<Technique> = thresholded_top_k(&probs, 4, DEFAULT_THRESHOLD)
+        .into_iter()
+        .map(|i| Technique::ALL[i])
+        .collect();
     assert!(
         report.contains(&Technique::IdentifierObfuscation)
             || report.contains(&Technique::GlobalArray),
