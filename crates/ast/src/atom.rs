@@ -62,14 +62,6 @@ impl Atom {
         global().intern(s)
     }
 
-    /// Interns `s` in the global interner, returning `None` instead of
-    /// panicking when the capacity cap is reached. Resident services use
-    /// this on their admission path so cap exhaustion degrades a request
-    /// rather than the process.
-    pub fn try_new(s: &str) -> Option<Atom> {
-        global().try_intern(s)
-    }
-
     /// The interned empty string (id 0; pre-interned at startup).
     pub fn empty() -> Atom {
         let a = Atom::new("");

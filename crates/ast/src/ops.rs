@@ -97,12 +97,6 @@ impl BinaryOp {
             Exp => 14,
         }
     }
-
-    /// Whether `a op (b op c)` equals `(a op b) op c` for printing purposes.
-    pub fn is_associative(self) -> bool {
-        use BinaryOp::*;
-        matches!(self, BitOr | BitXor | BitAnd | Mul)
-    }
 }
 
 impl fmt::Display for BinaryOp {

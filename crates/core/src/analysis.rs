@@ -86,7 +86,7 @@ fn fenced(f: impl FnOnce() -> Analyzed) -> Analyzed {
 
 /// Runs `work(i)` for every `i in 0..n` across all cores with
 /// work-stealing and returns the results in index order.
-fn run_stealing<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn run_stealing<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let _t = jsdetect_obs::span(names::SPAN_ANALYZE_MANY);
     jsdetect_obs::counter_add(names::CTR_SCRIPTS_ANALYZED, n as u64);
     if n == 0 {
@@ -197,6 +197,7 @@ mod tests {
         // Counters are process-wide and other tests run concurrently, so
         // count only the increments recorded on this thread, found through
         // a span opened around the fenced call.
+        let _lock = crate::TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         jsdetect_obs::set_enabled(true);
         let r = {
             let _probe = jsdetect_obs::span("fence_probe");

@@ -1,20 +1,21 @@
 //! End-to-end classification over the cache-aware hardened path: the one
-//! entry the serve daemon, the CLI, and the examples all share.
+//! entry the serve daemon, the CLI, the experiments and the examples all
+//! share.
 //!
-//! [`classify_many_cached`] composes [`analyze_many`] (guarded
-//! analysis with optional verdict replay) with payload-based batch
-//! inference on both detector levels. Because everything downstream of
-//! analysis runs off the space-independent [`FeaturePayload`], a verdict
-//! replayed from the store classifies bit-identically to a fresh one — and
+//! [`classify_one_cached`] takes one script from source to verdict: cache
+//! lookup or guarded analysis ([`analyze_one`]), then both detector levels
+//! on the space-independent [`FeaturePayload`](jsdetect_features::FeaturePayload).
+//! [`classify_many_cached`] runs exactly that function for every script,
+//! one work item per script on the work-stealing pool. So a verdict
+//! replayed from the store classifies bit-identically to a fresh one, and
 //! a request served by the daemon classifies bit-identically to the same
-//! script in an offline sweep.
+//! script in an offline sweep: both run the same code.
 
-use crate::analysis::{analyze_many, analyze_one, CachedScript};
+use crate::analysis::{analyze_one, run_stealing, CachedScript};
 use crate::config::AnalysisConfig;
 use crate::level1::Level1Prediction;
 use crate::pipeline::TrainedDetectors;
 use jsdetect_cache::AnalysisCache;
-use jsdetect_features::FeaturePayload;
 use jsdetect_guard::OutcomeKind;
 use jsdetect_ml::metrics::thresholded_top_k;
 use jsdetect_transform::Technique;
@@ -48,39 +49,12 @@ impl ScriptVerdict {
     }
 }
 
-fn verdict_from(
-    analyzed: CachedScript,
-    level1: Option<Level1Prediction>,
-    level2: Option<Vec<f32>>,
-    top_k: usize,
-    threshold: f32,
-) -> ScriptVerdict {
-    let transformed = level1.map(|p| p.is_transformed()).unwrap_or(false);
-    let techniques = match (&level2, transformed) {
-        (Some(probs), true) => thresholded_top_k(probs, top_k, threshold)
-            .into_iter()
-            .map(|i| Technique::ALL[i])
-            .collect(),
-        _ => Vec::new(),
-    };
-    ScriptVerdict {
-        outcome: analyzed.outcome,
-        error_kind: analyzed.error_kind,
-        error_msg: analyzed.error_msg,
-        from_cache: analyzed.from_cache,
-        level1,
-        level2,
-        techniques,
-    }
-}
-
 /// Classifies many scripts through the cache-aware hardened path.
 ///
-/// Analysis runs under `config.limits` with verdict replay when `cache`
-/// is provided; surviving payloads (ok and degraded outcomes) are batch
-/// classified by both levels. `top_k`/`threshold` select the level-2
-/// technique rule (the paper's values are `4` and
-/// [`crate::DEFAULT_THRESHOLD`]).
+/// Each script runs [`classify_one_cached`] as one work item on the
+/// work-stealing pool; verdicts come back in input order. `top_k` and
+/// `threshold` select the level-2 technique rule (the paper's values are
+/// `4` and [`crate::DEFAULT_THRESHOLD`]).
 pub fn classify_many_cached(
     srcs: &[&str],
     config: &AnalysisConfig,
@@ -89,21 +63,14 @@ pub fn classify_many_cached(
     top_k: usize,
     threshold: f32,
 ) -> Vec<ScriptVerdict> {
-    let analyzed = analyze_many(srcs, config, cache);
-    let payloads: Vec<Option<&FeaturePayload>> =
-        analyzed.iter().map(|c| c.payload.as_ref()).collect();
-    let l1 = detectors.level1.predict_payloads(&payloads);
-    let l2 = detectors.level2.predict_proba_payloads(&payloads);
-    analyzed
-        .into_iter()
-        .zip(l1)
-        .zip(l2)
-        .map(|((a, l1), l2)| verdict_from(a, l1, l2, top_k, threshold))
-        .collect()
+    run_stealing(srcs.len(), |i| {
+        classify_one_cached(srcs[i], config, cache, detectors, top_k, threshold)
+    })
 }
 
-/// Classifies one script (the daemon's per-request path: same analysis and
-/// inference as [`classify_many_cached`], without the batch driver).
+/// Classifies one script: analysis under `config.limits` with verdict
+/// replay when `cache` is provided, then both detector levels on the
+/// surviving payload (ok and degraded outcomes).
 pub fn classify_one_cached(
     src: &str,
     config: &AnalysisConfig,
@@ -132,7 +99,23 @@ pub fn classify_analyzed(
         ),
         None => (None, None),
     };
-    verdict_from(analyzed, level1, level2, top_k, threshold)
+    let transformed = level1.map(|p| p.is_transformed()).unwrap_or(false);
+    let techniques = match (&level2, transformed) {
+        (Some(probs), true) => thresholded_top_k(probs, top_k, threshold)
+            .into_iter()
+            .map(|i| Technique::ALL[i])
+            .collect(),
+        _ => Vec::new(),
+    };
+    ScriptVerdict {
+        outcome: analyzed.outcome,
+        error_kind: analyzed.error_kind,
+        error_msg: analyzed.error_msg,
+        from_cache: analyzed.from_cache,
+        level1,
+        level2,
+        techniques,
+    }
 }
 
 #[cfg(test)]
@@ -140,6 +123,7 @@ mod tests {
     use super::*;
     use crate::config::DetectorConfig;
     use crate::pipeline::train_pipeline;
+    use jsdetect_ml::BaseParams;
     use std::sync::OnceLock;
 
     fn detectors() -> &'static TrainedDetectors {
@@ -192,5 +176,42 @@ mod tests {
         assert_eq!(b.level1, one.level1);
         assert_eq!(b.level2, one.level2);
         assert_eq!(b.techniques, one.techniques);
+    }
+
+    #[test]
+    fn every_classification_counts_its_tree_traversals() {
+        // Counters are process-wide and other tests run concurrently, so
+        // count only the increments recorded on this thread, found through
+        // a span opened around the call.
+        let _lock = crate::TELEMETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        jsdetect_obs::set_enabled(true);
+        let v = {
+            let _probe = jsdetect_obs::span("traversal_probe");
+            classify_one_cached(
+                "function add(a, b) { return a + b; } add(1, 2);",
+                &AnalysisConfig::default(),
+                None,
+                detectors(),
+                4,
+                crate::DEFAULT_THRESHOLD,
+            )
+        };
+        let snap = jsdetect_obs::snapshot();
+        jsdetect_obs::set_enabled(false);
+        assert_eq!(v.outcome, OutcomeKind::Ok);
+        let thread = snap.events.iter().find(|e| e.path == "traversal_probe").unwrap().thread;
+        let traversed: u64 = snap
+            .counter_events
+            .iter()
+            .filter(|e| e.thread == thread && e.name == jsdetect_obs::names::CTR_TREES_TRAVERSED)
+            .map(|e| e.delta)
+            .sum();
+        let BaseParams::Forest(forest) = &DetectorConfig::fast().base else {
+            panic!("the fast config trains forests")
+        };
+        // Three level-1 labels and one level-2 label per technique, each
+        // its own forest.
+        let forests = 3 + Technique::ALL.len();
+        assert_eq!(traversed, (forests * forest.n_trees) as u64);
     }
 }

@@ -61,11 +61,6 @@ impl Level1Prediction {
     pub fn is_transformed(&self) -> bool {
         self.minified >= 0.5 || self.obfuscated >= 0.5
     }
-
-    /// Whether the regular flag fires.
-    pub fn is_regular(&self) -> bool {
-        !self.is_transformed()
-    }
 }
 
 /// A trained level-1 detector.
@@ -94,23 +89,6 @@ impl Level1Detector {
         let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT);
         let p = self.model.predict_proba(&self.space.vectorize_payload(payload));
         Level1Prediction { regular: p[0], minified: p[1], obfuscated: p[2] }
-    }
-
-    /// Batch-classifies pre-extracted payloads; `None` inputs (rejected
-    /// scripts) yield `None` outputs.
-    pub fn predict_payloads(
-        &self,
-        payloads: &[Option<&FeaturePayload>],
-    ) -> Vec<Option<Level1Prediction>> {
-        let probs = batch_payload_proba(&self.space, &self.model, payloads, || {
-            jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT_BATCH)
-        });
-        probs
-            .into_iter()
-            .map(|p| {
-                p.map(|p| Level1Prediction { regular: p[0], minified: p[1], obfuscated: p[2] })
-            })
-            .collect()
     }
 
     /// The fitted vector space (for inspection).
@@ -148,34 +126,6 @@ pub(crate) fn fit<'a>(
     }
     let model = MultiLabel::fit_dataset(&data, y, cfg.strategy, &cfg.base);
     (space, model)
-}
-
-/// Shared payload-batch inference: vectorizes the `Some` payloads into one
-/// columnar dataset, runs the flattened-forest batch path, and scatters
-/// the probability rows back to the input positions.
-pub(crate) fn batch_payload_proba<S>(
-    space: &VectorSpace,
-    model: &MultiLabel,
-    payloads: &[Option<&FeaturePayload>],
-    span: impl FnOnce() -> S,
-) -> Vec<Option<Vec<f32>>> {
-    if payloads.is_empty() {
-        return Vec::new();
-    }
-    let _t = span();
-    let present: Vec<usize> =
-        payloads.iter().enumerate().filter_map(|(i, p)| p.map(|_| i)).collect();
-    let mut data = Dataset::zeros(present.len(), space.dim());
-    for (row, &i) in present.iter().enumerate() {
-        let p = payloads[i].expect("present index has a payload");
-        data.fill_row(row, &space.vectorize_payload(p));
-    }
-    let probs = model.predict_proba_batch(&data);
-    let mut out: Vec<Option<Vec<f32>>> = (0..payloads.len()).map(|_| None).collect();
-    for (&i, p) in present.iter().zip(probs) {
-        out[i] = Some(p);
-    }
-    out
 }
 
 /// Pairs importances with vector-space dimension names.

@@ -38,17 +38,6 @@ impl Level2Detector {
         self.model.predict_proba(&self.space.vectorize_payload(payload))
     }
 
-    /// Batch probabilities over pre-extracted payloads; `None` inputs
-    /// (rejected scripts) yield `None` outputs.
-    pub fn predict_proba_payloads(
-        &self,
-        payloads: &[Option<&FeaturePayload>],
-    ) -> Vec<Option<Vec<f32>>> {
-        crate::level1::batch_payload_proba(&self.space, &self.model, payloads, || {
-            jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT_BATCH)
-        })
-    }
-
     /// The fitted vector space (for inspection).
     pub fn space(&self) -> &VectorSpace {
         &self.space

@@ -18,10 +18,12 @@
 //! [`analyze_one`] and [`analyze_many`] analyze under the
 //! [`AnalysisConfig`] limits with an optional verdict cache, and
 //! [`classify_one_cached`], [`classify_many_cached`] and
-//! [`classify_analyzed`] add both detector levels. Training and the
-//! experiment binaries run the same batch driver and panic fence under
-//! [`Limits::trusted`] and keep `Ok` outcomes only, as the paper skips
-//! files that do not parse.
+//! [`classify_analyzed`] add both detector levels. Inference has one path:
+//! [`classify_many_cached`] runs [`classify_one_cached`] once per script on
+//! the work-stealing pool, and each detector walks its forests for that
+//! one script's feature row. Training and the experiment binaries run the
+//! same batch driver and panic fence under [`Limits::trusted`] and keep
+//! `Ok` outcomes only, as the paper skips files that do not parse.
 //!
 //! # Quickstart
 //!
@@ -47,6 +49,10 @@ mod config;
 mod level1;
 mod level2;
 mod pipeline;
+
+/// Serializes the unit tests that switch process-wide telemetry on and off.
+#[cfg(test)]
+static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 pub use analysis::{analyze_many, analyze_one, CachedScript};
 pub use classify::{classify_analyzed, classify_many_cached, classify_one_cached, ScriptVerdict};

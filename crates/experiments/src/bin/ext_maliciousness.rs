@@ -15,7 +15,7 @@
 
 use jsdetect_corpus::{alexa_population, malware_population, npm_population, MalwareSource};
 use jsdetect_experiments::{classify_ok, or_exit, train_cached, write_json, Args};
-use jsdetect_ml::{metrics, Dataset, ForestParams, RandomForest};
+use jsdetect_ml::{metrics, ForestParams, RandomForest};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -96,17 +96,13 @@ fn main() {
     let naive_pred: Vec<bool> = x_test.iter().map(|f| f[1] >= 0.5 || f[2] >= 0.5).collect();
     let naive = metrics::prf(&naive_pred, &y_test);
 
-    // Learned: forest over the 13 detector confidences, fitted and
-    // evaluated through the columnar batch path.
-    let train_data = Dataset::from_rows(&x_train).expect("meta-feature matrix");
-    let forest = RandomForest::fit_dataset(
-        &train_data,
+    // Learned: forest over the 13 detector confidences.
+    let forest = RandomForest::fit(
+        &x_train,
         &y_train,
         &ForestParams { n_trees: 32, seed: args.seed, ..Default::default() },
     );
-    let test_data = Dataset::from_rows(&x_test).expect("meta-feature matrix");
-    let learned_pred: Vec<bool> =
-        forest.predict_proba_batch(&test_data).into_iter().map(|p| p >= 0.5).collect();
+    let learned_pred: Vec<bool> = x_test.iter().map(|f| forest.predict(f)).collect();
     let learned = metrics::prf(&learned_pred, &y_test);
     let learned_acc = metrics::accuracy(&learned_pred, &y_test);
 

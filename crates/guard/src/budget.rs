@@ -148,12 +148,6 @@ impl Budget {
         Ok(())
     }
 
-    /// Records a violation observed outside the budget's own checks (e.g. a
-    /// caught panic) through the same first-wins side channel.
-    pub fn record_external(&self, e: AnalysisError) {
-        let _ = self.record(e);
-    }
-
     /// Removes and returns the first recorded violation, if any. Used by
     /// callers to reclassify a downgraded legacy error (the parser's
     /// stringly `ParseError`) back to its precise typed cause.

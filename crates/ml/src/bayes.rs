@@ -79,34 +79,6 @@ impl GaussianNb {
         GaussianNb { prior_pos, pos: stats(true), neg: stats(false) }
     }
 
-    /// Positive-class probability for every dataset row. Likelihoods are
-    /// accumulated feature-by-feature (ascending), matching the per-row
-    /// order of [`GaussianNb::predict_proba`] exactly.
-    pub fn predict_proba_batch(&self, data: &Dataset) -> Vec<f32> {
-        let n = data.n_rows();
-        let mut log_pos = vec![self.prior_pos.ln(); n];
-        let mut log_neg = vec![(1.0 - self.prior_pos).ln(); n];
-        for j in 0..data.n_cols() {
-            let col = data.column(j);
-            let (pm, pv) = self.pos[j];
-            let (nm, nv) = self.neg[j];
-            for ((lp, lneg), &v) in log_pos.iter_mut().zip(log_neg.iter_mut()).zip(col) {
-                *lp += log_gauss(v as f64, pm, pv);
-                *lneg += log_gauss(v as f64, nm, nv);
-            }
-        }
-        log_pos
-            .into_iter()
-            .zip(log_neg)
-            .map(|(lp, ln)| {
-                let m = lp.max(ln);
-                let p = (lp - m).exp();
-                let q = (ln - m).exp();
-                (p / (p + q)) as f32
-            })
-            .collect()
-    }
-
     /// Positive-class probability for `row`.
     pub fn predict_proba(&self, row: &[f32]) -> f32 {
         let mut log_pos = self.prior_pos.ln();

@@ -1,12 +1,11 @@
 //! Contiguous column-major feature storage.
 //!
-//! The ML hot paths (forest fit, batch inference) operate on a [`Dataset`]:
-//! one `Vec<f32>` backing store laid out column-major, indexed as
-//! `data[col * n_rows + row]` and built once from the vectorized
-//! samples. Trees grow over
-//! `&[u32]` row-index sets, so bootstrap resampling and recursive
-//! partitioning never clone a feature row; split search walks whole
-//! columns, which are contiguous and cache-resident at pipeline scale.
+//! Training operates on a [`Dataset`]: one `Vec<f32>` backing store laid
+//! out column-major, indexed as `data[col * n_rows + row]` and built once
+//! from the vectorized samples. Trees grow over `&[u32]` row-index sets,
+//! so bootstrap resampling and recursive partitioning never clone a
+//! feature row; split search walks whole columns, which are contiguous
+//! and cache-resident at pipeline scale.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,18 +78,6 @@ impl Dataset {
         Ok(ds)
     }
 
-    /// A single-row dataset (the batch view of one sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is empty — use [`Dataset::zeros`] for degenerate
-    /// shapes.
-    pub fn from_single_row(row: &[f32]) -> Self {
-        let mut ds = Dataset::zeros(1, row.len());
-        ds.fill_row(0, row);
-        ds
-    }
-
     /// Number of rows (samples).
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -106,12 +93,6 @@ impl Dataset {
         &self.data[col * self.n_rows..(col + 1) * self.n_rows]
     }
 
-    /// Value at (`row`, `col`).
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f32 {
-        self.data[col * self.n_rows + row]
-    }
-
     /// Scatters one row-major sample into the columnar store.
     ///
     /// # Panics
@@ -125,12 +106,6 @@ impl Dataset {
         }
     }
 
-    /// Gathers one row into `out` (cleared first).
-    pub fn copy_row_into(&self, row: usize, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend((0..self.n_cols).map(|c| self.get(row, c)));
-    }
-
     /// Appends a new column (used by classifier chains to thread label
     /// predictions through as features — an O(`n_rows`) contiguous push).
     ///
@@ -141,22 +116,6 @@ impl Dataset {
         assert_eq!(col.len(), self.n_rows, "column height mismatch");
         self.data.extend_from_slice(col);
         self.n_cols += 1;
-    }
-
-    /// A new dataset containing the given rows (in order, duplicates
-    /// allowed) — the columnar analogue of slicing a row-major matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or any index is out of range.
-    pub fn gather_rows(&self, rows: &[u32]) -> Dataset {
-        assert!(!rows.is_empty(), "cannot gather zero rows");
-        let mut data = Vec::with_capacity(rows.len() * self.n_cols);
-        for c in 0..self.n_cols {
-            let col = self.column(c);
-            data.extend(rows.iter().map(|&r| col[r as usize]));
-        }
-        Dataset { data, n_rows: rows.len(), n_cols: self.n_cols }
     }
 }
 
@@ -170,10 +129,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows).unwrap();
         assert_eq!((ds.n_rows(), ds.n_cols()), (2, 3));
         assert_eq!(ds.column(1), &[2.0, 5.0]);
-        assert_eq!(ds.get(1, 2), 6.0);
-        let mut out = Vec::new();
-        ds.copy_row_into(0, &mut out);
-        assert_eq!(out, rows[0]);
+        assert_eq!(ds.column(2)[1], 6.0);
     }
 
     #[test]
@@ -203,15 +159,6 @@ mod tests {
         ds.push_column(&[7.0, 8.0]);
         assert_eq!(ds.n_cols(), 2);
         assert_eq!(ds.column(1), &[7.0, 8.0]);
-        assert_eq!(ds.get(0, 1), 7.0);
-    }
-
-    #[test]
-    fn gather_rows_duplicates_and_reorders() {
-        let ds = Dataset::from_rows(&[vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]]).unwrap();
-        let g = ds.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.column(0), &[3.0, 1.0, 3.0]);
-        assert_eq!(g.column(1), &[30.0, 10.0, 30.0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Trees are grown over a columnar [`Dataset`] with bootstrap resampling
 //! done purely on `u32` row indices (no feature row is ever cloned), then
-//! compiled into one merged flattened struct-of-arrays node block so batch
-//! inference walks contiguous memory instead of per-tree enum node soups.
+//! compiled into one merged flattened struct-of-arrays node block. Inference
+//! walks that block once per tree for one row-major sample.
 
 use crate::dataset::{Dataset, DatasetError};
 use crate::tree::{DecisionTree, FlatNodes, TreeParams, ValueRanks};
@@ -137,8 +137,10 @@ impl RandomForest {
         RandomForest { roots, nodes }
     }
 
-    /// Mean positive-class probability across trees.
+    /// Mean positive-class probability across trees, summed in tree order.
+    /// Records one `trees_traversed` count per tree walked.
     pub fn predict_proba(&self, row: &[f32]) -> f32 {
+        jsdetect_obs::counter_add(names::CTR_TREES_TRAVERSED, self.roots.len() as u64);
         let sum: f32 = self.roots.iter().map(|&r| self.nodes.predict_row(r, row)).sum();
         sum / self.roots.len() as f32
     }
@@ -146,50 +148,6 @@ impl RandomForest {
     /// Hard prediction at the 0.5 threshold.
     pub fn predict(&self, row: &[f32]) -> bool {
         self.predict_proba(row) >= 0.5
-    }
-
-    /// Mean positive-class probability for every dataset row, parallelized
-    /// over row chunks. Exactly equals mapping [`RandomForest::predict_proba`]
-    /// over the rows (same per-row tree-sum order).
-    ///
-    /// Each worker gathers its rows into one contiguous scratch buffer
-    /// before traversal: the gather is a constant-stride pass over the
-    /// columnar store (prefetch-friendly), and the per-tree walks then
-    /// stay inside one cache-resident row instead of striding across the
-    /// whole column block once per node.
-    pub fn predict_proba_batch(&self, data: &Dataset) -> Vec<f32> {
-        let n = data.n_rows();
-        let _t = jsdetect_obs::span(names::SPAN_FOREST_PREDICT);
-        jsdetect_obs::counter_add(names::CTR_TREES_TRAVERSED, (n * self.roots.len()) as u64);
-        let mut out = vec![0f32; n];
-        let predict_chunk = |base: usize, out_chunk: &mut [f32]| {
-            let mut row_buf = Vec::with_capacity(data.n_cols());
-            for (off, slot) in out_chunk.iter_mut().enumerate() {
-                data.copy_row_into(base + off, &mut row_buf);
-                let sum: f32 =
-                    self.roots.iter().map(|&r| self.nodes.predict_row(r, &row_buf)).sum();
-                *slot = sum / self.roots.len() as f32;
-            }
-        };
-        // Below ~a thread-quantum of traversal work, spawning costs more
-        // than it buys; run on the caller's thread.
-        if n * self.roots.len() < 16_384 {
-            predict_chunk(0, &mut out);
-            return out;
-        }
-        let n_threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4);
-        let chunk = n.div_ceil(n_threads.max(1)).max(1);
-        crossbeam::thread::scope(|scope| {
-            for (c, out_chunk) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    let _obs = jsdetect_obs::ScopedCollector::new();
-                    let _s = jsdetect_obs::span(names::SPAN_PREDICT_CHUNK);
-                    predict_chunk(c * chunk, out_chunk);
-                });
-            }
-        })
-        .expect("forest prediction threads panicked");
-        out
     }
 
     /// Number of trees.
@@ -358,18 +316,6 @@ mod tests {
         // by a single generator step.
         let xor = p.tree_seed(0) ^ p.tree_seed(1);
         assert!(xor.count_ones() > 10, "seeds too similar: {:064b}", xor);
-    }
-
-    #[test]
-    fn batch_matches_serial() {
-        let (x, y) = moons(90);
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 8, ..Default::default() });
-        let data = Dataset::from_rows(&x).unwrap();
-        let batch = forest.predict_proba_batch(&data);
-        assert_eq!(batch.len(), x.len());
-        for (row, b) in x.iter().zip(&batch) {
-            assert_eq!(*b, forest.predict_proba(row));
-        }
     }
 
     #[test]

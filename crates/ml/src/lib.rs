@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 
 mod bayes;
-pub mod cv;
 mod dataset;
 mod forest;
 pub mod metrics;

@@ -8,9 +8,10 @@
 //! features (ground truth while training, thresholded predictions at
 //! inference) [38], [41], [43].
 //!
-//! Both fitting and batch inference run over the columnar [`Dataset`];
-//! chain augmentation is an O(rows) [`Dataset::push_column`] instead of a
-//! push onto every row vector.
+//! Fitting runs over the columnar [`Dataset`]; chain augmentation there
+//! is an O(rows) [`Dataset::push_column`] instead of a push onto every row
+//! vector. Inference classifies one row at a time: each chained prediction
+//! is appended to that row before the next label's model sees it.
 
 use crate::bayes::GaussianNb;
 use crate::dataset::{Dataset, DatasetError};
@@ -65,14 +66,6 @@ impl BaseModel {
             BaseModel::Forest(m) => m.predict_proba(row),
             BaseModel::Tree(m) => m.predict_proba(row),
             BaseModel::Bayes(m) => m.predict_proba(row),
-        }
-    }
-
-    fn predict_proba_batch(&self, data: &Dataset) -> Vec<f32> {
-        match self {
-            BaseModel::Forest(m) => m.predict_proba_batch(data),
-            BaseModel::Tree(m) => m.predict_proba_batch(data),
-            BaseModel::Bayes(m) => m.predict_proba_batch(data),
         }
     }
 }
@@ -177,41 +170,6 @@ impl MultiLabel {
                 probs
             }
         }
-    }
-
-    /// Per-label positive probabilities for every dataset row, using each
-    /// base model's batch path. Row `i` of the result equals
-    /// `predict_proba(row_i)` exactly: chained label columns are
-    /// thresholded per row just like the serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.n_cols() != n_features`.
-    pub fn predict_proba_batch(&self, data: &Dataset) -> Vec<Vec<f32>> {
-        assert_eq!(data.n_cols(), self.n_features, "feature width mismatch");
-        let n = data.n_rows();
-        let mut per_label: Vec<Vec<f32>> = Vec::with_capacity(self.models.len());
-        match self.strategy {
-            Strategy::BinaryRelevance => {
-                for m in &self.models {
-                    per_label.push(m.predict_proba_batch(data));
-                }
-            }
-            Strategy::ClassifierChain => {
-                let mut augmented = data.clone();
-                for (j, m) in self.models.iter().enumerate() {
-                    let probs = m.predict_proba_batch(&augmented);
-                    if j + 1 < self.models.len() {
-                        let col: Vec<f32> =
-                            probs.iter().map(|&p| if p >= 0.5 { 1.0 } else { 0.0 }).collect();
-                        augmented.push_column(&col);
-                    }
-                    per_label.push(probs);
-                }
-            }
-        }
-        // Transpose label-major to row-major.
-        (0..n).map(|r| per_label.iter().map(|col| col[r]).collect()).collect()
     }
 
     /// Hard label set at the 0.5 threshold.
@@ -425,22 +383,6 @@ mod tests {
             for strategy in [Strategy::BinaryRelevance, Strategy::ClassifierChain] {
                 let ml = MultiLabel::fit(&x, &labels, strategy, base);
                 assert_eq!(reload(&ml).predict_proba(&x[3]), ml.predict_proba(&x[3]));
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matches_serial_for_every_base_and_strategy() {
-        let (x, labels) = dataset(80);
-        let data = Dataset::from_rows(&x).unwrap();
-        let bases = [forest_base(), BaseParams::Tree(TreeParams::default(), 3), BaseParams::Bayes];
-        for base in &bases {
-            for strategy in [Strategy::BinaryRelevance, Strategy::ClassifierChain] {
-                let ml = MultiLabel::fit(&x, &labels, strategy, base);
-                let batch = ml.predict_proba_batch(&data);
-                for (row, b) in x.iter().zip(&batch) {
-                    assert_eq!(*b, ml.predict_proba(row), "strategy {:?}", strategy);
-                }
             }
         }
     }

@@ -133,23 +133,6 @@ impl FlatNodes {
         }
     }
 
-    /// Walks the tree rooted at `root` for row `r` of a columnar dataset.
-    #[inline]
-    pub(crate) fn predict_dataset_row(&self, root: u32, data: &Dataset, r: usize) -> f32 {
-        let mut i = root as usize;
-        loop {
-            let f = self.feature[i];
-            if f == LEAF {
-                return self.threshold[i];
-            }
-            i = if data.get(r, f as usize) <= self.threshold[i] {
-                i + 1
-            } else {
-                self.children[i] as usize
-            };
-        }
-    }
-
     pub(crate) fn accumulate_split_counts(&self, counts: &mut [u32]) {
         for &f in &self.feature {
             if f != LEAF {
@@ -291,11 +274,6 @@ impl DecisionTree {
     /// Probability that `row` belongs to the positive class.
     pub fn predict_proba(&self, row: &[f32]) -> f32 {
         self.nodes.predict_row(0, row)
-    }
-
-    /// Positive-class probability for every row of a columnar dataset.
-    pub fn predict_proba_batch(&self, data: &Dataset) -> Vec<f32> {
-        (0..data.n_rows()).map(|r| self.nodes.predict_dataset_row(0, data, r)).collect()
     }
 
     /// Number of nodes in the tree.
@@ -777,18 +755,6 @@ mod tests {
         let tree = DecisionTree::fit_dataset(&data, &[0, 1, 1, 1], &y, &params, &mut rng());
         assert_eq!(tree.node_count(), 1);
         assert!((tree.predict_proba(&[0.5]) - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn batch_matches_serial() {
-        let x: Vec<Vec<f32>> = (0..40).map(|i| vec![(i % 11) as f32, (i % 5) as f32]).collect();
-        let y: Vec<bool> = (0..40).map(|i| (i % 11) > 5).collect();
-        let tree = fit(&x, &y);
-        let data = Dataset::from_rows(&x).unwrap();
-        let batch = tree.predict_proba_batch(&data);
-        for (row, b) in x.iter().zip(&batch) {
-            assert_eq!(*b, tree.predict_proba(row));
-        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! legacy row-major implementation preserved in `jsdetect_ml::reference`
 //! (same splits, same thresholds, same leaf probabilities) for any fixed
 //! seed, at any row count. These tests pin that, plus the deliberate
-//! per-tree seeding change, batch-vs-serial equality, thread invariance,
-//! and serde stability.
+//! per-tree seeding change, thread invariance, and serde stability.
 
 use jsdetect_ml::reference::{RowMajorForest, RowMajorTree};
 use jsdetect_ml::{
@@ -169,18 +168,6 @@ fn seeding_change_is_deliberate_and_visible() {
 }
 
 #[test]
-fn batch_prediction_matches_serial_on_random_data() {
-    let (x, y) = synthetic(350, 11, 31);
-    let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 10, ..Default::default() });
-    let data = Dataset::from_rows(&x).unwrap();
-    let batch = forest.predict_proba_batch(&data);
-    assert_eq!(batch.len(), x.len());
-    for (row, b) in x.iter().zip(&batch) {
-        assert_eq!(*b, forest.predict_proba(row));
-    }
-}
-
-#[test]
 fn fit_is_invariant_to_thread_count() {
     let (x, y) = synthetic(220, 9, 13);
     let data = Dataset::from_rows(&x).unwrap();
@@ -188,14 +175,11 @@ fn fit_is_invariant_to_thread_count() {
     let one = RandomForest::fit_dataset_threads(&data, &y, &params, 1);
     let two = RandomForest::fit_dataset_threads(&data, &y, &params, 2);
     let eight = RandomForest::fit_dataset_threads(&data, &y, &params, 8);
-    let probe = Dataset::from_rows(&x).unwrap();
-    let (pa, pb, pc) = (
-        one.predict_proba_batch(&probe),
-        two.predict_proba_batch(&probe),
-        eight.predict_proba_batch(&probe),
-    );
-    assert_eq!(pa, pb);
-    assert_eq!(pa, pc);
+    for row in &x {
+        let p = one.predict_proba(row);
+        assert_eq!(p, two.predict_proba(row));
+        assert_eq!(p, eight.predict_proba(row));
+    }
 }
 
 #[test]

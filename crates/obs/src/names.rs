@@ -51,15 +51,17 @@ pub const SPAN_TRANSFORM_APPLY: &str = "transform_apply";
 pub const SPAN_CORPUS_GENERATE: &str = "corpus_generate";
 /// Level-1 (minification) detector training.
 pub const SPAN_LEVEL1_TRAIN: &str = "level1_train";
-/// Level-1 single prediction.
+/// Level-1 prediction of one script.
 pub const SPAN_LEVEL1_PREDICT: &str = "level1_predict";
-/// Level-1 batch prediction.
+/// Level-1 batch prediction. Not recorded: every script is predicted
+/// under [`SPAN_LEVEL1_PREDICT`]; kept for perfbench, which still names it.
 pub const SPAN_LEVEL1_PREDICT_BATCH: &str = "level1_predict_batch";
 /// Level-2 (obfuscation) detector training.
 pub const SPAN_LEVEL2_TRAIN: &str = "level2_train";
-/// Level-2 single prediction.
+/// Level-2 prediction of one script.
 pub const SPAN_LEVEL2_PREDICT: &str = "level2_predict";
-/// Level-2 batch prediction.
+/// Level-2 batch prediction. Not recorded: every script is predicted
+/// under [`SPAN_LEVEL2_PREDICT`]; kept for perfbench, which still names it.
 pub const SPAN_LEVEL2_PREDICT_BATCH: &str = "level2_predict_batch";
 /// Full two-level training pipeline.
 pub const SPAN_TRAIN_PIPELINE: &str = "train_pipeline";
@@ -67,10 +69,6 @@ pub const SPAN_TRAIN_PIPELINE: &str = "train_pipeline";
 pub const SPAN_FOREST_FIT: &str = "forest_fit";
 /// One worker's tree-fitting batch inside forest training.
 pub const SPAN_FIT_TREE_BATCH: &str = "fit_tree_batch";
-/// Forest batch prediction (parent of per-chunk spans).
-pub const SPAN_FOREST_PREDICT: &str = "forest_predict";
-/// One worker's prediction chunk.
-pub const SPAN_PREDICT_CHUNK: &str = "predict_chunk";
 
 // --- counters -------------------------------------------------------------
 
@@ -198,8 +196,6 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_TRAIN_PIPELINE,
     SPAN_FOREST_FIT,
     SPAN_FIT_TREE_BATCH,
-    SPAN_FOREST_PREDICT,
-    SPAN_PREDICT_CHUNK,
 ];
 
 /// Every counter name constant above.
