@@ -13,12 +13,16 @@
 
 use crate::analysis::{analyze_one, run_stealing, CachedScript};
 use crate::config::AnalysisConfig;
-use crate::level1::Level1Prediction;
+use crate::detector::Level1Prediction;
 use crate::pipeline::TrainedDetectors;
 use jsdetect_cache::AnalysisCache;
 use jsdetect_guard::OutcomeKind;
 use jsdetect_ml::metrics::thresholded_top_k;
+use jsdetect_obs::names;
 use jsdetect_transform::Technique;
+
+/// The empirically selected level-2 probability threshold of §III-E2.
+pub const DEFAULT_THRESHOLD: f32 = 0.10;
 
 /// One script's full verdict: guard outcome plus both detector levels.
 #[derive(Debug, Clone)]
@@ -54,7 +58,7 @@ impl ScriptVerdict {
 /// Each script runs [`classify_one_cached`] as one work item on the
 /// work-stealing pool; verdicts come back in input order. `top_k` and
 /// `threshold` select the level-2 technique rule (the paper's values are
-/// `4` and [`crate::DEFAULT_THRESHOLD`]).
+/// `4` and [`DEFAULT_THRESHOLD`]).
 pub fn classify_many_cached(
     srcs: &[&str],
     config: &AnalysisConfig,
@@ -93,10 +97,14 @@ pub fn classify_analyzed(
     threshold: f32,
 ) -> ScriptVerdict {
     let (level1, level2) = match analyzed.payload.as_ref() {
-        Some(p) => (
-            Some(detectors.level1.predict_payload(p)),
-            Some(detectors.level2.predict_proba_payload(p)),
-        ),
+        Some(p) => {
+            let level1 = {
+                let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT);
+                Level1Prediction::from_probs(&detectors.level1.predict(p))
+            };
+            let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
+            (Some(level1), Some(detectors.level2.predict(p)))
+        }
         None => (None, None),
     };
     let transformed = level1.map(|p| p.is_transformed()).unwrap_or(false);
@@ -132,6 +140,11 @@ mod tests {
     }
 
     #[test]
+    fn threshold_constant_matches_paper() {
+        assert!((DEFAULT_THRESHOLD - 0.10).abs() < f32::EPSILON);
+    }
+
+    #[test]
     fn classify_covers_all_three_outcomes() {
         let bomb = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
         let srcs =
@@ -142,7 +155,7 @@ mod tests {
             None,
             detectors(),
             4,
-            crate::DEFAULT_THRESHOLD,
+            DEFAULT_THRESHOLD,
         );
         assert_eq!(v[0].outcome, OutcomeKind::Ok);
         assert!(v[0].level1.is_some() && v[0].level2.is_some());
@@ -161,7 +174,7 @@ mod tests {
             None,
             detectors(),
             4,
-            crate::DEFAULT_THRESHOLD,
+            DEFAULT_THRESHOLD,
         );
         let one = classify_one_cached(
             src,
@@ -169,7 +182,7 @@ mod tests {
             None,
             detectors(),
             4,
-            crate::DEFAULT_THRESHOLD,
+            DEFAULT_THRESHOLD,
         );
         let b = &batch[0];
         assert_eq!(b.outcome, one.outcome);
@@ -193,7 +206,7 @@ mod tests {
                 None,
                 detectors(),
                 4,
-                crate::DEFAULT_THRESHOLD,
+                DEFAULT_THRESHOLD,
             )
         };
         let snap = jsdetect_obs::snapshot();

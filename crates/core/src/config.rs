@@ -17,8 +17,6 @@ pub struct DetectorConfig {
     pub max_ngrams: usize,
     /// Which feature families to use.
     pub features: FeatureConfig,
-    /// RNG seed for training.
-    pub seed: u64,
 }
 
 impl Default for DetectorConfig {
@@ -28,7 +26,6 @@ impl Default for DetectorConfig {
             base: BaseParams::Forest(ForestParams { n_trees: 32, ..Default::default() }),
             max_ngrams: 250,
             features: FeatureConfig::default(),
-            seed: 0,
         }
     }
 }
@@ -75,11 +72,13 @@ impl DetectorConfig {
         }
     }
 
-    /// Sets the seed (builder-style).
+    /// Sets the base learner's training seed (builder-style). Naive
+    /// Bayes draws nothing at random, so it has no seed to set.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        if let BaseParams::Forest(f) = &mut self.base {
-            f.seed = seed;
+        match &mut self.base {
+            BaseParams::Forest(f) => f.seed = seed,
+            BaseParams::Tree(_, s) => *s = seed,
+            BaseParams::Bayes => {}
         }
         self
     }
@@ -88,6 +87,7 @@ impl DetectorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsdetect_ml::TreeParams;
 
     #[test]
     fn default_uses_chain_and_forest() {
@@ -99,10 +99,22 @@ mod tests {
     #[test]
     fn with_seed_propagates_to_forest() {
         let c = DetectorConfig::default().with_seed(9);
-        assert_eq!(c.seed, 9);
         match c.base {
             BaseParams::Forest(f) => assert_eq!(f.seed, 9),
             _ => panic!("expected forest"),
+        }
+    }
+
+    #[test]
+    fn with_seed_propagates_to_single_tree() {
+        let c = DetectorConfig {
+            base: BaseParams::Tree(TreeParams::default(), 7),
+            ..DetectorConfig::default()
+        }
+        .with_seed(9);
+        match c.base {
+            BaseParams::Tree(_, seed) => assert_eq!(seed, 9),
+            _ => panic!("expected single tree"),
         }
     }
 }

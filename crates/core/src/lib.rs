@@ -7,9 +7,12 @@
 //! flows, extracts 4-gram and hand-picked features, and runs two
 //! multi-task random-forest detectors:
 //!
-//! - **Level 1** ([`Level1Detector`]): regular vs. minified vs. obfuscated;
-//! - **Level 2** ([`Level2Detector`]): which of the ten transformation
-//!   techniques were used, reported through the thresholded Top-k rule.
+//! - **Level 1**: regular vs. minified vs. obfuscated;
+//! - **Level 2**: which of the ten transformation techniques were used,
+//!   reported through the thresholded Top-k rule.
+//!
+//! Both levels are one [`Detector`] type, trained twice on the same
+//! feature payloads with different label vectors.
 //!
 //! # Analysis
 //!
@@ -46,8 +49,7 @@
 mod analysis;
 mod classify;
 mod config;
-mod level1;
-mod level2;
+mod detector;
 mod pipeline;
 
 /// Serializes the unit tests that switch process-wide telemetry on and off.
@@ -55,10 +57,11 @@ mod pipeline;
 static TELEMETRY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 pub use analysis::{analyze_many, analyze_one, CachedScript};
-pub use classify::{classify_analyzed, classify_many_cached, classify_one_cached, ScriptVerdict};
+pub use classify::{
+    classify_analyzed, classify_many_cached, classify_one_cached, ScriptVerdict, DEFAULT_THRESHOLD,
+};
 pub use config::{AnalysisConfig, DetectorConfig};
-pub use level1::{Level1Detector, Level1Prediction, Level1Truth};
-pub use level2::{Level2Detector, DEFAULT_THRESHOLD};
+pub use detector::{Detector, Level1Prediction, Level1Truth};
 pub use pipeline::{
     held_out_pools, train_pipeline, HeldOutPools, PipelineOutput, TrainedDetectors,
 };

@@ -9,8 +9,7 @@
 
 use crate::analysis::analyze_trusted;
 use crate::config::DetectorConfig;
-use crate::level1::{Level1Detector, Level1Truth};
-use crate::level2::Level2Detector;
+use crate::detector::{Detector, Level1Truth};
 use jsdetect_corpus::{GroundTruth, LabeledSample};
 use jsdetect_features::FEATURE_SPACE_VERSION;
 use jsdetect_obs::names;
@@ -21,9 +20,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainedDetectors {
     /// Level 1: regular / minified / obfuscated.
-    pub level1: Level1Detector,
+    pub level1: Detector,
     /// Level 2: the ten techniques.
-    pub level2: Level2Detector,
+    pub level2: Detector,
 }
 
 impl TrainedDetectors {
@@ -44,10 +43,17 @@ impl TrainedDetectors {
     /// Returns the parse failure, or a version error naming both versions
     /// when either level was fitted under another feature layout than
     /// [`FEATURE_SPACE_VERSION`]: its vectors would not line up with what
-    /// today's analysis extracts, so such a model must be refitted.
+    /// today's analysis extracts, so such a model must be refitted. Also
+    /// refuses, naming the level, a level whose label count is not its
+    /// level's (3 for level 1, one per [`Technique`] for level 2) or whose
+    /// model reads vectors of another width than its space's.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let mut d: TrainedDetectors = serde_json::from_str(json)?;
-        for version in [d.level1.space().version(), d.level2.space().version()] {
+        // Level 1's labels: regular, minified, obfuscated.
+        for (level, detector, n_labels) in
+            [("level1", &d.level1, 3), ("level2", &d.level2, Technique::ALL.len())]
+        {
+            let version = detector.space().version();
             if version != FEATURE_SPACE_VERSION {
                 return Err(serde::DeError::new(format!(
                     "model fitted under feature space version {}, this build extracts \
@@ -55,6 +61,9 @@ impl TrainedDetectors {
                     version, FEATURE_SPACE_VERSION
                 ))
                 .into());
+            }
+            if let Err(msg) = detector.check_shape(n_labels) {
+                return Err(serde::DeError::new(format!("{level}: {msg}")).into());
             }
         }
         d.level1.rebuild_index();
@@ -158,7 +167,7 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
     for ((sample, payload), in_l1) in train_samples.iter().zip(&payloads).zip(&l1_quota) {
         if let Ok(p) = payload {
             if *in_l1 {
-                l1_set.push((p, Level1Truth::from_techniques(&sample.techniques)));
+                l1_set.push((p, Level1Truth::from_techniques(&sample.techniques).label_vector()));
             }
             if sample.is_transformed() {
                 l2_set.push((p, sample.label_vector()));
@@ -169,12 +178,18 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
         if let Ok(p) = payload {
             let mut truth = Level1Truth::from_techniques(&sample.techniques);
             truth.regular = true; // the page part is regular code
-            l1_set.push((p, truth));
+            l1_set.push((p, truth.label_vector()));
             l2_set.push((p, sample.label_vector()));
         }
     }
-    let level1 = Level1Detector::train_from_payloads(&l1_set, cfg);
-    let level2 = Level2Detector::train_from_payloads(&l2_set, cfg);
+    let level1 = {
+        let _t = jsdetect_obs::span(names::SPAN_LEVEL1_TRAIN);
+        Detector::train(&l1_set, cfg)
+    };
+    let level2 = {
+        let _t = jsdetect_obs::span(names::SPAN_LEVEL2_TRAIN);
+        Detector::train(&l2_set, cfg)
+    };
 
     PipelineOutput { detectors: TrainedDetectors { level1, level2 }, pools: held_out_pools(&gt) }
 }
@@ -214,6 +229,49 @@ fn pool_slice(gt: &GroundTruth, t: Technique, lo: usize, hi: usize) -> &[Labeled
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsdetect_features::{FeatureConfig, FeaturePayload, VectorSpace};
+    use serde_json::JsonValue;
+    use std::sync::OnceLock;
+
+    fn detectors() -> &'static TrainedDetectors {
+        static D: OnceLock<TrainedDetectors> = OnceLock::new();
+        D.get_or_init(|| train_pipeline(8, 42, &DetectorConfig::fast()).detectors)
+    }
+
+    fn json(value: &impl Serialize) -> String {
+        serde_json::to_string(value).unwrap()
+    }
+
+    fn load_error(json: &str) -> String {
+        TrainedDetectors::from_json(json).expect_err("the model must be refused").to_string()
+    }
+
+    #[test]
+    fn from_json_rejects_swapped_levels() {
+        let d = detectors();
+        assert!(TrainedDetectors::from_json(&d.to_json().unwrap()).is_ok());
+        let swapped = format!(r#"{{"level1":{},"level2":{}}}"#, json(&d.level2), json(&d.level1));
+        let err = load_error(&swapped);
+        assert!(err.contains("level1: 10 labels, expected 3"), "{}", err);
+    }
+
+    #[test]
+    fn from_json_rejects_a_model_whose_width_is_not_its_space_dim() {
+        let d = detectors();
+        let level1: JsonValue = serde_json::from_str(&json(&d.level1)).unwrap();
+        // No 4-gram block: narrower than the space the model was fitted on.
+        let narrow =
+            VectorSpace::fit(std::iter::empty::<&FeaturePayload>(), 0, FeatureConfig::default());
+        assert!(narrow.dim() < d.level1.space().dim());
+        let mismatched = format!(
+            r#"{{"level1":{{"space":{},"model":{}}},"level2":{}}}"#,
+            json(&narrow),
+            json(level1.get("model").unwrap()),
+            json(&d.level2)
+        );
+        let err = load_error(&mismatched);
+        assert!(err.contains("level1: model reads"), "{}", err);
+    }
 
     #[test]
     fn split_fractions() {

@@ -15,7 +15,7 @@
 
 use jsdetect_corpus::{alexa_population, malware_population, npm_population, MalwareSource};
 use jsdetect_experiments::{classify_ok, or_exit, train_cached, write_json, Args};
-use jsdetect_ml::{metrics, ForestParams, RandomForest};
+use jsdetect_ml::{metrics, Dataset, ForestParams, RandomForest};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -97,12 +97,13 @@ fn main() {
     let naive = metrics::prf(&naive_pred, &y_test);
 
     // Learned: forest over the 13 detector confidences.
+    let train = Dataset::from_rows(&x_train).expect("meta-feature training matrix");
     let forest = RandomForest::fit(
-        &x_train,
+        &train,
         &y_train,
         &ForestParams { n_trees: 32, seed: args.seed, ..Default::default() },
     );
-    let learned_pred: Vec<bool> = x_test.iter().map(|f| forest.predict(f)).collect();
+    let learned_pred: Vec<bool> = x_test.iter().map(|f| forest.predict_proba(f) >= 0.5).collect();
     let learned = metrics::prf(&learned_pred, &y_test);
     let learned_acc = metrics::accuracy(&learned_pred, &y_test);
 

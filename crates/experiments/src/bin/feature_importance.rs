@@ -40,7 +40,7 @@ fn main() {
     println!("\nLevel-2 feature importances (top 6 per technique)");
     println!("{:-<64}", "");
     for t in Technique::ALL {
-        let imp = top(detectors.level2.feature_importances(t), 6);
+        let imp = top(detectors.level2.feature_importances(t.index()), 6);
         println!("\n[{}]", t.as_str());
         for (f, v) in &imp {
             println!("  {:44} {:6.3}", f, v);

@@ -357,8 +357,9 @@ mod tests {
         let payload = jsdetect_features::analyze(valid, &jsdetect::Limits::trusted())
             .into_ok()
             .expect("a valid script analyzes fully");
-        assert_eq!(ok.level1, Some(detectors.level1.predict_payload(&payload)));
-        assert_eq!(ok.level2, Some(detectors.level2.predict_proba_payload(&payload)));
+        let level1 = Level1Prediction::from_probs(&detectors.level1.predict(&payload));
+        assert_eq!(ok.level1, Some(level1));
+        assert_eq!(ok.level2, Some(detectors.level2.predict(&payload)));
         assert!(v[1].is_none(), "a script that degrades under trusted limits is skipped");
         assert!(v[2].is_none(), "a rejected script is skipped");
     }

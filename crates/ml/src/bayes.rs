@@ -18,44 +18,13 @@ pub struct GaussianNb {
 const VAR_FLOOR: f64 = 1e-6;
 
 impl GaussianNb {
-    /// Fits means/variances per class.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty dataset or mismatched lengths.
-    pub fn fit(x: &[Vec<f32>], y: &[bool]) -> Self {
-        assert!(!x.is_empty(), "cannot fit naive bayes on an empty dataset");
-        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-        let d = x[0].len();
-        let n_pos = y.iter().filter(|&&l| l).count();
-        let prior_pos = (n_pos as f64 + 1.0) / (x.len() as f64 + 2.0); // Laplace
-        let stats = |cls: bool| -> Vec<(f64, f64)> {
-            let rows: Vec<&Vec<f32>> =
-                x.iter().zip(y).filter(|(_, &l)| l == cls).map(|(r, _)| r).collect();
-            (0..d)
-                .map(|j| {
-                    if rows.is_empty() {
-                        return (0.0, 1.0);
-                    }
-                    let mean = rows.iter().map(|r| r[j] as f64).sum::<f64>() / rows.len() as f64;
-                    let var = rows.iter().map(|r| (r[j] as f64 - mean).powi(2)).sum::<f64>()
-                        / rows.len() as f64;
-                    (mean, var.max(VAR_FLOOR))
-                })
-                .collect()
-        };
-        GaussianNb { prior_pos, pos: stats(true), neg: stats(false) }
-    }
-
-    /// Fits means/variances per class from a columnar dataset. Sums run
-    /// over rows in ascending order per feature — the same accumulation
-    /// order as [`GaussianNb::fit`], so the fitted parameters are
-    /// bit-identical.
+    /// Fits means/variances per class from a columnar dataset; sums run
+    /// over rows in ascending order per feature.
     ///
     /// # Panics
     ///
     /// Panics if `y.len() != data.n_rows()`.
-    pub fn fit_dataset(data: &Dataset, y: &[bool]) -> Self {
+    pub fn fit(data: &Dataset, y: &[bool]) -> Self {
         assert_eq!(y.len(), data.n_rows(), "feature/label length mismatch");
         let d = data.n_cols();
         let n_pos = y.iter().filter(|&&l| l).count();
@@ -93,11 +62,6 @@ impl GaussianNb {
         let q = (log_neg - m).exp();
         (p / (p + q)) as f32
     }
-
-    /// Hard prediction at 0.5.
-    pub fn predict(&self, row: &[f32]) -> bool {
-        self.predict_proba(row) >= 0.5
-    }
 }
 
 fn log_gauss(v: f64, mean: f64, var: f64) -> f64 {
@@ -108,6 +72,10 @@ fn log_gauss(v: f64, mean: f64, var: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ds(x: &[Vec<f32>]) -> Dataset {
+        Dataset::from_rows(x).unwrap()
+    }
 
     #[test]
     fn separates_gaussian_blobs() {
@@ -120,7 +88,7 @@ mod tests {
             x.push(vec![3.0 - o, 3.0 + o]);
             y.push(true);
         }
-        let nb = GaussianNb::fit(&x, &y);
+        let nb = GaussianNb::fit(&ds(&x), &y);
         assert!(nb.predict_proba(&[0.1, 0.1]) < 0.5);
         assert!(nb.predict_proba(&[2.9, 3.1]) > 0.5);
     }
@@ -129,7 +97,7 @@ mod tests {
     fn probabilities_are_finite_and_bounded() {
         let x = vec![vec![0.0], vec![0.0], vec![1.0], vec![1.0]];
         let y = vec![false, false, true, true];
-        let nb = GaussianNb::fit(&x, &y);
+        let nb = GaussianNb::fit(&ds(&x), &y);
         for v in [-100.0f32, 0.0, 0.5, 1.0, 100.0] {
             let p = nb.predict_proba(&[v]);
             assert!(p.is_finite());
@@ -141,7 +109,7 @@ mod tests {
     fn one_class_absent_still_works() {
         let x = vec![vec![1.0], vec![2.0]];
         let y = vec![true, true];
-        let nb = GaussianNb::fit(&x, &y);
+        let nb = GaussianNb::fit(&ds(&x), &y);
         assert!(nb.predict_proba(&[1.5]) > 0.5);
     }
 
@@ -149,7 +117,7 @@ mod tests {
     fn zero_variance_feature_does_not_explode() {
         let x = vec![vec![5.0, 0.0], vec![5.0, 1.0], vec![5.0, 10.0], vec![5.0, 11.0]];
         let y = vec![false, false, true, true];
-        let nb = GaussianNb::fit(&x, &y);
+        let nb = GaussianNb::fit(&ds(&x), &y);
         let p = nb.predict_proba(&[5.0, 10.5]);
         assert!(p.is_finite() && p > 0.5);
     }
@@ -158,7 +126,7 @@ mod tests {
     fn serde_roundtrip() {
         let x = vec![vec![0.0], vec![1.0]];
         let y = vec![false, true];
-        let nb = GaussianNb::fit(&x, &y);
+        let nb = GaussianNb::fit(&ds(&x), &y);
         let back: GaussianNb = serde_json::from_str(&serde_json::to_string(&nb).unwrap()).unwrap();
         assert_eq!(back.predict_proba(&[0.3]), nb.predict_proba(&[0.3]));
     }

@@ -5,7 +5,7 @@
 //! compiled into one merged flattened struct-of-arrays node block. Inference
 //! walks that block once per tree for one row-major sample.
 
-use crate::dataset::{Dataset, DatasetError};
+use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, FlatNodes, TreeParams, ValueRanks};
 use jsdetect_obs::names;
 use rand::rngs::StdRng;
@@ -59,26 +59,14 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits the forest on row-major samples (convenience wrapper that
-    /// builds a columnar [`Dataset`] once).
+    /// Fits the forest on a columnar dataset using all available cores.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is empty, ragged, or `x.len() != y.len()`.
-    pub fn fit(x: &[Vec<f32>], y: &[bool], params: &ForestParams) -> Self {
-        let data = match Dataset::from_rows(x) {
-            Ok(d) => d,
-            Err(DatasetError::Empty) => panic!("cannot fit a forest on an empty dataset"),
-            Err(e) => panic!("invalid training matrix: {}", e),
-        };
-        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-        Self::fit_dataset(&data, y, params)
-    }
-
-    /// Fits the forest on a columnar dataset using all available cores.
-    pub fn fit_dataset(data: &Dataset, y: &[bool], params: &ForestParams) -> Self {
+    /// Panics if `y.len() != data.n_rows()`.
+    pub fn fit(data: &Dataset, y: &[bool], params: &ForestParams) -> Self {
         let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        Self::fit_dataset_threads(data, y, params, n_threads)
+        Self::fit_threads(data, y, params, n_threads)
     }
 
     /// Fits the forest with an explicit worker count. Trees are trained in
@@ -88,7 +76,7 @@ impl RandomForest {
     /// # Panics
     ///
     /// Panics if `y.len() != data.n_rows()`.
-    pub fn fit_dataset_threads(
+    pub fn fit_threads(
         data: &Dataset,
         y: &[bool],
         params: &ForestParams,
@@ -112,7 +100,7 @@ impl RandomForest {
                         let i = base + off;
                         let mut rng = StdRng::seed_from_u64(params.tree_seed(i));
                         let idx = sample_indices(data.n_rows(), params.bootstrap, &mut rng);
-                        *slot = Some(DecisionTree::fit_dataset_with_ranks(
+                        *slot = Some(DecisionTree::fit_with_ranks(
                             data,
                             &idx,
                             y,
@@ -143,11 +131,6 @@ impl RandomForest {
         jsdetect_obs::counter_add(names::CTR_TREES_TRAVERSED, self.roots.len() as u64);
         let sum: f32 = self.roots.iter().map(|&r| self.nodes.predict_row(r, row)).sum();
         sum / self.roots.len() as f32
-    }
-
-    /// Hard prediction at the 0.5 threshold.
-    pub fn predict(&self, row: &[f32]) -> bool {
-        self.predict_proba(row) >= 0.5
     }
 
     /// Number of trees.
@@ -215,6 +198,10 @@ fn sample_indices(n: usize, bootstrap: bool, rng: &mut StdRng) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    fn ds(x: &[Vec<f32>]) -> Dataset {
+        Dataset::from_rows(x).unwrap()
+    }
+
     fn moons(n: usize) -> (Vec<Vec<f32>>, Vec<bool>) {
         // Two offset half-rings, deterministic.
         let mut x = Vec::new();
@@ -235,15 +222,18 @@ mod tests {
     #[test]
     fn learns_nonlinear_boundary() {
         let (x, y) = moons(200);
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 16, ..Default::default() });
-        let correct = x.iter().zip(&y).filter(|(xi, yi)| forest.predict(xi) == **yi).count();
+        let forest =
+            RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 16, ..Default::default() });
+        let correct =
+            x.iter().zip(&y).filter(|(xi, yi)| (forest.predict_proba(xi) >= 0.5) == **yi).count();
         assert!(correct as f64 / x.len() as f64 > 0.95, "{}/{}", correct, x.len());
     }
 
     #[test]
     fn proba_in_unit_interval() {
         let (x, y) = moons(60);
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 8, ..Default::default() });
+        let forest =
+            RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 8, ..Default::default() });
         for xi in &x {
             let p = forest.predict_proba(xi);
             assert!((0.0..=1.0).contains(&p), "p={}", p);
@@ -254,8 +244,8 @@ mod tests {
     fn deterministic_across_runs() {
         let (x, y) = moons(80);
         let params = ForestParams { n_trees: 12, seed: 42, ..Default::default() };
-        let a = RandomForest::fit(&x, &y, &params);
-        let b = RandomForest::fit(&x, &y, &params);
+        let a = RandomForest::fit(&ds(&x), &y, &params);
+        let b = RandomForest::fit(&ds(&x), &y, &params);
         for xi in x.iter().take(10) {
             assert_eq!(a.predict_proba(xi), b.predict_proba(xi));
         }
@@ -264,10 +254,16 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let (x, y) = moons(80);
-        let a =
-            RandomForest::fit(&x, &y, &ForestParams { n_trees: 4, seed: 1, ..Default::default() });
-        let b =
-            RandomForest::fit(&x, &y, &ForestParams { n_trees: 4, seed: 2, ..Default::default() });
+        let a = RandomForest::fit(
+            &ds(&x),
+            &y,
+            &ForestParams { n_trees: 4, seed: 1, ..Default::default() },
+        );
+        let b = RandomForest::fit(
+            &ds(&x),
+            &y,
+            &ForestParams { n_trees: 4, seed: 2, ..Default::default() },
+        );
         let differs = x.iter().any(|xi| a.predict_proba(xi) != b.predict_proba(xi));
         assert!(differs);
     }
@@ -275,7 +271,8 @@ mod tests {
     #[test]
     fn n_trees_respected() {
         let (x, y) = moons(40);
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 7, ..Default::default() });
+        let forest =
+            RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 7, ..Default::default() });
         assert_eq!(forest.n_trees(), 7);
     }
 
@@ -289,7 +286,8 @@ mod tests {
             x.push(vec![v, ((i * 7) % 5) as f32]);
             y.push(v > 6.0);
         }
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 12, ..Default::default() });
+        let forest =
+            RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 12, ..Default::default() });
         let imp = forest.feature_importances(2);
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(imp[0] > imp[1], "informative {} vs noise {}", imp[0], imp[1]);
@@ -298,7 +296,8 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let (x, y) = moons(40);
-        let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 4, ..Default::default() });
+        let forest =
+            RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 4, ..Default::default() });
         let json = serde_json::to_string(&forest).unwrap();
         let mut back: RandomForest = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
@@ -321,11 +320,11 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_fit() {
         let (x, y) = moons(80);
-        let data = Dataset::from_rows(&x).unwrap();
+        let data = ds(&x);
         let params = ForestParams { n_trees: 9, seed: 5, ..Default::default() };
-        let a = RandomForest::fit_dataset_threads(&data, &y, &params, 1);
-        let b = RandomForest::fit_dataset_threads(&data, &y, &params, 2);
-        let c = RandomForest::fit_dataset_threads(&data, &y, &params, 8);
+        let a = RandomForest::fit_threads(&data, &y, &params, 1);
+        let b = RandomForest::fit_threads(&data, &y, &params, 2);
+        let c = RandomForest::fit_threads(&data, &y, &params, 8);
         for xi in &x {
             let p = a.predict_proba(xi);
             assert_eq!(p, b.predict_proba(xi));

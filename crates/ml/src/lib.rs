@@ -4,14 +4,16 @@
 //! CART decision trees, bagged random forests (trained in parallel with
 //! deterministic seeding), a Gaussian naive-Bayes baseline, multi-task
 //! wrappers (binary relevance and classifier chains), and the paper's
-//! evaluation metrics including the Top-k criterion.
+//! evaluation metrics including the Top-k criterion. Every learner fits
+//! from one columnar [`Dataset`] and predicts one row-major sample at a
+//! time.
 //!
 //! # Examples
 //!
 //! ```
-//! use jsdetect_ml::{ForestParams, MultiLabel, Strategy, BaseParams};
+//! use jsdetect_ml::{BaseParams, Dataset, ForestParams, MultiLabel, Strategy};
 //!
-//! let x = vec![vec![0.0], vec![0.2], vec![0.8], vec![1.0]];
+//! let x = Dataset::from_rows(&[vec![0.0], vec![0.2], vec![0.8], vec![1.0]]).unwrap();
 //! let labels = vec![vec![false], vec![false], vec![true], vec![true]];
 //! let base = BaseParams::Forest(ForestParams { n_trees: 4, ..Default::default() });
 //! let model = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &base);

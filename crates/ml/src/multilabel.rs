@@ -14,7 +14,7 @@
 //! is appended to that row before the next label's model sees it.
 
 use crate::bayes::GaussianNb;
-use crate::dataset::{Dataset, DatasetError};
+use crate::dataset::Dataset;
 use crate::forest::{ForestParams, RandomForest};
 use crate::tree::{DecisionTree, TreeParams};
 use rand::rngs::StdRng;
@@ -50,14 +50,13 @@ impl BaseModel {
                 let mut p = p.clone();
                 // Decorrelate per-label forests.
                 p.seed = p.seed.wrapping_add(label_idx as u64 * 7919);
-                BaseModel::Forest(RandomForest::fit_dataset(data, y, &p))
+                BaseModel::Forest(RandomForest::fit(data, y, &p))
             }
             BaseParams::Tree(p, seed) => {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(label_idx as u64 * 7919));
-                let idx: Vec<u32> = (0..data.n_rows() as u32).collect();
-                BaseModel::Tree(DecisionTree::fit_dataset(data, &idx, y, p, &mut rng))
+                BaseModel::Tree(DecisionTree::fit(data, y, p, &mut rng))
             }
-            BaseParams::Bayes => BaseModel::Bayes(GaussianNb::fit_dataset(data, y)),
+            BaseParams::Bayes => BaseModel::Bayes(GaussianNb::fit(data, y)),
         }
     }
 
@@ -88,35 +87,14 @@ pub struct MultiLabel {
 }
 
 impl MultiLabel {
-    /// Fits one binary classifier per label column from row-major samples
-    /// (convenience wrapper that builds a columnar [`Dataset`] once).
-    ///
+    /// Fits one binary classifier per label column over a columnar dataset.
     /// `labels[i]` is the label vector for row `i`; all rows must have the
     /// same number of labels.
     ///
     /// # Panics
     ///
-    /// Panics on empty input, ragged feature rows, or ragged label rows.
-    pub fn fit(
-        x: &[Vec<f32>],
-        labels: &[Vec<bool>],
-        strategy: Strategy,
-        base: &BaseParams,
-    ) -> Self {
-        let data = match Dataset::from_rows(x) {
-            Ok(d) => d,
-            Err(DatasetError::Empty) => panic!("cannot fit on an empty dataset"),
-            Err(e) => panic!("invalid training matrix: {}", e),
-        };
-        Self::fit_dataset(&data, labels, strategy, base)
-    }
-
-    /// Fits one binary classifier per label column over a columnar dataset.
-    ///
-    /// # Panics
-    ///
     /// Panics on row-count mismatch or ragged label rows.
-    pub fn fit_dataset(
+    pub fn fit(
         data: &Dataset,
         labels: &[Vec<bool>],
         strategy: Strategy,
@@ -172,14 +150,14 @@ impl MultiLabel {
         }
     }
 
-    /// Hard label set at the 0.5 threshold.
-    pub fn predict(&self, row: &[f32]) -> Vec<bool> {
-        self.predict_proba(row).into_iter().map(|p| p >= 0.5).collect()
-    }
-
     /// Number of labels.
     pub fn n_labels(&self) -> usize {
         self.models.len()
+    }
+
+    /// Width of the input rows [`MultiLabel::predict_proba`] accepts.
+    pub fn n_features(&self) -> usize {
+        self.n_features
     }
 
     /// The strategy used.
@@ -249,6 +227,15 @@ mod tests {
         (x, labels)
     }
 
+    fn ds(x: &[Vec<f32>]) -> Dataset {
+        Dataset::from_rows(x).unwrap()
+    }
+
+    /// The label set at the 0.5 threshold.
+    fn hard(probs: Vec<f32>) -> Vec<bool> {
+        probs.into_iter().map(|p| p >= 0.5).collect()
+    }
+
     fn forest_base() -> BaseParams {
         BaseParams::Forest(ForestParams { n_trees: 8, ..Default::default() })
     }
@@ -256,10 +243,10 @@ mod tests {
     #[test]
     fn binary_relevance_learns_labels() {
         let (x, labels) = dataset(300);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::BinaryRelevance, &forest_base());
+        let ml = MultiLabel::fit(&ds(&x), &labels, Strategy::BinaryRelevance, &forest_base());
         let mut correct = 0;
         for (xi, li) in x.iter().zip(&labels) {
-            if ml.predict(xi) == *li {
+            if hard(ml.predict_proba(xi)) == *li {
                 correct += 1;
             }
         }
@@ -269,10 +256,10 @@ mod tests {
     #[test]
     fn chain_learns_labels() {
         let (x, labels) = dataset(300);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let ml = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         let mut correct = 0;
         for (xi, li) in x.iter().zip(&labels) {
-            if ml.predict(xi) == *li {
+            if hard(ml.predict_proba(xi)) == *li {
                 correct += 1;
             }
         }
@@ -282,7 +269,7 @@ mod tests {
     #[test]
     fn proba_len_matches_labels() {
         let (x, labels) = dataset(60);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let ml = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         assert_eq!(ml.n_labels(), 3);
         assert_eq!(ml.predict_proba(&x[0]).len(), 3);
     }
@@ -290,7 +277,7 @@ mod tests {
     #[test]
     fn bayes_base_works() {
         let (x, labels) = dataset(200);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::BinaryRelevance, &BaseParams::Bayes);
+        let ml = MultiLabel::fit(&ds(&x), &labels, Strategy::BinaryRelevance, &BaseParams::Bayes);
         let p = ml.predict_proba(&[0.9, 0.9]);
         assert!(p[0] > 0.5 && p[1] > 0.5);
     }
@@ -299,12 +286,12 @@ mod tests {
     fn tree_base_works() {
         let (x, labels) = dataset(200);
         let ml = MultiLabel::fit(
-            &x,
+            &ds(&x),
             &labels,
             Strategy::ClassifierChain,
             &BaseParams::Tree(TreeParams::default(), 3),
         );
-        let p = ml.predict(&[0.9, 0.1]);
+        let p = hard(ml.predict_proba(&[0.9, 0.1]));
         assert_eq!(p, vec![true, false, false]);
     }
 
@@ -312,15 +299,15 @@ mod tests {
     #[should_panic(expected = "feature width mismatch")]
     fn wrong_width_panics() {
         let (x, labels) = dataset(40);
-        let ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let ml = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         let _ = ml.predict_proba(&[1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn deterministic() {
         let (x, labels) = dataset(100);
-        let a = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
-        let b = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let a = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
+        let b = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         assert_eq!(a.predict_proba(&x[7]), b.predict_proba(&x[7]));
     }
 
@@ -342,7 +329,7 @@ mod tests {
     #[should_panic(expected = "corrupt serialized model for label 0: node")]
     fn right_child_pointing_back_is_rejected_at_load() {
         let (x, labels) = dataset(60);
-        let mut ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let mut ml = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         let BaseModel::Forest(f) = &mut ml.models[0] else { unreachable!() };
         let i = first_split(&f.nodes);
         // A self-loop: `predict_row` would spin on this node forever.
@@ -354,7 +341,7 @@ mod tests {
     #[should_panic(expected = "corrupt serialized model for label 1: node")]
     fn feature_beyond_the_chained_input_width_is_rejected_at_load() {
         let (x, labels) = dataset(60);
-        let mut ml = MultiLabel::fit(&x, &labels, Strategy::ClassifierChain, &forest_base());
+        let mut ml = MultiLabel::fit(&ds(&x), &labels, Strategy::ClassifierChain, &forest_base());
         // Label 1 of the chain sees the 2 base features plus label 0's
         // prediction: ids 0..3. Id 3 would index past the row at predict.
         let BaseModel::Forest(f) = &mut ml.models[1] else { unreachable!() };
@@ -368,7 +355,7 @@ mod tests {
     fn corrupt_single_tree_base_is_rejected_at_load() {
         let (x, labels) = dataset(60);
         let base = BaseParams::Tree(TreeParams::default(), 3);
-        let mut ml = MultiLabel::fit(&x, &labels, Strategy::BinaryRelevance, &base);
+        let mut ml = MultiLabel::fit(&ds(&x), &labels, Strategy::BinaryRelevance, &base);
         let BaseModel::Tree(t) = &mut ml.models[2] else { unreachable!() };
         let i = first_split(&t.nodes);
         t.nodes.children[i] = t.nodes.len() as u32;
@@ -381,7 +368,7 @@ mod tests {
         let bases = [forest_base(), BaseParams::Tree(TreeParams::default(), 3), BaseParams::Bayes];
         for base in &bases {
             for strategy in [Strategy::BinaryRelevance, Strategy::ClassifierChain] {
-                let ml = MultiLabel::fit(&x, &labels, strategy, base);
+                let ml = MultiLabel::fit(&ds(&x), &labels, strategy, base);
                 assert_eq!(reload(&ml).predict_proba(&x[3]), ml.predict_proba(&x[3]));
             }
         }

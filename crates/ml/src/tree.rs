@@ -11,7 +11,7 @@
 //! Fitted trees are stored in a flattened struct-of-arrays node layout
 //! traversed without pointer chasing.
 
-use crate::dataset::{Dataset, DatasetError};
+use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
@@ -197,45 +197,22 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fits a tree on row-major samples (convenience wrapper that builds a
-    /// columnar [`Dataset`] once and delegates to
-    /// [`DecisionTree::fit_dataset`]).
+    /// Fits a tree on every row of a columnar dataset. `y[r]` labels
+    /// dataset row `r`; `rng` drives the per-split feature subsampling.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is empty, ragged, or `x.len() != y.len()`.
-    pub fn fit(x: &[Vec<f32>], y: &[bool], params: &TreeParams, rng: &mut StdRng) -> Self {
-        let data = match Dataset::from_rows(x) {
-            Ok(d) => d,
-            Err(DatasetError::Empty) => panic!("cannot fit a tree on an empty dataset"),
-            Err(e) => panic!("invalid training matrix: {}", e),
-        };
-        assert_eq!(x.len(), y.len(), "feature/label length mismatch");
-        let idx: Vec<u32> = (0..x.len() as u32).collect();
-        Self::fit_dataset(&data, &idx, y, params, rng)
+    /// Panics if `y.len() != data.n_rows()`, the feature count exceeds
+    /// `u16::MAX - 1`, or the row count reaches 2³¹.
+    pub fn fit(data: &Dataset, y: &[bool], params: &TreeParams, rng: &mut StdRng) -> Self {
+        let idx: Vec<u32> = (0..data.n_rows() as u32).collect();
+        Self::fit_with_ranks(data, &idx, y, params, rng, &ValueRanks::build(data))
     }
 
-    /// Fits a tree over the row multiset `idx` of a columnar dataset.
-    /// `y[r]` labels dataset row `r`; `idx` may repeat rows (bootstrap).
-    /// `rng` drives the per-split feature subsampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is empty, `y.len() != data.n_rows()`, the feature
-    /// count exceeds `u16::MAX - 1`, or the row count reaches 2³¹.
-    pub fn fit_dataset(
-        data: &Dataset,
-        idx: &[u32],
-        y: &[bool],
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Self {
-        Self::fit_dataset_with_ranks(data, idx, y, params, rng, &ValueRanks::build(data))
-    }
-
-    /// [`DecisionTree::fit_dataset`] over rank tables built from `data`;
-    /// forests build them once and pass them to every tree.
-    pub(crate) fn fit_dataset_with_ranks(
+    /// Fits a tree over the row multiset `idx` (which may repeat rows: a
+    /// forest's bootstrap) with rank tables built from `data`; forests
+    /// build them once and pass them to every tree.
+    pub(crate) fn fit_with_ranks(
         data: &Dataset,
         idx: &[u32],
         y: &[bool],
@@ -649,9 +626,13 @@ mod tests {
         StdRng::seed_from_u64(0)
     }
 
+    fn ds(x: &[Vec<f32>]) -> Dataset {
+        Dataset::from_rows(x).unwrap()
+    }
+
     fn fit(x: &[Vec<f32>], y: &[bool]) -> DecisionTree {
         DecisionTree::fit(
-            x,
+            &ds(x),
             y,
             &TreeParams { max_features: MaxFeatures::All, ..Default::default() },
             &mut rng(),
@@ -672,7 +653,7 @@ mod tests {
         let x = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
         let y = vec![false, true, true, false];
         let tree = DecisionTree::fit(
-            &x,
+            &ds(&x),
             &y,
             &TreeParams {
                 max_features: MaxFeatures::All,
@@ -701,7 +682,7 @@ mod tests {
         let x: Vec<Vec<f32>> = (0..64).map(|i| vec![i as f32]).collect();
         let y: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
         let tree = DecisionTree::fit(
-            &x,
+            &ds(&x),
             &y,
             &TreeParams { max_depth: 3, max_features: MaxFeatures::All, ..Default::default() },
             &mut rng(),
@@ -723,8 +704,8 @@ mod tests {
         let x: Vec<Vec<f32>> = (0..50).map(|i| vec![(i % 7) as f32, (i % 3) as f32]).collect();
         let y: Vec<bool> = (0..50).map(|i| i % 7 > 3).collect();
         let params = TreeParams::default();
-        let a = DecisionTree::fit(&x, &y, &params, &mut rng());
-        let b = DecisionTree::fit(&x, &y, &params, &mut rng());
+        let a = DecisionTree::fit(&ds(&x), &y, &params, &mut rng());
+        let b = DecisionTree::fit(&ds(&x), &y, &params, &mut rng());
         assert_eq!(a.predict_proba(&[4.0, 1.0]), b.predict_proba(&[4.0, 1.0]));
     }
 
@@ -741,7 +722,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_panics() {
-        let _ = fit(&[], &[]);
+        // `Dataset` cannot be empty, but an index set can.
+        let data = ds(&[vec![1.0]]);
+        let ranks = ValueRanks::build(&data);
+        let params = TreeParams::default();
+        let _ = DecisionTree::fit_with_ranks(&data, &[], &[true], &params, &mut rng(), &ranks);
     }
 
     #[test]
@@ -749,10 +734,12 @@ mod tests {
         // Row 1 repeated three times dominates the leaf probability.
         let x = vec![vec![0.0], vec![1.0]];
         let y = vec![false, true];
-        let data = Dataset::from_rows(&x).unwrap();
+        let data = ds(&x);
         let params =
             TreeParams { max_features: MaxFeatures::All, max_depth: 0, ..Default::default() };
-        let tree = DecisionTree::fit_dataset(&data, &[0, 1, 1, 1], &y, &params, &mut rng());
+        let ranks = ValueRanks::build(&data);
+        let tree =
+            DecisionTree::fit_with_ranks(&data, &[0, 1, 1, 1], &y, &params, &mut rng(), &ranks);
         assert_eq!(tree.node_count(), 1);
         assert!((tree.predict_proba(&[0.5]) - 0.75).abs() < 1e-6);
     }

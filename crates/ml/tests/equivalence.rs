@@ -1,7 +1,6 @@
 //! Equivalence suite for the columnar learner.
 //!
-//! The columnar path (`DecisionTree::fit_dataset`,
-//! `RandomForest::fit_dataset`) finds splits through per-column value-rank
+//! The columnar path (`DecisionTree::fit`, `RandomForest::fit`) finds splits through per-column value-rank
 //! tables, counting-sorting low-cardinality columns and sorting packed
 //! ranks for the rest. It must produce *bit-identical* predictions to the
 //! legacy row-major implementation preserved in `jsdetect_ml::reference`
@@ -42,6 +41,10 @@ fn synthetic(n: usize, d: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<bool>) {
     (x, y)
 }
 
+fn ds(x: &[Vec<f32>]) -> Dataset {
+    Dataset::from_rows(x).unwrap()
+}
+
 #[test]
 fn tree_matches_row_major_reference_exactly() {
     let (x, y) = synthetic(400, 13, 7);
@@ -49,7 +52,7 @@ fn tree_matches_row_major_reference_exactly() {
         let params = TreeParams { max_features, ..Default::default() };
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             let old = RowMajorTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(seed));
-            let new = DecisionTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(seed));
+            let new = DecisionTree::fit(&ds(&x), &y, &params, &mut StdRng::seed_from_u64(seed));
             assert_eq!(old.node_count(), new.node_count(), "structure differs (seed {})", seed);
             for row in &x {
                 let po = old.predict_proba(row);
@@ -77,7 +80,7 @@ fn tree_matches_reference_under_shallow_and_strict_params() {
         max_features: MaxFeatures::Sqrt,
     };
     let old = RowMajorTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
-    let new = DecisionTree::fit(&x, &y, &params, &mut StdRng::seed_from_u64(3));
+    let new = DecisionTree::fit(&ds(&x), &y, &params, &mut StdRng::seed_from_u64(3));
     for row in &x {
         assert_eq!(old.predict_proba(row), new.predict_proba(row));
     }
@@ -91,7 +94,7 @@ fn forest_matches_row_major_reference_exactly() {
     // isolates the data-path rewrite (columnar + index bootstrap + flat
     // nodes) from the deliberate seeding change tested below.
     let old = RowMajorForest::fit(&x, &y, &params);
-    let new = RandomForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&ds(&x), &y, &params);
     for row in &x {
         let po = old.predict_proba(row);
         let pn = new.predict_proba(row);
@@ -110,7 +113,7 @@ fn wide_matrix_per_node_paths_match_reference_exactly() {
     let tree_params = TreeParams::default();
     for seed in [0u64, 8, 1234] {
         let old = RowMajorTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
-        let new = DecisionTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
+        let new = DecisionTree::fit(&ds(&x), &y, &tree_params, &mut StdRng::seed_from_u64(seed));
         assert_eq!(old.node_count(), new.node_count(), "tree structure differs (seed {})", seed);
         for row in &x {
             assert_eq!(old.predict_proba(row), new.predict_proba(row), "seed {}", seed);
@@ -118,7 +121,7 @@ fn wide_matrix_per_node_paths_match_reference_exactly() {
     }
     let params = ForestParams { n_trees: 6, seed: 77, ..Default::default() };
     let old = RowMajorForest::fit(&x, &y, &params);
-    let new = RandomForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&ds(&x), &y, &params);
     for row in &x {
         let po = old.predict_proba(row);
         let pn = new.predict_proba(row);
@@ -131,7 +134,7 @@ fn forest_without_bootstrap_matches_reference() {
     let (x, y) = synthetic(200, 8, 17);
     let params = ForestParams { n_trees: 6, bootstrap: false, seed: 1, ..Default::default() };
     let old = RowMajorForest::fit(&x, &y, &params);
-    let new = RandomForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&ds(&x), &y, &params);
     for row in &x {
         assert_eq!(old.predict_proba(row), new.predict_proba(row));
     }
@@ -150,7 +153,7 @@ fn seeding_change_is_deliberate_and_visible() {
     let legacy_seed =
         |i: usize| -> u64 { params.seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15) };
     let legacy = RowMajorForest::fit_with_seeds(&x, &y, &params, &legacy_seed);
-    let current = RandomForest::fit(&x, &y, &params);
+    let current = RandomForest::fit(&ds(&x), &y, &params);
     // Consecutive legacy seeds really are one generator step apart.
     assert_eq!(
         legacy_seed(1),
@@ -170,11 +173,11 @@ fn seeding_change_is_deliberate_and_visible() {
 #[test]
 fn fit_is_invariant_to_thread_count() {
     let (x, y) = synthetic(220, 9, 13);
-    let data = Dataset::from_rows(&x).unwrap();
+    let data = ds(&x);
     let params = ForestParams { n_trees: 11, seed: 8, ..Default::default() };
-    let one = RandomForest::fit_dataset_threads(&data, &y, &params, 1);
-    let two = RandomForest::fit_dataset_threads(&data, &y, &params, 2);
-    let eight = RandomForest::fit_dataset_threads(&data, &y, &params, 8);
+    let one = RandomForest::fit_threads(&data, &y, &params, 1);
+    let two = RandomForest::fit_threads(&data, &y, &params, 2);
+    let eight = RandomForest::fit_threads(&data, &y, &params, 8);
     for row in &x {
         let p = one.predict_proba(row);
         assert_eq!(p, two.predict_proba(row));
@@ -185,7 +188,7 @@ fn fit_is_invariant_to_thread_count() {
 #[test]
 fn serde_roundtrip_of_flattened_forest_preserves_predictions() {
     let (x, y) = synthetic(150, 7, 19);
-    let forest = RandomForest::fit(&x, &y, &ForestParams { n_trees: 5, ..Default::default() });
+    let forest = RandomForest::fit(&ds(&x), &y, &ForestParams { n_trees: 5, ..Default::default() });
     let json = serde_json::to_string(&forest).unwrap();
     let mut back: RandomForest = serde_json::from_str(&json).unwrap();
     back.rebuild_index();
@@ -232,7 +235,7 @@ fn more_rows_than_u16_ranks_match_reference_exactly() {
         TreeParams { max_depth: 6, max_features: MaxFeatures::Fixed(1), ..Default::default() };
     for seed in [2u64, 9] {
         let old = RowMajorTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
-        let new = DecisionTree::fit(&x, &y, &tree_params, &mut StdRng::seed_from_u64(seed));
+        let new = DecisionTree::fit(&ds(&x), &y, &tree_params, &mut StdRng::seed_from_u64(seed));
         assert_eq!(old.node_count(), new.node_count(), "tree structure differs (seed {})", seed);
         for row in &x {
             assert_eq!(old.predict_proba(row), new.predict_proba(row), "seed {}", seed);
@@ -240,7 +243,7 @@ fn more_rows_than_u16_ranks_match_reference_exactly() {
     }
     let params = ForestParams { n_trees: 3, bootstrap: true, tree: tree_params, seed: 31 };
     let old = RowMajorForest::fit(&x, &y, &params);
-    let new = RandomForest::fit(&x, &y, &params);
+    let new = RandomForest::fit(&ds(&x), &y, &params);
     for row in &x {
         let po = old.predict_proba(row);
         let pn = new.predict_proba(row);

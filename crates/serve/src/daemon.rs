@@ -40,6 +40,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The paper's Top-k technique rule reports at most four techniques
+/// (§III-E2), at [`DEFAULT_THRESHOLD`].
+const TOP_K: usize = 4;
+
 /// Daemon sizing and robustness knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -64,10 +68,6 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Fault injection schedule (all zeros = disarmed).
     pub chaos: ChaosConfig,
-    /// Level-2 Top-k default.
-    pub top_k: usize,
-    /// Level-2 threshold default.
-    pub threshold: f32,
 }
 
 impl Default for ServeConfig {
@@ -82,8 +82,6 @@ impl Default for ServeConfig {
             interner_reserve: 1 << 16,
             breaker: BreakerConfig::default(),
             chaos: ChaosConfig::default(),
-            top_k: 4,
-            threshold: DEFAULT_THRESHOLD,
         }
     }
 }
@@ -188,8 +186,6 @@ struct Job {
     src: String,
     limits: Limits,
     deadline_ms: u64,
-    top_k: usize,
-    threshold: f32,
     accepted_at: Instant,
     responder: Responder,
 }
@@ -334,8 +330,6 @@ impl Daemon {
             src: req.src,
             limits,
             deadline_ms: req.deadline_ms.unwrap_or(s.cfg.default_deadline_ms),
-            top_k: req.top_k.map(|k| k as usize).unwrap_or(s.cfg.top_k),
-            threshold: req.threshold.unwrap_or(s.cfg.threshold),
             accepted_at: Instant::now(),
             responder: Responder::new(tx),
         };
@@ -632,15 +626,15 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
     let mode = shared.breaker.admit_mode();
     let verdict = if mode.is_degraded() {
         let analyzed = degraded_analyze(shared, &job.src, &config);
-        classify_analyzed(analyzed, &shared.detectors, job.top_k, job.threshold)
+        classify_analyzed(analyzed, &shared.detectors, TOP_K, DEFAULT_THRESHOLD)
     } else {
         classify_one_cached(
             &job.src,
             &config,
             shared.cache.as_deref(),
             &shared.detectors,
-            job.top_k,
-            job.threshold,
+            TOP_K,
+            DEFAULT_THRESHOLD,
         )
     };
     (verdict_response(&verdict, mode.is_degraded()), mode)

@@ -14,8 +14,7 @@
 
 use crate::daemon::Daemon;
 use crate::protocol::{
-    read_frame, read_frame_after_prefix, write_frame, AnalyzeRequest, AnalyzeResponse,
-    BatchRequest, BatchResponse, Status,
+    read_frame, read_frame_after_prefix, write_frame, AnalyzeRequest, AnalyzeResponse, Status,
 };
 use crate::signal;
 use jsdetect_obs::names;
@@ -295,7 +294,6 @@ fn route(
                 respond_refusal(stream, Status::Invalid, "malformed_request", msg)
             }
         },
-        ("POST", "/batch") => handle_batch(daemon, stream, body),
         ("GET", "/metrics") => {
             let text = jsdetect_obs::render_prometheus(&jsdetect_obs::snapshot());
             write_http(stream, 200, "text/plain; version=0.0.4", text.as_bytes())
@@ -315,59 +313,6 @@ fn route(
             )
         }
     }
-}
-
-/// `POST /batch`: every script is admitted individually through the same
-/// bounded queue — first all submissions (so the batch occupies queue
-/// slots concurrently), then all waits. A batch can therefore be partly
-/// `ok` and partly `overloaded`, by design.
-#[allow(clippy::result_large_err)] // per-script refusals are relayed by value
-fn handle_batch(daemon: &Arc<Daemon>, stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    let req = match std::str::from_utf8(body)
-        .ok()
-        .and_then(|t| serde_json::from_str::<BatchRequest>(t).ok())
-    {
-        Some(r) => r,
-        None => {
-            jsdetect_obs::counter_add(names::CTR_SERVE_REQUESTS_INVALID, 1);
-            return respond_refusal(
-                stream,
-                Status::Invalid,
-                "malformed_request",
-                "body is not a BatchRequest",
-            );
-        }
-    };
-    let pending: Vec<_> = req
-        .scripts
-        .into_iter()
-        .map(|src| {
-            daemon.submit(AnalyzeRequest {
-                src,
-                limits: req.limits.clone(),
-                deadline_ms: req.deadline_ms,
-                top_k: None,
-                threshold: None,
-            })
-        })
-        .collect();
-    let wait = daemon.max_wait();
-    let results: Vec<AnalyzeResponse> = pending
-        .into_iter()
-        .map(|p| match p {
-            Err(refusal) => refusal,
-            Ok(rx) => rx.recv_timeout(wait).unwrap_or_else(|_| {
-                AnalyzeResponse::refusal(
-                    Status::Timeout,
-                    "response_timeout",
-                    "no response within the watchdog bound",
-                )
-            }),
-        })
-        .collect();
-    let out = serde_json::to_string(&BatchResponse { results })
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    respond_json(stream, 200, &out)
 }
 
 fn to_json(resp: &AnalyzeResponse) -> std::io::Result<String> {

@@ -1,10 +1,12 @@
 //! `jsdetect-serve`: the resident detection daemon.
 //!
 //! The ROADMAP's "millions of users" story made concrete: a long-running
-//! process that composes the guarded analysis sandbox (PR 4), the
-//! content-addressed verdict cache (PR 5), batched prediction (PR 2), and
-//! streaming telemetry (PR 8) into a service that survives sustained
-//! hostile traffic. The robustness core:
+//! process that composes the guarded analysis sandbox, the
+//! content-addressed verdict cache, the per-script classification path
+//! and streaming telemetry into a service that survives sustained hostile
+//! traffic. Every verdict reports the paper's Top-4 techniques at
+//! `jsdetect::DEFAULT_THRESHOLD`, as the CLI and the experiments do. The
+//! robustness core:
 //!
 //! - **Admission control** ([`queue::BoundedQueue`]): a bounded queue in
 //!   front of a bounded worker pool. A full queue rejects with
@@ -27,8 +29,8 @@
 //!
 //! Transport is std-only: one TCP listener speaks both a 4-byte
 //! length-prefixed JSON framing and HTTP/1.1 (`POST /analyze`,
-//! `POST /batch`, `GET /metrics`, `GET /healthz`), sniffed from the first
-//! bytes of each connection.
+//! `GET /metrics`, `GET /healthz`, `POST /shutdown`), sniffed from the
+//! first bytes of each connection.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -45,7 +47,5 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Mode};
 pub use chaos::{Chaos, ChaosConfig};
 pub use daemon::{Daemon, DaemonStats, ServeConfig, ShutdownReport};
 pub use http::{serve, TransportConfig};
-pub use protocol::{
-    read_frame, write_frame, AnalyzeRequest, AnalyzeResponse, BatchRequest, BatchResponse, Status,
-};
+pub use protocol::{read_frame, write_frame, AnalyzeRequest, AnalyzeResponse, Status};
 pub use queue::{BoundedQueue, PushError};

@@ -24,44 +24,13 @@ pub struct AnalyzeRequest {
     /// wait is charged against it; the remainder becomes the guard's
     /// fuel-metered analysis deadline.
     pub deadline_ms: Option<u64>,
-    /// Level-2 Top-k (defaults to the paper's 4).
-    pub top_k: Option<u64>,
-    /// Level-2 probability threshold (defaults to the paper's 0.10).
-    pub threshold: Option<f32>,
 }
 
 impl AnalyzeRequest {
     /// A request for `src` with every knob at the daemon default.
     pub fn new(src: impl Into<String>) -> AnalyzeRequest {
-        AnalyzeRequest {
-            src: src.into(),
-            limits: None,
-            deadline_ms: None,
-            top_k: None,
-            threshold: None,
-        }
+        AnalyzeRequest { src: src.into(), limits: None, deadline_ms: None }
     }
-}
-
-/// A batch of analysis requests (`POST /batch`): each script is admitted
-/// individually through the same bounded queue, so a batch can be partly
-/// `ok` and partly `overloaded`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchRequest {
-    /// The scripts to analyze.
-    pub scripts: Vec<String>,
-    /// Shared limits preset for the whole batch.
-    pub limits: Option<String>,
-    /// Shared per-script deadline.
-    pub deadline_ms: Option<u64>,
-}
-
-/// Batch response envelope: one [`AnalyzeResponse`] per input script, in
-/// order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchResponse {
-    /// Per-script responses.
-    pub results: Vec<AnalyzeResponse>,
 }
 
 /// How the daemon handled a request (the service-level verdict).
@@ -264,8 +233,6 @@ mod tests {
             src: "var x=1;".into(),
             limits: Some("interactive".into()),
             deadline_ms: Some(250),
-            top_k: Some(3),
-            threshold: Some(0.2),
         };
         let json = serde_json::to_string(&full).unwrap();
         let back: AnalyzeRequest = serde_json::from_str(&json).unwrap();

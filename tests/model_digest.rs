@@ -7,7 +7,7 @@
 //! digests below (run with `--nocapture` to print the new values).
 
 use jsdetect_suite::detector::{train_pipeline, DetectorConfig};
-use jsdetect_suite::ml::{BaseParams, TreeParams};
+use jsdetect_suite::ml::{BaseParams, Strategy, TreeParams};
 
 /// Regular scripts generated per training run, and the corpus seed.
 const N_REGULAR: usize = 8;
@@ -52,4 +52,18 @@ fn single_tree_model_is_pinned() {
         ..DetectorConfig::fast()
     };
     check("single tree", &cfg, 0xcc29_84da_5667_5ecc);
+}
+
+/// Gaussian naive Bayes under the paper's classifier chain.
+#[test]
+fn bayes_chain_model_is_pinned() {
+    let cfg = DetectorConfig { base: BaseParams::Bayes, ..DetectorConfig::fast() };
+    check("bayes chain", &cfg, 0x2413_e57c_61ba_8d72);
+}
+
+/// A forest per label, each fitted independently (binary relevance).
+#[test]
+fn forest_binary_relevance_model_is_pinned() {
+    let cfg = DetectorConfig { strategy: Strategy::BinaryRelevance, ..DetectorConfig::fast() };
+    check("forest binary relevance", &cfg, 0xac03_bca9_394c_329a);
 }
