@@ -373,7 +373,7 @@ impl Daemon {
     /// Upper bound on how long an accepted request can take to be
     /// answered: every job ahead of it is bounded by `stuck_after_ms`
     /// (watchdog) plus injected delay, across `queue/workers` rounds.
-    pub(crate) fn max_wait(&self) -> Duration {
+    fn max_wait(&self) -> Duration {
         let cfg = &self.shared.cfg;
         let rounds = (cfg.queue_capacity / cfg.workers.max(1) + 2) as u64;
         let per_job = cfg.stuck_after_ms + cfg.watchdog_interval_ms + cfg.chaos.delay_ms;
