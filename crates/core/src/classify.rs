@@ -13,9 +13,10 @@
 
 use crate::analysis::{analyze_one, run_stealing, CachedScript};
 use crate::config::AnalysisConfig;
-use crate::detector::Level1Prediction;
+use crate::detector::{Detector, Level1Prediction};
 use crate::pipeline::TrainedDetectors;
 use jsdetect_cache::AnalysisCache;
+use jsdetect_features::FeaturePayload;
 use jsdetect_guard::OutcomeKind;
 use jsdetect_ml::metrics::thresholded_top_k;
 use jsdetect_obs::names;
@@ -98,12 +99,9 @@ pub fn classify_analyzed(
 ) -> ScriptVerdict {
     let (level1, level2) = match analyzed.payload.as_ref() {
         Some(p) => {
-            let level1 = {
-                let _t = jsdetect_obs::span(names::SPAN_LEVEL1_PREDICT);
-                Level1Prediction::from_probs(&detectors.level1.predict(p))
-            };
-            let _t = jsdetect_obs::span(names::SPAN_LEVEL2_PREDICT);
-            (Some(level1), Some(detectors.level2.predict(p)))
+            let level1 = timed_predict(&detectors.level1, p, names::SPAN_LEVEL1_PREDICT);
+            let level2 = timed_predict(&detectors.level2, p, names::SPAN_LEVEL2_PREDICT);
+            (Some(Level1Prediction::from_probs(&level1)), Some(level2))
         }
         None => (None, None),
     };
@@ -124,6 +122,12 @@ pub fn classify_analyzed(
         level2,
         techniques,
     }
+}
+
+/// One detector level's probabilities, timed under `span`.
+fn timed_predict(detector: &Detector, payload: &FeaturePayload, span: &'static str) -> Vec<f32> {
+    let _t = jsdetect_obs::span(span);
+    detector.predict(payload)
 }
 
 #[cfg(test)]
