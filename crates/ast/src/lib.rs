@@ -14,7 +14,7 @@
 //! - [`MutVisitor`]: in-place rewriting, the substrate for the ten
 //!   transformation techniques.
 //! - [`builder`]: concise constructors for synthesized nodes.
-//! - [`metrics`]: tree-shape statistics (depth, breadth, kind counts).
+//! - [`metrics`]: tree-shape statistics (node count, depth, breadth).
 //!
 //! # Examples
 //!

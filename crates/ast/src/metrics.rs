@@ -1,10 +1,11 @@
-//! Structural AST metrics.
+//! Tree-shape metrics: node count, depth and breadth.
 //!
 //! The paper's generic features include the AST depth and breadth divided
-//! by the script's number of lines (§III-B). This module computes those
-//! plus per-kind node counts, shared by the feature extractor and tests.
+//! by the script's number of lines (§III-B). The feature extractor reads
+//! them, with everything else it needs, from its own single walk
+//! (`jsdetect_features::TreeStats`); [`tree_shape`] serves the other
+//! crates and pins that walk's shape in tests.
 
-use crate::kind::NodeKind;
 use crate::nodes::Program;
 use crate::visit::walk;
 
@@ -35,73 +36,10 @@ pub fn tree_shape(program: &Program) -> TreeShape {
     TreeShape { node_count, max_depth, max_breadth: per_depth.into_iter().max().unwrap_or(0) }
 }
 
-/// Per-kind node counts, indexable by [`NodeKind::id`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KindCounts {
-    counts: [usize; NodeKind::COUNT],
-    total: usize,
-}
-
-impl KindCounts {
-    /// Counts all node kinds in `program`.
-    pub fn of(program: &Program) -> Self {
-        let mut counts = [0usize; NodeKind::COUNT];
-        let mut total = 0usize;
-        walk(program, &mut |n, _| {
-            counts[n.kind().id() as usize] += 1;
-            total += 1;
-        });
-        KindCounts { counts, total }
-    }
-
-    /// Number of nodes of the given kind.
-    pub fn get(&self, kind: NodeKind) -> usize {
-        self.counts[kind.id() as usize]
-    }
-
-    /// Total node count.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Proportion of nodes of the given kind, in `[0, 1]`.
-    pub fn proportion(&self, kind: NodeKind) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.get(kind) as f64 / self.total as f64
-        }
-    }
-
-    /// Sum of counts over several kinds.
-    pub fn sum(&self, kinds: &[NodeKind]) -> usize {
-        kinds.iter().map(|k| self.get(*k)).sum()
-    }
-}
-
-/// Counts the number of source lines (at least 1 for non-empty source).
-pub fn line_count(src: &str) -> usize {
-    if src.is_empty() {
-        return 0;
-    }
-    src.lines().count().max(1)
-}
-
-/// Average number of characters per line.
-pub fn avg_chars_per_line(src: &str) -> f64 {
-    let lines = line_count(src);
-    if lines == 0 {
-        0.0
-    } else {
-        src.len() as f64 / lines as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::ops::VarKind;
 
     #[test]
     fn shape_of_flat_program() {
@@ -127,30 +65,5 @@ mod tests {
         let s = tree_shape(&p);
         // Program(0) If(1) Lit(2)/Block(2) If(3) Lit(4)/Block(4)
         assert_eq!(s.max_depth, 4);
-    }
-
-    #[test]
-    fn kind_counts_and_proportions() {
-        let p = program(vec![var_decl(VarKind::Var, "x", Some(num_lit(1.0)))]);
-        let c = KindCounts::of(&p);
-        assert_eq!(c.get(NodeKind::VariableDeclaration), 1);
-        assert_eq!(c.get(NodeKind::VariableDeclarator), 1);
-        assert_eq!(c.get(NodeKind::Identifier), 1);
-        assert_eq!(c.get(NodeKind::Literal), 1);
-        assert_eq!(c.total(), 5);
-        assert!((c.proportion(NodeKind::Literal) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_source_metrics() {
-        assert_eq!(line_count(""), 0);
-        assert_eq!(avg_chars_per_line(""), 0.0);
-    }
-
-    #[test]
-    fn chars_per_line() {
-        let src = "aaaa\nbb\n"; // 8 bytes, 2 lines
-        assert_eq!(line_count(src), 2);
-        assert!((avg_chars_per_line(src) - 4.0).abs() < 1e-12);
     }
 }

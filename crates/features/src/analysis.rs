@@ -2,18 +2,20 @@
 //! `{outcome, payload}`.
 //!
 //! [`analyze`] runs every stage once — parse (which also counts the
-//! tokens, so the script is lexed once), tree metrics, scopes with control
-//! and data flow, lint, normalization deltas — charging each
-//! to a [`Budget`] built from the caller's [`Limits`], and distils the
-//! result into a [`FeaturePayload`]. Every failure is classified into the
-//! three-way [`OutcomeKind`] verdict: full result, lexer-only fallback for
-//! a script that does not parse, or quarantined reject for a blown budget.
-//! [`Limits::trusted`] is the training preset: only the stack-overflow
-//! depth guard is on, and training keeps `Ok` payloads only (the paper
-//! skips files that do not parse).
+//! tokens, so the script is lexed once), one walk of the tree for every
+//! tree quantity ([`TreeStats::of`]), scopes with control and data flow,
+//! lint, normalization deltas — charging each to a [`Budget`] built from
+//! the caller's [`Limits`], and distils the result into a
+//! [`FeaturePayload`]. All of it, extraction and the drop of the AST and
+//! graph included, runs inside the `analyze` span. Every failure is
+//! classified into the three-way [`OutcomeKind`] verdict: full result,
+//! lexer-only fallback for a script that does not parse, or quarantined
+//! reject for a blown budget. [`Limits::trusted`] is the training preset:
+//! only the stack-overflow depth guard is on, and training keeps `Ok`
+//! payloads only (the paper skips files that do not parse).
 
 use crate::payload::FeaturePayload;
-use jsdetect_ast::metrics::{KindCounts, TreeShape};
+use crate::tree::TreeStats;
 use jsdetect_ast::{Program, Span};
 use jsdetect_flow::{analyze_with, DataFlowOptions, ProgramGraph};
 use jsdetect_guard::{AnalysisError, Budget, Limits, OutcomeKind};
@@ -28,7 +30,9 @@ use jsdetect_parser::parse_with_comments_budget;
 pub(crate) struct ScriptAnalysis<'a> {
     /// Original source text.
     pub(crate) src: &'a str,
-    /// Parsed AST.
+    /// Parsed AST. The extractors read it through `tree` and `graph`; it
+    /// is held so that it is dropped under the `extract` span.
+    #[allow(dead_code)]
     pub(crate) program: Program,
     /// Token statistics (comments are not tokens).
     pub(crate) tokens: TokenCounts,
@@ -36,10 +40,8 @@ pub(crate) struct ScriptAnalysis<'a> {
     pub(crate) comments: Vec<Comment>,
     /// Scopes + control flow + data flow.
     pub(crate) graph: ProgramGraph,
-    /// Tree-shape metrics.
-    pub(crate) shape: TreeShape,
-    /// Per-kind node counts.
-    pub(crate) kinds: KindCounts,
+    /// Everything read from one walk of `program`.
+    pub(crate) tree: TreeStats,
     /// Obfuscation-signature lint summary (per-rule hit counts).
     pub(crate) lint: LintSummary,
     /// Normalized-vs-original delta features
@@ -47,7 +49,7 @@ pub(crate) struct ScriptAnalysis<'a> {
     /// the analysis is degraded or normalization itself degrades).
     pub(crate) normalize: Vec<f32>,
     /// True when this is the lexer-only fallback produced after a parse
-    /// failure: `program`/`graph`/`shape`/`kinds` describe an empty program
+    /// failure: `program`/`graph`/`tree` describe an empty program
     /// and only `src`/`tokens`/`comments` carry real signal.
     pub(crate) degraded: bool,
 }
@@ -99,7 +101,11 @@ impl Analyzed {
                 OutcomeKind::Degraded
             }
         };
-        Analyzed { outcome, error: cause, payload: Some(FeaturePayload::extract(&analysis)) }
+        let payload = {
+            let _s = jsdetect_obs::span(names::SPAN_EXTRACT);
+            FeaturePayload::extract(analysis)
+        };
+        Analyzed { outcome, error: cause, payload: Some(payload) }
     }
 }
 
@@ -122,12 +128,9 @@ impl Analyzed {
 /// assert_eq!(r.error.unwrap().kind(), "ast_depth_exceeded");
 /// ```
 pub fn analyze(src: &str, limits: &Limits) -> Analyzed {
-    let staged = {
-        let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
-        jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
-        stages(src, &Budget::new(limits))
-    };
-    Analyzed::from_stages(staged)
+    let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
+    jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+    Analyzed::from_stages(stages(src, &Budget::new(limits)))
 }
 
 /// Lexer-only analysis under `limits`, skipping parse/flow/lint entirely.
@@ -139,14 +142,12 @@ pub fn analyze(src: &str, limits: &Limits) -> Analyzed {
 /// [`AnalysisError::ServiceDegraded`], so caches and quarantine accounting
 /// can tell a deliberate skip from a broken script.
 pub fn analyze_lexer_only(src: &str, limits: &Limits) -> Analyzed {
-    let staged = {
-        let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
-        jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
-        let budget = Budget::new(limits);
-        budget
-            .check_input(src.len())
-            .and_then(|()| degraded_fallback(src, &budget, AnalysisError::ServiceDegraded))
-    };
+    let _t = jsdetect_obs::span(names::SPAN_ANALYZE);
+    jsdetect_obs::observe(names::HIST_SCRIPT_BYTES, src.len() as u64);
+    let budget = Budget::new(limits);
+    let staged = budget
+        .check_input(src.len())
+        .and_then(|()| degraded_fallback(src, &budget, AnalysisError::ServiceDegraded));
     Analyzed::from_stages(staged)
 }
 
@@ -173,13 +174,13 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
     };
     budget.check_deadline()?;
 
-    let (shape, kinds) = {
+    let tree = {
         let _s = jsdetect_obs::span(names::SPAN_METRICS);
-        (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program))
+        TreeStats::of(&program)
     };
     // Charge the realized tree size before running the recursive consumers
     // (flow, lint) over a potential node bomb.
-    budget.charge_nodes(shape.node_count as u64)?;
+    budget.charge_nodes(tree.node_count as u64)?;
     budget.check_deadline()?;
 
     let graph = {
@@ -203,7 +204,7 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
         lint
     };
 
-    let normalize = crate::deltas::normalize_deltas(src, &program, shape.node_count, &lint);
+    let normalize = crate::deltas::normalize_deltas(src, &program, &tree, &lint);
 
     let analysis = ScriptAnalysis {
         src,
@@ -211,8 +212,7 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
         tokens,
         comments,
         graph,
-        shape,
-        kinds,
+        tree,
         lint,
         normalize,
         degraded: false,
@@ -241,7 +241,7 @@ fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) ->
     }
     let program = Program { body: Vec::new(), span: Span::new(0, src.len() as u32) };
     let graph = analyze_with(&program, &DataFlowOptions::default());
-    let (shape, kinds) = (jsdetect_ast::metrics::tree_shape(&program), KindCounts::of(&program));
+    let tree = TreeStats::of(&program);
     let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
     jsdetect_obs::counter_add(names::CTR_DEGRADED_FALLBACKS, 1);
     let analysis = ScriptAnalysis {
@@ -250,8 +250,7 @@ fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) ->
         tokens,
         comments,
         graph,
-        shape,
-        kinds,
+        tree,
         lint,
         normalize: crate::deltas::neutral_deltas(),
         degraded: true,
@@ -279,14 +278,14 @@ mod tests {
         assert_eq!(a.comments.len(), 1);
         assert!(a.tokens.total > 0);
         assert!(a.graph.scopes.bindings().len() == 1);
-        assert!(a.shape.max_depth >= 2);
-        assert!(a.kinds.total() > 0);
+        assert!(a.tree.max_depth >= 2);
+        assert!(!a.tree.grams().is_empty());
     }
 
     #[test]
     fn empty_and_comment_only_scripts() {
         let a = analysis_of("");
-        assert_eq!(a.shape.node_count, 1); // just the Program node
+        assert_eq!(a.tree.node_count, 1); // just the Program node
         let b = analysis_of("// only a comment\n/* and a block */");
         assert_eq!(b.comments.len(), 2);
         assert_eq!(b.program.body.len(), 0);
@@ -297,15 +296,15 @@ mod tests {
         // Minified-style single line with thousands of statements.
         let src = "var a=0;".to_string() + &"a=a+1;".repeat(2_000);
         let a = analysis_of(&src);
-        assert!(a.shape.node_count > 8_000);
-        assert!(jsdetect_ast::metrics::avg_chars_per_line(a.src) > 1_000.0);
+        assert!(a.tree.node_count > 8_000);
+        assert_eq!(a.src.lines().count(), 1);
     }
 
     #[test]
     fn deep_but_legal_nesting() {
         let depth = 20;
         let src = format!("x = {}1{};", "(".repeat(depth), ")".repeat(depth));
-        assert!(analysis_of(&src).shape.max_depth >= 3);
+        assert!(analysis_of(&src).tree.max_depth >= 3);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! normalization — or whose lint-rule densities drop — is carrying
 //! removable obfuscation structure, and that difference is itself a
 //! signal. This module measures it: one AST-size ratio, one
-//! string-entropy delta, and one density delta per lint rule.
+//! string-entropy delta, and one density delta per lint rule. The
+//! original side's node count and mean string entropy come from the front
+//! end's one walk of the original tree ([`TreeStats`]), so a measurement
+//! walks only the normalized tree, with the same [`TreeStats::of`].
 //!
 //! Determinism matters here (cached payloads must replay bit-identically),
 //! so normalization runs with the wall-clock deadline disabled and relies
@@ -21,8 +24,8 @@
 //! pins that equality over every corpus; 37% of the benchmark's seed-7
 //! `cold_scan` crawl takes this path.
 
-use crate::handpicked::byte_entropy;
-use jsdetect_ast::{walk, Expr, Lit, LitValue, NodeRef, Program};
+use crate::tree::TreeStats;
+use jsdetect_ast::Program;
 use jsdetect_guard::{Limits, OutcomeKind};
 use jsdetect_lint::{LintRunner, LintSummary, N_RULES, RULE_NAMES};
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
@@ -53,11 +56,12 @@ pub fn delta_feature_names() -> Vec<String> {
 ///
 /// `src` is the *original* source text — the normalized AST is linted
 /// against it so the charset-based rules see the same bytes both times
-/// and only structural rules can move.
+/// and only structural rules can move. `tree` and `lint` are the
+/// original program's statistics and lint summary.
 pub fn normalize_deltas(
     src: &str,
     program: &Program,
-    orig_nodes: usize,
+    tree: &TreeStats,
     lint: &LintSummary,
 ) -> Vec<f32> {
     let _t = jsdetect_obs::span(names::SPAN_NORMALIZE_DELTAS);
@@ -67,25 +71,24 @@ pub fn normalize_deltas(
     if report.outcome != OutcomeKind::Ok || report.total_rewrites() == 0 {
         return neutral_deltas();
     }
-    measure_deltas(src, program, &normalized, orig_nodes, lint)
+    measure_deltas(src, tree, &normalized, lint)
 }
 
 /// The full delta measurement of `normalized` against the original
-/// `program` (whose node count and lint summary the caller already has).
+/// program, given by its [`TreeStats`] and lint summary.
 ///
 /// [`normalize_deltas`] skips it when nothing was rewritten; it is public
 /// so tests can check that the skip changes no bit.
 pub fn measure_deltas(
     src: &str,
-    program: &Program,
+    tree: &TreeStats,
     normalized: &Program,
-    orig_nodes: usize,
     lint: &LintSummary,
 ) -> Vec<f32> {
-    let norm_shape = jsdetect_ast::metrics::tree_shape(normalized);
+    let norm_tree = TreeStats::of(normalized);
     let mut v = Vec::with_capacity(N_NORMALIZE);
-    v.push(norm_shape.node_count as f32 / orig_nodes.max(1) as f32);
-    v.push(avg_string_entropy(normalized) - avg_string_entropy(program));
+    v.push(norm_tree.node_count as f32 / tree.node_count.max(1) as f32);
+    v.push(norm_tree.mean_string_entropy() - tree.mean_string_entropy());
     let graph = jsdetect_flow::analyze(normalized);
     let norm_lint = LintRunner::default().run_with_summary(src, normalized, &graph).1;
     let orig_densities = lint.features();
@@ -94,25 +97,6 @@ pub fn measure_deltas(
         v.push(norm_densities[i] - orig_densities[i]);
     }
     v
-}
-
-/// Mean per-string byte entropy of the string literals in a program
-/// (0.0 when there are none) — the same statistic the hand-picked
-/// `avg_string_entropy` feature uses, recomputed on a rewritten AST.
-fn avg_string_entropy(p: &Program) -> f32 {
-    let mut sum = 0.0f64;
-    let mut n = 0usize;
-    walk(p, &mut |node, _| {
-        if let NodeRef::Expr(Expr::Lit(Lit { value: LitValue::Str(s), .. })) = node {
-            sum += byte_entropy(s);
-            n += 1;
-        }
-    });
-    if n == 0 {
-        0.0
-    } else {
-        (sum / n as f64) as f32
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! self-defending / debug protection.
 
 use crate::analysis::ScriptAnalysis;
-use jsdetect_ast::metrics::{avg_chars_per_line, line_count};
+use crate::tree::TreeStats;
 use jsdetect_ast::*;
 use jsdetect_flow::{DefValueKind, RefKind};
 
@@ -83,82 +83,87 @@ pub const N_HANDPICKED: usize = FEATURE_NAMES.len();
 /// Computes the hand-picked feature vector for an analyzed script.
 pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
     let src = a.src;
+    let t = &a.tree;
+    let w = &t.hand;
     let bytes = src.len().max(1) as f64;
-    let lines = line_count(src).max(1) as f64;
-    let nodes = a.kinds.total().max(1) as f64;
-    let w = Walked::collect(&a.program);
+    let (mut n_lines, mut max_line) = (0usize, 0usize);
+    for line in src.lines() {
+        n_lines += 1;
+        max_line = max_line.max(line.len());
+    }
+    let lines = n_lines.max(1) as f64;
+    let max_line = max_line as f64;
+    let nodes = t.node_count.max(1) as f64;
 
     let n_idents = w.ident_occurrences.max(1) as f64;
-    let n_literals = a.kinds.get(NodeKind::Literal).max(1) as f64;
-    let n_members = a.kinds.get(NodeKind::MemberExpression).max(1) as f64;
-    let n_calls = a.kinds.get(NodeKind::CallExpression).max(1) as f64;
-    let n_statements = statement_count(&a.kinds).max(1) as f64;
+    let n_literals = t.kind(NodeKind::Literal).max(1) as f64;
+    let n_members = t.kind(NodeKind::MemberExpression).max(1) as f64;
+    let n_calls = t.kind(NodeKind::CallExpression).max(1) as f64;
+    let n_statements = statement_count(t).max(1) as f64;
     let n_strings = w.string_count.max(1) as f64;
-    let n_functions = function_count(&a.kinds).max(1) as f64;
-    let n_loops = loop_count(&a.kinds).max(1) as f64;
+    let n_functions = function_count(t).max(1) as f64;
+    let n_loops = loop_count(t).max(1) as f64;
 
-    let bindings = a.graph.scopes.bindings();
+    let scopes = &a.graph.scopes;
+    let bindings = scopes.bindings();
     let n_bindings = bindings.len().max(1) as f64;
     let unique_idents = w.unique_idents.len().max(1) as f64;
 
     let comment_bytes: u32 = a.comments.iter().map(|c| c.span.len()).sum();
-    let ws_chars = src.chars().filter(|c| c.is_whitespace()).count() as f64;
-    let max_line = src.lines().map(str::len).max().unwrap_or(0) as f64;
+    let (mut ws_chars, mut jsfuck_chars, mut alnum_chars) = (0usize, 0usize, 0usize);
+    for c in src.chars() {
+        if c.is_whitespace() {
+            ws_chars += 1;
+        } else if matches!(c, '[' | ']' | '(' | ')' | '!' | '+') {
+            jsfuck_chars += 1;
+        } else if c.is_alphanumeric() {
+            alnum_chars += 1;
+        }
+    }
+    let (ws_chars, jsfuck_chars, alnum_chars) =
+        (ws_chars as f64, jsfuck_chars as f64, alnum_chars as f64);
 
     let hex_bindings = bindings.iter().filter(|b| is_hex_name(&b.name)).count() as f64;
     let short_bindings = bindings.iter().filter(|b| b.name.len() <= 2).count() as f64;
     let binding_len_sum: usize = bindings.iter().map(|b| b.name.len()).sum();
 
-    let computed_defs = a
-        .graph
-        .scopes
+    let computed_defs = scopes
         .def_values()
         .iter()
         .filter(|(b, k)| b.is_some() && *k == DefValueKind::ComputedMember)
         .count() as f64;
-    let total_defs = a.graph.scopes.def_values().len().max(1) as f64;
+    let total_defs = scopes.def_values().len().max(1) as f64;
 
     let unused_bindings = (0..bindings.len())
-        .filter(|&b| {
-            !a.graph
-                .scopes
-                .references()
-                .iter()
-                .any(|r| r.binding == Some(b) && r.kind != RefKind::Write)
-        })
+        .filter(|&b| !scopes.refs_of(b).any(|r| r.kind != RefKind::Write))
         .count() as f64;
 
-    let n_refs = a.graph.scopes.references().len().max(1) as f64;
-    let global_refs = a.graph.scopes.global_refs().count() as f64;
+    let n_refs = scopes.references().len().max(1) as f64;
+    let global_refs = scopes.global_refs().count() as f64;
     let read_refs =
-        a.graph.scopes.references().iter().filter(|r| r.kind != RefKind::Write).count().max(1)
-            as f64;
+        scopes.references().iter().filter(|r| r.kind != RefKind::Write).count().max(1) as f64;
 
     let punct_tokens = a.tokens.punct as f64;
     let n_tokens = a.tokens.total.max(1) as f64;
 
-    let jsfuck_chars =
-        src.chars().filter(|c| matches!(c, '[' | ']' | '(' | ')' | '!' | '+')).count() as f64;
-    let alnum_chars = src.chars().filter(|c| c.is_alphanumeric()).count() as f64;
-
     let v = vec![
-        avg_chars_per_line(src) as f32,
+        (src.len() as f64 / lines) as f32,
         (max_line.ln_1p()) as f32,
         (lines.ln_1p()) as f32,
         (bytes.ln_1p()) as f32,
-        (a.shape.max_depth as f64 / lines) as f32,
-        (a.shape.max_breadth as f64 / lines) as f32,
+        (t.max_depth as f64 / lines) as f32,
+        (t.max_breadth as f64 / lines) as f32,
         (nodes / lines) as f32,
         (ws_chars / bytes) as f32,
         (comment_bytes as f64 / bytes) as f32,
         (a.comments.len() as f64 / lines) as f32,
-        a.kinds.proportion(NodeKind::Identifier) as f32,
-        a.kinds.proportion(NodeKind::Literal) as f32,
-        a.kinds.proportion(NodeKind::CallExpression) as f32,
-        a.kinds.proportion(NodeKind::MemberExpression) as f32,
+        t.proportion(NodeKind::Identifier) as f32,
+        t.proportion(NodeKind::Literal) as f32,
+        t.proportion(NodeKind::CallExpression) as f32,
+        t.proportion(NodeKind::MemberExpression) as f32,
         (n_members / unique_idents) as f32,
-        a.kinds.proportion(NodeKind::BinaryExpression) as f32,
-        a.kinds.proportion(NodeKind::VariableDeclaration) as f32,
+        t.proportion(NodeKind::BinaryExpression) as f32,
+        t.proportion(NodeKind::VariableDeclaration) as f32,
         (w.string_count as f64 / n_literals) as f32,
         (w.number_count as f64 / n_literals) as f32,
         (w.ident_len_sum as f64 / n_idents) as f32,
@@ -168,19 +173,19 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
         (short_bindings / n_bindings) as f32,
         (w.string_len_sum as f64 / n_strings) as f32,
         ((w.max_string_len as f64).ln_1p()) as f32,
-        (w.string_entropy_sum / n_strings) as f32,
+        t.mean_string_entropy(),
         (w.hexlike_strings as f64 / n_strings) as f32,
-        (a.kinds.get(NodeKind::ConditionalExpression) as f64 / n_statements) as f32,
+        (t.kind(NodeKind::ConditionalExpression) as f64 / n_statements) as f32,
         (w.computed_members as f64 / n_members) as f32,
-        (w.array_elems_sum as f64 / a.kinds.get(NodeKind::ArrayExpression).max(1) as f64) as f32,
-        (w.object_props_sum as f64 / a.kinds.get(NodeKind::ObjectExpression).max(1) as f64) as f32,
+        (w.array_elems_sum as f64 / t.kind(NodeKind::ArrayExpression).max(1) as f64) as f32,
+        (w.object_props_sum as f64 / t.kind(NodeKind::ObjectExpression).max(1) as f64) as f32,
         (computed_defs / total_defs) as f32,
         (w.string_op_calls as f64 / n_calls) as f32,
         (w.eval_like_calls as f64 / n_calls) as f32,
-        (a.kinds.get(NodeKind::DebuggerStatement) as f64 / n_statements) as f32,
+        (t.kind(NodeKind::DebuggerStatement) as f64 / n_statements) as f32,
         if w.debugger_string { 1.0 } else { 0.0 },
         if w.packed_regex { 1.0 } else { 0.0 },
-        (w.case_count as f64 / a.kinds.get(NodeKind::SwitchStatement).max(1) as f64) as f32,
+        (w.case_count as f64 / t.kind(NodeKind::SwitchStatement).max(1) as f64) as f32,
         (w.literal_true_loops as f64 / n_loops) as f32,
         (a.graph.control_flow.edges.len() as f64 / a.graph.control_flow.node_count.max(1) as f64)
             as f32,
@@ -188,16 +193,16 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
         (global_refs / n_refs) as f32,
         (n_functions / lines) as f32,
         (w.param_count as f64 / n_functions) as f32,
-        a.kinds.proportion(NodeKind::NewExpression) as f32,
+        t.proportion(NodeKind::NewExpression) as f32,
         (jsfuck_chars / bytes) as f32,
         (alnum_chars / bytes) as f32,
         (punct_tokens / n_tokens) as f32,
-        ((a.shape.max_depth as f64).ln_1p()) as f32,
-        a.kinds.proportion(NodeKind::UpdateExpression) as f32,
-        a.kinds.proportion(NodeKind::SequenceExpression) as f32,
+        ((t.max_depth as f64).ln_1p()) as f32,
+        t.proportion(NodeKind::UpdateExpression) as f32,
+        t.proportion(NodeKind::SequenceExpression) as f32,
         (w.not_on_number as f64 / nodes) as f32,
         (w.void_zero as f64 / nodes) as f32,
-        (w.switch_in_loop as f64 / a.kinds.get(NodeKind::SwitchStatement).max(1) as f64) as f32,
+        (w.switch_in_loop as f64 / t.kind(NodeKind::SwitchStatement).max(1) as f64) as f32,
         (w.string_concat_chains as f64 / n_strings) as f32,
         (unused_bindings / n_bindings) as f32,
         (w.opaque_string_tests as f64 / n_statements) as f32,
@@ -206,20 +211,20 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
     v
 }
 
-fn statement_count(kinds: &jsdetect_ast::metrics::KindCounts) -> usize {
-    NodeKind::ALL.iter().filter(|k| k.is_statement()).map(|k| kinds.get(*k)).sum()
+fn statement_count(t: &TreeStats) -> usize {
+    NodeKind::ALL.iter().filter(|k| k.is_statement()).map(|k| t.kind(*k)).sum()
 }
 
-fn function_count(kinds: &jsdetect_ast::metrics::KindCounts) -> usize {
-    kinds.sum(&[
+fn function_count(t: &TreeStats) -> usize {
+    t.kind_sum(&[
         NodeKind::FunctionDeclaration,
         NodeKind::FunctionExpression,
         NodeKind::ArrowFunctionExpression,
     ])
 }
 
-fn loop_count(kinds: &jsdetect_ast::metrics::KindCounts) -> usize {
-    kinds.sum(&[
+fn loop_count(t: &TreeStats) -> usize {
+    t.kind_sum(&[
         NodeKind::WhileStatement,
         NodeKind::DoWhileStatement,
         NodeKind::ForStatement,
@@ -255,17 +260,18 @@ const STRING_OPS: &[&str] = &[
     "encodeURIComponent",
 ];
 
-/// Quantities gathered in a single AST walk.
-#[derive(Default)]
-struct Walked {
+/// The hand-picked quantities read from node contents, gathered node by
+/// node in [`TreeStats::of`]'s walk.
+#[derive(Debug, Default)]
+pub(crate) struct Walked {
     ident_occurrences: usize,
     ident_len_sum: usize,
     unique_idents: std::collections::HashSet<Atom>,
-    string_count: usize,
+    pub(crate) string_count: usize,
     number_count: usize,
     string_len_sum: usize,
     max_string_len: usize,
-    string_entropy_sum: f64,
+    pub(crate) string_entropy_sum: f64,
     hexlike_strings: usize,
     computed_members: usize,
     array_elems_sum: usize,
@@ -285,13 +291,7 @@ struct Walked {
 }
 
 impl Walked {
-    fn collect(program: &Program) -> Self {
-        let mut w = Walked::default();
-        walk(program, &mut |node, _| w.visit(node));
-        w
-    }
-
-    fn visit(&mut self, node: NodeRef<'_>) {
+    pub(crate) fn visit(&mut self, node: NodeRef<'_>) {
         match node {
             NodeRef::Expr(e) => self.expr(e),
             NodeRef::Pat(Pat::Ident(i)) => self.ident(i.name),
@@ -486,7 +486,7 @@ fn is_packed_regex_source(s: &str) -> bool {
 }
 
 /// Shannon entropy over bytes, in bits.
-pub(crate) fn byte_entropy(s: &str) -> f64 {
+fn byte_entropy(s: &str) -> f64 {
     if s.is_empty() {
         return 0.0;
     }
@@ -642,6 +642,18 @@ mod tests {
     fn bool_compression_signals() {
         assert!(feature("x = !0; y = !1;", "not_on_number_per_node") > 0.0);
         assert!(feature("x = void 0;", "void_zero_per_node") > 0.0);
+    }
+
+    #[test]
+    fn unused_binding_ratio_counts_bindings_never_read() {
+        let ratio = |src| feature(src, "unused_binding_ratio");
+        assert_eq!(ratio("var w = 1; w = 2;"), 1.0, "written only");
+        assert_eq!(ratio("var r = 1; f(r);"), 0.0, "read");
+        assert_eq!(ratio("var u = 0; u++;"), 0.0, "a read-write reads");
+        // The outer `s` is only written; the read inside `h` is its
+        // parameter's, which shadows it.
+        let shadowed = "var s = 1; function h(s) { return s; } h(2);";
+        assert_eq!(ratio(shadowed), (1.0f64 / 3.0) as f32);
     }
 
     #[test]

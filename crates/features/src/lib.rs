@@ -17,6 +17,7 @@ mod handpicked;
 mod ngrams;
 mod payload;
 mod space;
+mod tree;
 
 pub use analysis::{analyze, analyze_lexer_only, Analyzed};
 pub use deltas::{
@@ -25,6 +26,7 @@ pub use deltas::{
 pub use handpicked::{FEATURE_NAMES, N_HANDPICKED};
 pub use jsdetect_guard::{AnalysisError, Limits, OutcomeKind};
 pub use jsdetect_lint::LintSummary;
-pub use ngrams::{ngram_counts, Gram, NgramVocab};
+pub use ngrams::{Gram, NgramVocab};
 pub use payload::FeaturePayload;
 pub use space::{FeatureConfig, VectorSpace, FEATURE_SPACE_VERSION};
+pub use tree::TreeStats;

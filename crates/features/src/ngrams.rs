@@ -2,28 +2,32 @@
 //!
 //! "Moving a window of length four over the list of syntactic units"
 //! (the pre-order [`NodeKind`] stream) "retains information about the code
-//! original syntactic structure." A vocabulary is fitted on the training
-//! corpus (most frequent 4-grams by document frequency); each script is
-//! then represented by the relative frequencies of the vocabulary grams.
+//! original syntactic structure." [`TreeStats`](crate::TreeStats) collects
+//! each script's windows in its one walk. A vocabulary is fitted on the
+//! training corpus (most frequent 4-grams by document frequency); each
+//! script is then represented by the relative frequencies of the
+//! vocabulary grams.
 
-use jsdetect_ast::{kind_stream, NodeKind, Program};
+use jsdetect_ast::NodeKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One 4-gram of node-kind ids.
 pub type Gram = [u8; 4];
 
-/// Counts the 4-grams of a program's kind stream, as `(gram, count)`
-/// pairs sorted by gram.
-pub fn ngram_counts(program: &Program) -> Vec<(Gram, u32)> {
-    let stream = kind_stream(program);
-    let mut counts = HashMap::new();
-    for w in stream.windows(4) {
-        let gram: Gram = [w[0].id(), w[1].id(), w[2].id(), w[3].id()];
-        *counts.entry(gram).or_insert(0) += 1;
+/// Counts 4-gram windows, each packed big-endian into a `u32`, as
+/// `(gram, count)` pairs sorted by gram: big-endian packing orders the
+/// `u32`s as the byte arrays, so one sort and one run-length pass do it.
+pub(crate) fn count_windows(mut windows: Vec<u32>) -> Vec<(Gram, u32)> {
+    windows.sort_unstable();
+    let mut pairs: Vec<(Gram, u32)> = Vec::new();
+    for w in windows {
+        let gram = w.to_be_bytes();
+        match pairs.last_mut() {
+            Some((last, n)) if *last == gram => *n += 1,
+            _ => pairs.push((gram, 1)),
+        }
     }
-    let mut pairs: Vec<(Gram, u32)> = counts.into_iter().collect();
-    pairs.sort_unstable_by_key(|(g, _)| *g);
     pairs
 }
 
@@ -102,7 +106,18 @@ mod tests {
     use jsdetect_parser::parse;
 
     fn counts(src: &str) -> Vec<(Gram, u32)> {
-        ngram_counts(&parse(src).unwrap())
+        crate::TreeStats::of(&parse(src).unwrap()).grams
+    }
+
+    #[test]
+    fn windows_count_in_gram_order() {
+        let w = |g: Gram| u32::from_be_bytes(g);
+        let windows = vec![w([2, 0, 0, 1]), w([1, 9, 9, 9]), w([2, 0, 0, 1]), w([1, 255, 0, 0])];
+        assert_eq!(
+            count_windows(windows),
+            vec![([1, 9, 9, 9], 1), ([1, 255, 0, 0], 1), ([2, 0, 0, 1], 2)]
+        );
+        assert!(count_windows(Vec::new()).is_empty());
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! 4-gram vocabulary comes from training), so caching final vectors would
 //! tie every cache record to one trained model. Instead the cache stores a
 //! [`FeaturePayload`]: the hand-picked and lint feature values exactly as
-//! computed (f32), plus the *raw* 4-gram counts. Training fits its vector
-//! spaces from payloads too, and
+//! computed (f32), plus the *raw* 4-gram counts, moved out of the
+//! analysis's one tree walk ([`TreeStats`](crate::TreeStats)). Training
+//! fits its vector spaces from payloads too, and
 //! [`VectorSpace::vectorize_payload`](crate::VectorSpace::vectorize_payload)
 //! is the only vectorizer, so a replayed payload projects bit-identically
 //! to a fresh one in any fitted space.
 
 use crate::analysis::ScriptAnalysis;
 use crate::handpicked::handpicked_features;
-use crate::ngrams::{ngram_counts, Gram};
+use crate::ngrams::Gram;
 
 /// Everything needed to re-vectorize one analyzed script without its AST.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,13 +34,14 @@ pub struct FeaturePayload {
 }
 
 impl FeaturePayload {
-    /// Distills one analysis into its cacheable payload.
-    pub(crate) fn extract(a: &ScriptAnalysis<'_>) -> FeaturePayload {
+    /// Distills one analysis into its cacheable payload, consuming it:
+    /// the AST and the graph are dropped here.
+    pub(crate) fn extract(a: ScriptAnalysis<'_>) -> FeaturePayload {
         FeaturePayload {
-            handpicked: handpicked_features(a),
+            handpicked: handpicked_features(&a),
             lint: a.lint.features(),
-            normalize: a.normalize.clone(),
-            ngrams: ngram_counts(&a.program),
+            normalize: a.normalize,
+            ngrams: a.tree.grams,
             degraded: a.degraded,
         }
     }

@@ -62,31 +62,27 @@ pub fn build_dataflow(scopes: &ScopeTree, opts: &DataFlowOptions) -> DataFlow {
         df.complete = false;
         return df;
     }
-    // Group reference indices by binding.
-    let n_bindings = scopes.bindings().len();
-    let mut defs: Vec<Vec<Span>> = vec![Vec::new(); n_bindings];
-    let mut uses: Vec<Vec<Span>> = vec![Vec::new(); n_bindings];
-    for r in scopes.references() {
-        if let Some(b) = r.binding {
+    let (mut def_sites, mut uses) = (Vec::new(), Vec::new());
+    for (b, binding) in scopes.bindings().iter().enumerate() {
+        def_sites.clear();
+        uses.clear();
+        for r in scopes.refs_of(b) {
             match r.kind {
-                RefKind::Read => uses[b].push(r.span),
-                RefKind::Write => defs[b].push(r.span),
+                RefKind::Read => uses.push(r.span),
+                RefKind::Write => def_sites.push(r.span),
                 RefKind::ReadWrite => {
-                    defs[b].push(r.span);
-                    uses[b].push(r.span);
+                    def_sites.push(r.span);
+                    uses.push(r.span);
                 }
             }
         }
-    }
-    for (b, binding) in scopes.bindings().iter().enumerate() {
         // The declaration site itself is a def.
-        let mut def_sites = defs[b].clone();
         if def_sites.is_empty() {
             def_sites.push(binding.decl_span);
         }
         let mut pairs = 0usize;
         'outer: for d in &def_sites {
-            for u in &uses[b] {
+            for u in &uses {
                 if d == u {
                     continue; // a ReadWrite site does not flow to itself
                 }

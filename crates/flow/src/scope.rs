@@ -141,6 +141,9 @@ pub struct ScopeTree {
     scopes: Vec<Scope>,
     bindings: Vec<Binding>,
     references: Vec<Reference>,
+    /// Per binding, the indices of its references in source order, so a
+    /// per-binding query costs that binding's references, not all of them.
+    refs_by_binding: Vec<Vec<u32>>,
     def_values: Vec<(Option<BindingId>, DefValueKind)>,
 }
 
@@ -165,9 +168,9 @@ impl ScopeTree {
         self.references.iter().filter(|r| r.binding.is_none())
     }
 
-    /// All references resolved to `binding`.
+    /// All references resolved to `binding`, in source order.
     pub fn refs_of(&self, binding: BindingId) -> impl Iterator<Item = &Reference> {
-        self.references.iter().filter(move |r| r.binding == Some(binding))
+        self.refs_by_binding[binding].iter().map(|&i| &self.references[i as usize])
     }
 
     /// `(reads, writes)` for a binding. A `ReadWrite` reference (compound
@@ -216,6 +219,7 @@ pub fn analyze_scopes(program: &Program) -> ScopeTree {
             scopes: Vec::new(),
             bindings: Vec::new(),
             references: Vec::new(),
+            refs_by_binding: Vec::new(),
             def_values: Vec::new(),
         },
     };
@@ -224,7 +228,14 @@ pub fn analyze_scopes(program: &Program) -> ScopeTree {
     for s in &program.body {
         b.stmt(s, global, global);
     }
-    b.tree
+    let mut tree = b.tree;
+    tree.refs_by_binding = vec![Vec::new(); tree.bindings.len()];
+    for (i, r) in tree.references.iter().enumerate() {
+        if let Some(b) = r.binding {
+            tree.refs_by_binding[b].push(i as u32);
+        }
+    }
+    tree
 }
 
 struct Builder {
@@ -920,6 +931,22 @@ mod tests {
             t.references().iter().filter(|r| r.name == "x" && r.kind == RefKind::Read).collect();
         assert_eq!(reads.len(), 1);
         assert!(reads[0].binding.is_some());
+    }
+
+    #[test]
+    fn refs_of_is_the_filter_over_all_references_in_order() {
+        let t = tree(
+            "var a = 1, b; function f(a) { a++; b = a; return g(a, b); } \
+             { let a = 2; a += b; } try { f(a); } catch (a) { a = b; } a = b = a;",
+        );
+        assert!(t.bindings().len() >= 4);
+        for b in 0..t.bindings().len() {
+            let filtered: Vec<*const Reference> =
+                t.references().iter().filter(|r| r.binding == Some(b)).map(|r| r as _).collect();
+            let indexed: Vec<*const Reference> = t.refs_of(b).map(|r| r as _).collect();
+            assert!(!indexed.is_empty(), "binding {} has no references", b);
+            assert_eq!(indexed, filtered, "binding {}", b);
+        }
     }
 
     #[test]

@@ -29,6 +29,9 @@ pub const SPAN_FLOW: &str = "flow";
 pub const SPAN_METRICS: &str = "metrics";
 /// Lint rule evaluation stage.
 pub const SPAN_LINT: &str = "lint";
+/// Feature-payload extraction, including the drop of the AST and graph
+/// (the last stage of every analysis that yields a payload).
+pub const SPAN_EXTRACT: &str = "extract";
 /// Lexer-only degraded re-analysis after a parse/lex failure.
 pub const SPAN_DEGRADED_FALLBACK: &str = "degraded_fallback";
 /// Batch analysis driver (covers the worker pool).
@@ -177,6 +180,7 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_FLOW,
     SPAN_METRICS,
     SPAN_LINT,
+    SPAN_EXTRACT,
     SPAN_DEGRADED_FALLBACK,
     SPAN_ANALYZE_MANY,
     SPAN_FIT_SPACE,

@@ -159,7 +159,7 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
 #[test]
 fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
     use jsdetect_suite::corpus::{chaos_corpus, module_corpus, regular_corpus};
-    use jsdetect_suite::features::{analyze, measure_deltas, neutral_deltas};
+    use jsdetect_suite::features::{analyze, measure_deltas, neutral_deltas, TreeStats};
     use jsdetect_suite::lint::LintRunner;
     use jsdetect_suite::transform::presets::Tool;
 
@@ -210,7 +210,7 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
             // The original-side inputs of the measurement, computed as the
             // front end computes them.
             let program = parse(src).expect("an Ok script parses");
-            let nodes = jsdetect_suite::ast::metrics::tree_shape(&program).node_count;
+            let tree = TreeStats::of(&program);
             let graph = jsdetect_suite::flow::analyze(&program);
             let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
             let (normalized, report) = normalize_program(&program, &opts());
@@ -219,7 +219,7 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
                 assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
                 continue;
             }
-            let full = measure_deltas(src, &program, &normalized, nodes, &lint);
+            let full = measure_deltas(src, &tree, &normalized, &lint);
             if report.total_rewrites() == 0 {
                 zero += 1;
                 assert_eq!(normalized, program, "{}: zero rewrites changed the tree", label);

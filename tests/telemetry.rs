@@ -44,6 +44,7 @@ fn analyze_emits_expected_span_set() {
         "analyze/flow",
         "analyze/metrics",
         "analyze/lint",
+        "analyze/extract",
         "analyze_many",
     ] {
         let stat = snap.span(path).unwrap_or_else(|| panic!("missing span {}", path));
@@ -52,6 +53,9 @@ fn analyze_emits_expected_span_set() {
     // The parse is the only lexing pass of a full analysis.
     assert!(snap.span("analyze/lex").is_none(), "a standalone scan ran on the full path");
     assert_eq!(snap.span("analyze").unwrap().count, 2);
+    // Extraction, with the drop of the AST and graph, is timed inside
+    // every analysis.
+    assert_eq!(snap.span("analyze/extract").unwrap().count, 2);
     assert_eq!(snap.counter("scripts_analyzed"), 2);
     assert_eq!(snap.counter("parse_failures"), 0);
     assert_eq!(snap.hist("script_bytes").unwrap().count(), 2);
