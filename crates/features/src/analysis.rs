@@ -279,7 +279,7 @@ mod tests {
         assert!(a.tokens.total > 0);
         assert!(a.graph.scopes.bindings().len() == 1);
         assert!(a.tree.max_depth >= 2);
-        assert!(!a.tree.grams().is_empty());
+        assert!(!a.tree.grams.is_empty());
     }
 
     #[test]

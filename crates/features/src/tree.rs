@@ -21,9 +21,10 @@ pub struct TreeStats {
     pub max_depth: usize,
     /// Maximum number of nodes sharing one depth level ("breadth").
     pub max_breadth: usize,
+    /// Raw 4-gram counts of the pre-order kind stream, sorted by gram.
+    pub grams: Vec<(Gram, u32)>,
     kinds: [u32; NodeKind::COUNT],
     pub(crate) hand: Walked,
-    pub(crate) grams: Vec<(Gram, u32)>,
 }
 
 impl TreeStats {
@@ -54,9 +55,9 @@ impl TreeStats {
             node_count,
             max_depth: per_depth.len().saturating_sub(1),
             max_breadth: per_depth.into_iter().max().unwrap_or(0),
+            grams: count_windows(windows),
             kinds,
             hand,
-            grams: count_windows(windows),
         }
     }
 
@@ -80,11 +81,6 @@ impl TreeStats {
     /// the string-entropy delta.
     pub fn mean_string_entropy(&self) -> f32 {
         (self.hand.string_entropy_sum / self.hand.string_count.max(1) as f64) as f32
-    }
-
-    /// Raw 4-gram counts of the pre-order kind stream, sorted by gram.
-    pub fn grams(&self) -> &[(Gram, u32)] {
-        &self.grams
     }
 }
 
@@ -114,7 +110,7 @@ mod tests {
         }
         let mut want: Vec<(Gram, u32)> = counts.into_iter().collect();
         want.sort_unstable();
-        assert_eq!(t.grams(), &want[..], "{}", label);
+        assert_eq!(t.grams, want, "{}", label);
         for k in NodeKind::ALL {
             assert_eq!(t.kind(k), stream.iter().filter(|s| **s == k).count(), "{}", label);
         }
