@@ -271,14 +271,6 @@ impl NodeKind {
         )
     }
 
-    /// Whether this kind participates in control-flow edges: statements,
-    /// `CatchClause`, and `ConditionalExpression` (paper §III-A).
-    pub fn is_control_flow(self) -> bool {
-        self.is_statement()
-            || matches!(self, NodeKind::CatchClause | NodeKind::ConditionalExpression)
-            || matches!(self, NodeKind::SwitchCase)
-    }
-
     /// Conditional control-flow kinds used by the corpus pre-filter
     /// (paper footnote 2).
     pub fn is_conditional(self) -> bool {
@@ -406,14 +398,6 @@ mod tests {
         assert!(NodeKind::ExpressionStatement.is_statement());
         assert!(!NodeKind::Identifier.is_statement());
         assert!(!NodeKind::ConditionalExpression.is_statement());
-    }
-
-    #[test]
-    fn control_flow_includes_catch_and_ternary() {
-        assert!(NodeKind::CatchClause.is_control_flow());
-        assert!(NodeKind::ConditionalExpression.is_control_flow());
-        assert!(NodeKind::IfStatement.is_control_flow());
-        assert!(!NodeKind::Literal.is_control_flow());
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl UnaryOp {
             Delete => "delete",
         }
     }
-
-    /// Whether the operator is a keyword (needs a trailing space).
-    pub fn is_keyword(self) -> bool {
-        matches!(self, UnaryOp::TypeOf | UnaryOp::Void | UnaryOp::Delete)
-    }
 }
 
 impl fmt::Display for UnaryOp {
@@ -346,15 +341,6 @@ mod tests {
         assert!(BinaryOp::BitXor.precedence() > BinaryOp::BitOr.precedence());
         assert!(LogicalOp::And.precedence() > LogicalOp::Or.precedence());
         assert!(BinaryOp::BitOr.precedence() > LogicalOp::And.precedence());
-    }
-
-    #[test]
-    fn keyword_unary_ops() {
-        assert!(UnaryOp::TypeOf.is_keyword());
-        assert!(UnaryOp::Void.is_keyword());
-        assert!(UnaryOp::Delete.is_keyword());
-        assert!(!UnaryOp::Not.is_keyword());
-        assert!(!UnaryOp::Minus.is_keyword());
     }
 
     #[test]

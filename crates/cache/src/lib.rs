@@ -40,6 +40,5 @@ pub use record::{
     RECORD_SCHEMA_VERSION,
 };
 pub use store::{
-    preset_tag, AnalysisCache, CacheConfig, PublishInjector, DEFAULT_LRU_CAPACITY, N_SHARDS,
-    PUBLISH_RETRIES, RECORD_EXT,
+    preset_tag, AnalysisCache, CacheConfig, PublishInjector, N_SHARDS, PUBLISH_RETRIES, RECORD_EXT,
 };

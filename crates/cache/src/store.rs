@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex};
 /// Number of two-hex-prefix shard directories.
 pub const N_SHARDS: usize = 256;
 
-/// Default in-memory LRU capacity (records).
-pub const DEFAULT_LRU_CAPACITY: usize = 4096;
+/// Capacity of the in-memory LRU front, in records.
+const LRU_CAPACITY: usize = 4096;
 
 /// File extension of cache records.
 pub const RECORD_EXT: &str = "jdc";
@@ -68,8 +68,6 @@ pub struct CacheConfig {
     pub preset: String,
     /// When set, lookups work but misses are never published back.
     pub readonly: bool,
-    /// Capacity of the in-memory LRU front, in records.
-    pub lru_capacity: usize,
 }
 
 impl CacheConfig {
@@ -81,7 +79,6 @@ impl CacheConfig {
             feature_version: jsdetect_features::FEATURE_SPACE_VERSION,
             preset: preset_tag(limits),
             readonly: false,
-            lru_capacity: DEFAULT_LRU_CAPACITY,
         }
     }
 }
@@ -124,7 +121,7 @@ impl AnalysisCache {
             std::fs::create_dir_all(&config.dir)?;
         }
         let shards = (0..N_SHARDS).map(|_| Mutex::new(())).collect();
-        let lru = Mutex::new(LruMap::new(config.lru_capacity));
+        let lru = Mutex::new(LruMap::new(LRU_CAPACITY));
         Ok(AnalysisCache {
             config,
             shards,

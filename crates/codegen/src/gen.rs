@@ -3,36 +3,15 @@
 use crate::writer::Writer;
 use jsdetect_ast::*;
 
-/// Output style options.
-#[derive(Debug, Clone)]
-pub struct CodegenOptions {
-    /// Emit no whitespace beyond what token boundaries require.
-    pub minify: bool,
-    /// Indentation unit for pretty output.
-    pub indent: String,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions { minify: false, indent: "    ".into() }
-    }
-}
-
-impl CodegenOptions {
-    /// Options for compact (whitespace-free) output.
-    pub fn minified() -> Self {
-        CodegenOptions { minify: true, indent: String::new() }
-    }
-}
-
-/// Prints a program with the given options.
-pub fn generate(program: &Program, opts: &CodegenOptions) -> String {
-    let mut g = Gen { w: Writer::new(opts.minify, &opts.indent) };
+/// Prints a program; `minify` emits no whitespace beyond what token
+/// boundaries require.
+fn generate(program: &Program, minify: bool) -> String {
+    let mut g = Gen { w: Writer::new(minify) };
     for s in &program.body {
         g.stmt(s);
     }
     let mut out = g.w.finish();
-    if !opts.minify && !out.ends_with('\n') && !out.is_empty() {
+    if !minify && !out.ends_with('\n') && !out.is_empty() {
         out.push('\n');
     }
     out
@@ -49,7 +28,7 @@ pub fn generate(program: &Program, opts: &CodegenOptions) -> String {
 /// assert_eq!(to_source(&prog), "var x = 1;\nif (x) f(x);\n");
 /// ```
 pub fn to_source(program: &Program) -> String {
-    generate(program, &CodegenOptions::default())
+    generate(program, false)
 }
 
 /// Prints a program in compact form (whitespace-stripped).
@@ -63,7 +42,7 @@ pub fn to_source(program: &Program) -> String {
 /// assert_eq!(to_minified(&prog), "var x=1;if(x){f(x);}");
 /// ```
 pub fn to_minified(program: &Program) -> String {
-    generate(program, &CodegenOptions::minified())
+    generate(program, true)
 }
 
 // Expression precedence levels used for parenthesization decisions.
@@ -1209,18 +1188,10 @@ mod tests {
     use jsdetect_parser::parse;
 
     #[test]
-    fn custom_indent_is_honoured() {
+    fn pretty_output_indents_four_spaces() {
         let prog = parse("if(x){f();}").unwrap();
-        let out = generate(&prog, &CodegenOptions { minify: false, indent: "\t".into() });
-        assert!(out.contains("\tf();"), "{:?}", out);
-    }
-
-    #[test]
-    fn minified_options_constructor() {
-        let o = CodegenOptions::minified();
-        assert!(o.minify);
-        let prog = parse("a();").unwrap();
-        assert_eq!(generate(&prog, &o), "a();");
+        assert_eq!(to_source(&prog), "if (x) {\n    f();\n}\n");
+        assert_eq!(to_minified(&prog), "if(x){f();}");
     }
 
     #[test]

@@ -12,4 +12,4 @@
 mod gen;
 mod writer;
 
-pub use gen::{escape_string, format_number, generate, to_minified, to_source, CodegenOptions};
+pub use gen::{escape_string, format_number, to_minified, to_source};

@@ -1,5 +1,8 @@
 //! Low-level output writer with token-boundary safety.
 
+/// Indentation unit for pretty output.
+const INDENT: &str = "    ";
+
 /// Accumulates output text, inserting separating spaces where two adjacent
 /// tokens would otherwise fuse into a different token (`a in b`, `x + +y`,
 /// `a / /re/.source`).
@@ -8,19 +11,12 @@ pub(crate) struct Writer {
     out: String,
     pub(crate) minify: bool,
     indent_level: usize,
-    indent: String,
     at_line_start: bool,
 }
 
 impl Writer {
-    pub(crate) fn new(minify: bool, indent: &str) -> Self {
-        Writer {
-            out: String::new(),
-            minify,
-            indent_level: 0,
-            indent: indent.to_string(),
-            at_line_start: true,
-        }
+    pub(crate) fn new(minify: bool) -> Self {
+        Writer { out: String::new(), minify, indent_level: 0, at_line_start: true }
     }
 
     pub(crate) fn finish(self) -> String {
@@ -47,7 +43,7 @@ impl Writer {
         }
         if self.at_line_start && !self.minify {
             for _ in 0..self.indent_level {
-                self.out.push_str(&self.indent);
+                self.out.push_str(INDENT);
             }
             self.at_line_start = false;
         }
@@ -96,7 +92,7 @@ mod tests {
 
     #[test]
     fn inserts_space_between_identifier_tokens() {
-        let mut w = Writer::new(true, "");
+        let mut w = Writer::new(true);
         w.token("var");
         w.token("x");
         assert_eq!(w.finish(), "var x");
@@ -104,7 +100,7 @@ mod tests {
 
     #[test]
     fn no_space_between_punct_and_ident() {
-        let mut w = Writer::new(true, "");
+        let mut w = Writer::new(true);
         w.token("(");
         w.token("x");
         w.token(")");
@@ -113,7 +109,7 @@ mod tests {
 
     #[test]
     fn plus_plus_separated() {
-        let mut w = Writer::new(true, "");
+        let mut w = Writer::new(true);
         w.token("a");
         w.token("+");
         w.token("+");
@@ -123,7 +119,7 @@ mod tests {
 
     #[test]
     fn slash_slash_separated() {
-        let mut w = Writer::new(true, "");
+        let mut w = Writer::new(true);
         w.token("a");
         w.token("/");
         w.token("/re/");
@@ -132,7 +128,7 @@ mod tests {
 
     #[test]
     fn pretty_mode_indents() {
-        let mut w = Writer::new(false, "  ");
+        let mut w = Writer::new(false);
         w.token("{");
         w.newline();
         w.indent_inc();
@@ -140,6 +136,6 @@ mod tests {
         w.newline();
         w.indent_dec();
         w.token("}");
-        assert_eq!(w.finish(), "{\n  x\n}");
+        assert_eq!(w.finish(), "{\n    x\n}");
     }
 }

@@ -55,11 +55,6 @@ impl AnalysisConfig {
     pub fn trusted() -> Self {
         AnalysisConfig { limits: Limits::trusted() }
     }
-
-    /// Preset for interactive / latency-sensitive use.
-    pub fn interactive() -> Self {
-        AnalysisConfig { limits: Limits::interactive() }
-    }
 }
 
 impl DetectorConfig {

@@ -20,7 +20,7 @@ use jsdetect::Technique;
 use jsdetect_experiments::{
     classify_ok, merge_bench_block, or_exit, train_cached, write_json, Args,
 };
-use jsdetect_guard::Limits;
+use jsdetect_guard::{Budget, Limits};
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use serde::Serialize;
 use serde_json::JsonValue;
@@ -85,16 +85,17 @@ fn main() {
     // on which a pass panicked (none are expected — they came from our own
     // transforms) keep their original text, so the two prediction passes
     // always align row for row.
-    // Deadline disabled for reproducibility; fuel and round caps bound
-    // the work.
-    let opts = NormalizeOptions { limits: Limits::unbounded(), ..NormalizeOptions::default() };
+    // Trusted limits disable the deadline for reproducibility; fuel and
+    // round caps bound the work.
+    let opts = NormalizeOptions::default();
     let mut normalized: Vec<String> = Vec::with_capacity(pools.test_level2.len());
     let mut n_reprinted = 0usize;
     let mut rewrites_total = 0u64;
     for sample in &pools.test_level2 {
         match jsdetect_parser::parse(&sample.src) {
             Ok(program) => {
-                let (program, report) = normalize_program(&program, &opts);
+                let budget = Budget::new(&Limits::trusted());
+                let (program, report) = normalize_program(&program, &opts, &budget);
                 if report.rolled_back() {
                     normalized.push(sample.src.clone());
                     continue;

@@ -17,10 +17,10 @@
 use crate::payload::FeaturePayload;
 use crate::tree::TreeStats;
 use jsdetect_ast::{Program, Span};
-use jsdetect_flow::{analyze_with, DataFlowOptions, ProgramGraph};
+use jsdetect_flow::ProgramGraph;
 use jsdetect_guard::{AnalysisError, Budget, Limits, OutcomeKind};
 use jsdetect_lexer::{tokenize_lossy, Comment, TokenCounts};
-use jsdetect_lint::{LintRunner, LintSummary};
+use jsdetect_lint::LintSummary;
 use jsdetect_obs::names;
 use jsdetect_parser::parse_with_comments_budget;
 
@@ -185,13 +185,13 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
 
     let graph = {
         let _s = jsdetect_obs::span(names::SPAN_FLOW);
-        analyze_with(&program, &DataFlowOptions::default())
+        jsdetect_flow::analyze(&program)
     };
     if !graph.dataflow.complete {
         jsdetect_obs::counter_add(names::CTR_FLOW_TRUNCATIONS, 1);
         jsdetect_obs::counter_add(
             names::CTR_FLOW_TRUNCATED_BINDINGS,
-            graph.dataflow.truncated_bindings.len() as u64,
+            graph.dataflow.truncated_bindings as u64,
         );
     }
     budget.check_cfg_edges(graph.control_flow.edges.len() as u64)?;
@@ -199,12 +199,16 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
 
     let lint = {
         let _s = jsdetect_obs::span(names::SPAN_LINT);
-        let (diagnostics, lint) = LintRunner::default().run_with_summary(src, &program, &graph);
+        let (diagnostics, lint) = jsdetect_lint::lint(src, &program, &graph);
         jsdetect_obs::counter_add(names::CTR_LINT_FIRES, diagnostics.len() as u64);
         lint
     };
+    budget.check_deadline()?;
 
-    let normalize = crate::deltas::normalize_deltas(src, &program, &tree, &lint);
+    let normalize = crate::deltas::normalize_deltas(src, &program, &tree, &lint, budget);
+    // A deadline hit inside normalization degrades it to the neutral
+    // block; the script is rejected instead, so no payload carries it.
+    budget.check_deadline()?;
 
     let analysis = ScriptAnalysis {
         src,
@@ -240,9 +244,9 @@ fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) ->
         }
     }
     let program = Program { body: Vec::new(), span: Span::new(0, src.len() as u32) };
-    let graph = analyze_with(&program, &DataFlowOptions::default());
+    let graph = jsdetect_flow::analyze(&program);
     let tree = TreeStats::of(&program);
-    let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
+    let lint = jsdetect_lint::lint(src, &program, &graph).1;
     jsdetect_obs::counter_add(names::CTR_DEGRADED_FALLBACKS, 1);
     let analysis = ScriptAnalysis {
         src,

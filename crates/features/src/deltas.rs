@@ -12,10 +12,13 @@
 //! end's one walk of the original tree ([`TreeStats`]), so a measurement
 //! walks only the normalized tree, with the same [`TreeStats::of`].
 //!
-//! Determinism matters here (cached payloads must replay bit-identically),
-//! so normalization runs with the wall-clock deadline disabled and relies
-//! on the rewrite-fuel and round caps alone; a degraded normalization
-//! yields the neutral vector instead of a partial measurement.
+//! Normalization charges the script's own [`Budget`], so the analysis
+//! deadline bounds it too; the rewrite fuel and the round cap bound it
+//! under every preset. A degraded normalization yields the neutral vector
+//! instead of a partial measurement. When the degradation is a deadline
+//! hit, the front end rejects the script after this stage, so the neutral
+//! vector never reaches a payload (cached payloads must replay
+//! bit-identically, and a deadline depends on the host).
 //!
 //! A normalization with zero rewrites also yields the neutral vector,
 //! without re-analysing the tree: the tree is then the input, and the full
@@ -26,8 +29,8 @@
 
 use crate::tree::TreeStats;
 use jsdetect_ast::Program;
-use jsdetect_guard::{Limits, OutcomeKind};
-use jsdetect_lint::{LintRunner, LintSummary, N_RULES, RULE_NAMES};
+use jsdetect_guard::{Budget, OutcomeKind};
+use jsdetect_lint::{LintSummary, N_RULES, RULE_NAMES};
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use jsdetect_obs::names;
 
@@ -57,17 +60,17 @@ pub fn delta_feature_names() -> Vec<String> {
 /// `src` is the *original* source text — the normalized AST is linted
 /// against it so the charset-based rules see the same bytes both times
 /// and only structural rules can move. `tree` and `lint` are the
-/// original program's statistics and lint summary.
+/// original program's statistics and lint summary; `budget` is the
+/// script's analysis budget.
 pub fn normalize_deltas(
     src: &str,
     program: &Program,
     tree: &TreeStats,
     lint: &LintSummary,
+    budget: &Budget,
 ) -> Vec<f32> {
     let _t = jsdetect_obs::span(names::SPAN_NORMALIZE_DELTAS);
-    // Deadline off for determinism; fuel and round caps still bound work.
-    let opts = NormalizeOptions { limits: Limits::unbounded(), ..NormalizeOptions::default() };
-    let (normalized, report) = normalize_program(program, &opts);
+    let (normalized, report) = normalize_program(program, &NormalizeOptions::default(), budget);
     if report.outcome != OutcomeKind::Ok || report.total_rewrites() == 0 {
         return neutral_deltas();
     }
@@ -90,7 +93,7 @@ pub fn measure_deltas(
     v.push(norm_tree.node_count as f32 / tree.node_count.max(1) as f32);
     v.push(norm_tree.mean_string_entropy() - tree.mean_string_entropy());
     let graph = jsdetect_flow::analyze(normalized);
-    let norm_lint = LintRunner::default().run_with_summary(src, normalized, &graph).1;
+    let norm_lint = jsdetect_lint::lint(src, normalized, &graph).1;
     let orig_densities = lint.features();
     let norm_densities = norm_lint.features();
     for i in 0..N_RULES {
@@ -103,6 +106,7 @@ pub fn measure_deltas(
 mod tests {
     use super::*;
     use crate::analyze;
+    use jsdetect_guard::Limits;
     use jsdetect_transform::{apply, Technique};
 
     /// The delta block the analysis front end computes for `src`.

@@ -189,7 +189,7 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
         (w.literal_true_loops as f64 / n_loops) as f32,
         (a.graph.control_flow.edges.len() as f64 / a.graph.control_flow.node_count.max(1) as f64)
             as f32,
-        (a.graph.dataflow.edges.len() as f64 / read_refs) as f32,
+        (a.graph.dataflow.pairs as f64 / read_refs) as f32,
         (global_refs / n_refs) as f32,
         (n_functions / lines) as f32,
         (w.param_count as f64 / n_functions) as f32,

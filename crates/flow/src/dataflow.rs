@@ -6,59 +6,41 @@
 //! the scope analysis: every write/declaration of a binding flows to every
 //! read of the same binding.
 //!
+//! The features read the data-flow layer only through counts (§III-B),
+//! so the pairs are counted, not stored.
+//!
 //! The paper aborts data-flow generation after a two-minute timeout and
-//! falls back to the control-flow-only graph; we mirror that with a node
-//! budget ([`DataFlowOptions::max_refs`]) so behaviour is deterministic.
+//! falls back to the control-flow-only graph; we mirror that with a
+//! reference budget ([`MAX_REFS`]) so behaviour is deterministic, and cap
+//! the quadratic def×use pairing of each binding at
+//! [`MAX_PAIRS_PER_BINDING`].
 
 use crate::scope::{RefKind, ScopeTree};
-use jsdetect_ast::Span;
 
-/// Options bounding data-flow construction.
-#[derive(Debug, Clone)]
-pub struct DataFlowOptions {
-    /// Maximum number of references to process before giving up (the
-    /// deterministic stand-in for the paper's two-minute timeout). The
-    /// quadratic def×use pairing is also capped per binding.
-    pub max_refs: usize,
-    /// Maximum def→use pairs recorded per binding.
-    pub max_pairs_per_binding: usize,
-}
-
-impl Default for DataFlowOptions {
-    fn default() -> Self {
-        DataFlowOptions { max_refs: 200_000, max_pairs_per_binding: 4_096 }
-    }
-}
-
-/// A def→use edge between two identifier occurrences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DfEdge {
-    /// Span of the defining identifier occurrence.
-    pub def: Span,
-    /// Span of the using identifier occurrence.
-    pub use_: Span,
-    /// Binding the edge belongs to.
-    pub binding: usize,
-}
+/// References processed before giving up (the deterministic stand-in for
+/// the paper's two-minute timeout).
+const MAX_REFS: usize = 200_000;
+/// Def→use pairs counted per binding.
+const MAX_PAIRS_PER_BINDING: usize = 4_096;
 
 /// The data-flow layer of the program graph.
 #[derive(Debug, Clone, Default)]
 pub struct DataFlow {
-    /// All def→use edges.
-    pub edges: Vec<DfEdge>,
-    /// `false` if construction hit the budget and the graph is partial
+    /// Number of def→use pairs between `Identifier` occurrences.
+    pub pairs: usize,
+    /// `false` if construction hit a budget and the count is partial
     /// (the paper's timeout fallback).
     pub complete: bool,
-    /// Binding ids whose def×use pairing was cut off by
-    /// [`DataFlowOptions::max_pairs_per_binding`]. Empty when `complete`
-    /// is only false because of the global `max_refs` budget.
-    pub truncated_bindings: Vec<usize>,
+    /// Bindings whose def×use pairing was cut off at
+    /// `MAX_PAIRS_PER_BINDING` (4 096). Zero when `complete` is only false
+    /// because the script has more than `MAX_REFS` (200 000) references.
+    pub truncated_bindings: usize,
 }
 
-/// Builds def→use edges from a scope analysis.
-pub fn build_dataflow(scopes: &ScopeTree, opts: &DataFlowOptions) -> DataFlow {
-    let mut df = DataFlow { edges: Vec::new(), complete: true, truncated_bindings: Vec::new() };
-    if scopes.references().len() > opts.max_refs {
+/// Counts def→use pairs from a scope analysis.
+pub fn build_dataflow(scopes: &ScopeTree) -> DataFlow {
+    let mut df = DataFlow { pairs: 0, complete: true, truncated_bindings: 0 };
+    if scopes.references().len() > MAX_REFS {
         df.complete = false;
         return df;
     }
@@ -86,17 +68,17 @@ pub fn build_dataflow(scopes: &ScopeTree, opts: &DataFlowOptions) -> DataFlow {
                 if d == u {
                     continue; // a ReadWrite site does not flow to itself
                 }
-                // Check *before* pushing: a binding whose pair count lands
+                // Check *before* counting: a binding whose pair count lands
                 // exactly on the cap lost nothing and stays complete.
-                if pairs == opts.max_pairs_per_binding {
+                if pairs == MAX_PAIRS_PER_BINDING {
                     df.complete = false;
-                    df.truncated_bindings.push(b);
+                    df.truncated_bindings += 1;
                     break 'outer;
                 }
-                df.edges.push(DfEdge { def: *d, use_: *u, binding: b });
                 pairs += 1;
             }
         }
+        df.pairs += pairs;
     }
     df
 }
@@ -107,96 +89,91 @@ mod tests {
     use crate::scope::analyze_scopes;
     use jsdetect_parser::parse;
 
-    fn df(src: &str) -> (DataFlow, ScopeTree) {
-        let prog = parse(src).unwrap();
-        let scopes = analyze_scopes(&prog);
-        let df = build_dataflow(&scopes, &DataFlowOptions::default());
-        (df, scopes)
+    fn df(src: &str) -> DataFlow {
+        build_dataflow(&analyze_scopes(&parse(src).unwrap()))
+    }
+
+    /// `defs` writes and `uses` reads of one binding `x`.
+    fn binding(defs: usize, uses: usize) -> String {
+        "var x = 0;".to_string() + &"x = 0;".repeat(defs - 1) + &"f(x);".repeat(uses)
     }
 
     #[test]
     fn def_flows_to_use() {
-        let (d, _) = df("var x = 1; f(x);");
-        assert_eq!(d.edges.len(), 1);
+        let d = df("var x = 1; f(x);");
+        assert_eq!(d.pairs, 1);
         assert!(d.complete);
     }
 
     #[test]
-    fn multiple_uses_multiple_edges() {
-        let (d, _) = df("var x = 1; f(x); g(x); h(x);");
-        assert_eq!(d.edges.len(), 3);
+    fn multiple_uses_multiple_pairs() {
+        assert_eq!(df("var x = 1; f(x); g(x); h(x);").pairs, 3);
     }
 
     #[test]
     fn reassignment_adds_defs() {
-        let (d, _) = df("var x = 1; x = 2; f(x);");
         // Two defs × one use (flow-insensitive).
-        assert_eq!(d.edges.len(), 2);
+        assert_eq!(df("var x = 1; x = 2; f(x);").pairs, 2);
     }
 
     #[test]
-    fn unused_variable_has_no_edges() {
-        let (d, _) = df("var lonely = 1;");
-        assert!(d.edges.is_empty());
+    fn read_write_site_does_not_flow_to_itself() {
+        // Defs {decl, x++}, uses {x++, f(x)}: 2 × 2 minus the self pair.
+        assert_eq!(df("var x = 1; x++; f(x);").pairs, 3);
     }
 
     #[test]
-    fn globals_do_not_produce_edges() {
-        let (d, _) = df("console.log(window);");
-        assert!(d.edges.is_empty());
+    fn unused_variable_has_no_pairs() {
+        assert_eq!(df("var lonely = 1;").pairs, 0);
     }
 
     #[test]
-    fn budget_marks_incomplete() {
-        let prog = parse("var x = 1; f(x);").unwrap();
-        let scopes = analyze_scopes(&prog);
-        let d =
-            build_dataflow(&scopes, &DataFlowOptions { max_refs: 0, max_pairs_per_binding: 10 });
-        assert!(!d.complete);
-        assert!(d.edges.is_empty());
+    fn globals_do_not_produce_pairs() {
+        assert_eq!(df("console.log(window);").pairs, 0);
+    }
+
+    #[test]
+    fn reference_budget_marks_incomplete() {
+        // One def→use pair plus `n` references to an undeclared global.
+        let src = |n: usize| "var x = 1; f(x);".to_string() + &"g;".repeat(n);
+        let base = analyze_scopes(&parse(&src(0)).unwrap()).references().len();
+
+        let at_cap = df(&src(MAX_REFS - base));
+        assert!(at_cap.complete);
+        assert_eq!(at_cap.pairs, 1);
+
+        let over = df(&src(MAX_REFS - base + 1));
+        assert!(!over.complete);
+        assert_eq!(over.pairs, 0);
+        assert_eq!(over.truncated_bindings, 0, "a reference cut truncates no binding");
     }
 
     #[test]
     fn pair_budget_truncates() {
-        // 3 defs × 3 uses = 9 pairs; cap at 4.
-        let src = "var x = 1; x = 2; x = 3; f(x); g(x); h(x);";
-        let prog = parse(src).unwrap();
-        let scopes = analyze_scopes(&prog);
-        let d =
-            build_dataflow(&scopes, &DataFlowOptions { max_refs: 1000, max_pairs_per_binding: 4 });
+        // 65 defs × 64 uses = 4 160 pairs, cut at 4 096.
+        let d = df(&binding(65, 64));
         assert!(!d.complete);
-        assert_eq!(d.edges.len(), 4);
-        assert_eq!(d.truncated_bindings.len(), 1);
+        assert_eq!(d.pairs, MAX_PAIRS_PER_BINDING);
+        assert_eq!(d.truncated_bindings, 1);
     }
 
     #[test]
     fn exactly_at_cap_stays_complete() {
-        // 1 def × 3 uses = 3 pairs, cap at exactly 3: nothing was dropped,
-        // so the graph must still report complete (regression: the old
-        // check ran after the push and flagged exact-cap bindings).
-        let src = "var x = 1; f(x); g(x); h(x);";
-        let prog = parse(src).unwrap();
-        let scopes = analyze_scopes(&prog);
-        let d =
-            build_dataflow(&scopes, &DataFlowOptions { max_refs: 1000, max_pairs_per_binding: 3 });
+        // 64 defs × 64 uses = 4 096 pairs, exactly the cap: nothing was
+        // dropped, so the graph must still report complete (regression:
+        // the old check ran after the push and flagged exact-cap bindings).
+        let d = df(&binding(64, 64));
         assert!(d.complete, "exact-cap binding must not be marked truncated");
-        assert_eq!(d.edges.len(), 3);
-        assert!(d.truncated_bindings.is_empty());
+        assert_eq!(d.pairs, MAX_PAIRS_PER_BINDING);
+        assert_eq!(d.truncated_bindings, 0);
     }
 
     #[test]
-    fn truncation_is_recorded_per_binding() {
-        // `x` exceeds the cap; `y` fits under it.
-        let src = "var x = 1; f(x); g(x); h(x); var y = 2; f(y);";
-        let prog = parse(src).unwrap();
-        let scopes = analyze_scopes(&prog);
-        let d =
-            build_dataflow(&scopes, &DataFlowOptions { max_refs: 1000, max_pairs_per_binding: 2 });
+    fn truncation_is_counted_per_binding() {
+        // `x` exceeds the cap; `y` fits under it and keeps its pair.
+        let d = df(&(binding(65, 64) + "var y = 2; f(y);"));
         assert!(!d.complete);
-        assert_eq!(d.truncated_bindings.len(), 1);
-        let b = d.truncated_bindings[0];
-        assert_eq!(scopes.bindings()[b].name, "x");
+        assert_eq!(d.truncated_bindings, 1);
+        assert_eq!(d.pairs, MAX_PAIRS_PER_BINDING + 1);
     }
-
-    use crate::scope::ScopeTree;
 }

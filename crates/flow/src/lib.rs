@@ -3,9 +3,10 @@
 //! This crate reproduces the JSTAP-style graph layer the paper builds on
 //! top of Esprima's AST (§III-A): scope-aware identifier resolution,
 //! control-flow edges restricted to statement-level nodes (plus
-//! `CatchClause`, `SwitchCase`, and `ConditionalExpression`), and def→use
-//! data-flow edges between `Identifier` nodes. The paper's two-minute
-//! data-flow timeout is mirrored by a deterministic node budget.
+//! `CatchClause`, `SwitchCase`, and `ConditionalExpression`), and the
+//! count of def→use data-flow pairs between `Identifier` nodes. The
+//! paper's two-minute data-flow timeout is mirrored by fixed reference and
+//! per-binding pair budgets.
 //!
 //! # Examples
 //!
@@ -16,7 +17,7 @@
 //! let prog = parse("var x = 1; if (x) f(x);").unwrap();
 //! let graph = analyze(&prog);
 //! assert!(graph.dataflow.complete);
-//! assert_eq!(graph.dataflow.edges.len(), 2); // x flows to `if (x)` and `f(x)`
+//! assert_eq!(graph.dataflow.pairs, 2); // x flows to `if (x)` and `f(x)`
 //! ```
 
 #![warn(missing_docs)]
@@ -27,7 +28,7 @@ mod dataflow;
 mod scope;
 
 pub use cfg::{build_cfg, CfEdge, CfEdgeKind, CfNode, ControlFlow};
-pub use dataflow::{build_dataflow, DataFlow, DataFlowOptions, DfEdge};
+pub use dataflow::{build_dataflow, DataFlow};
 pub use scope::{
     analyze_scopes, classify_def_value, Binding, BindingId, BindingKind, DefValueKind, RefKind,
     Reference, Scope, ScopeId, ScopeKind, ScopeTree,
@@ -42,20 +43,16 @@ pub struct ProgramGraph {
     pub scopes: ScopeTree,
     /// Control-flow edges.
     pub control_flow: ControlFlow,
-    /// Data-flow (def→use) edges.
+    /// Data-flow (def→use) pair count.
     pub dataflow: DataFlow,
 }
 
-/// Analyzes a program with default options.
+/// Analyzes a program: scopes, control flow, and data flow within its
+/// budgets.
 pub fn analyze(program: &Program) -> ProgramGraph {
-    analyze_with(program, &DataFlowOptions::default())
-}
-
-/// Analyzes a program with explicit data-flow budgets.
-pub fn analyze_with(program: &Program, opts: &DataFlowOptions) -> ProgramGraph {
     let scopes = analyze_scopes(program);
     let control_flow = build_cfg(program);
-    let dataflow = build_dataflow(&scopes, opts);
+    let dataflow = build_dataflow(&scopes);
     ProgramGraph { scopes, control_flow, dataflow }
 }
 
@@ -65,9 +62,9 @@ mod tests {
     use jsdetect_parser::parse;
 
     #[test]
-    fn analyze_with_zero_budget_is_partial() {
-        let prog = parse("var x = 1; f(x);").unwrap();
-        let g = analyze_with(&prog, &DataFlowOptions { max_refs: 0, max_pairs_per_binding: 1 });
+    fn reference_budget_overrun_is_partial() {
+        let src = "var x = 1;".to_string() + &"f(x);".repeat(100_000);
+        let g = analyze(&parse(&src).unwrap());
         assert!(!g.dataflow.complete);
         // Control flow and scopes are still available (the paper's
         // two-minute-timeout fallback keeps the CF-enhanced AST).

@@ -65,7 +65,7 @@ pub struct Diagnostic {
 }
 
 /// A single lint rule.
-pub trait Rule {
+pub trait Rule: Sync {
     /// Stable kebab-case identifier.
     fn name(&self) -> &'static str;
     /// Severity of this rule's findings.
@@ -90,53 +90,18 @@ pub const RULE_NAMES: [&str; N_RULES] = [
     "comma-sequence-density",
 ];
 
-/// Runs a set of rules over one program in a single collection pass.
-pub struct LintRunner {
-    rules: Vec<Box<dyn Rule>>,
-}
-
-impl Default for LintRunner {
-    /// A runner with every built-in rule enabled.
-    fn default() -> Self {
-        LintRunner { rules: rules::default_rules() }
+/// Lints one program with every built-in rule, in a single collection
+/// pass: the diagnostics sorted by span, and the per-rule summary used as
+/// classifier features.
+pub fn lint(src: &str, program: &Program, graph: &ProgramGraph) -> (Vec<Diagnostic>, LintSummary) {
+    let ctx = LintContext::collect(src, program, graph);
+    let mut out = Vec::new();
+    for rule in &rules::RULES {
+        rule.check(&ctx, &mut out);
     }
-}
-
-impl LintRunner {
-    /// A runner with a custom rule set.
-    pub fn new(rules: Vec<Box<dyn Rule>>) -> Self {
-        LintRunner { rules }
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[Box<dyn Rule>] {
-        &self.rules
-    }
-
-    /// Lints one program; diagnostics come back sorted by span.
-    pub fn run(&self, src: &str, program: &Program, graph: &ProgramGraph) -> Vec<Diagnostic> {
-        self.run_with_summary(src, program, graph).0
-    }
-
-    /// Lints one program and also returns the per-rule summary used as
-    /// classifier features.
-    pub fn run_with_summary(
-        &self,
-        src: &str,
-        program: &Program,
-        graph: &ProgramGraph,
-    ) -> (Vec<Diagnostic>, LintSummary) {
-        let ctx = LintContext::collect(src, program, graph);
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            rule.check(&ctx, &mut out);
-        }
-        out.sort_by(|a, b| {
-            (a.span.start, a.span.end, a.rule).cmp(&(b.span.start, b.span.end, b.rule))
-        });
-        let summary = LintSummary::new(&out, ctx.facts.statements);
-        (out, summary)
-    }
+    out.sort_by(|a, b| (a.span.start, a.span.end, a.rule).cmp(&(b.span.start, b.span.end, b.rule)));
+    let summary = LintSummary::new(&out, ctx.facts.statements);
+    (out, summary)
 }
 
 /// Per-rule hit counts for one script, plus the statement count used to
@@ -199,9 +164,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_rules_match_rule_names() {
-        let runner = LintRunner::default();
-        let names: Vec<&str> = runner.rules().iter().map(|r| r.name()).collect();
+    fn rules_match_rule_names() {
+        let names: Vec<&str> = rules::RULES.iter().map(|r| r.name()).collect();
         assert_eq!(names, RULE_NAMES.to_vec());
     }
 

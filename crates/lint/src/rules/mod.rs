@@ -1,6 +1,6 @@
 //! The built-in rule set.
 //!
-//! One module per rule; [`default_rules`] instantiates them in
+//! One module per rule; `RULES` holds one of each, in
 //! [`crate::RULE_NAMES`] order.
 
 mod comma_sequence;
@@ -23,19 +23,17 @@ pub use self_defending::SelfDefendingToString;
 pub use unreachable::UnreachableCode;
 pub use unused::UnusedBinding;
 
-use crate::Rule;
+use crate::{Rule, N_RULES};
 
 /// All built-in rules, in [`crate::RULE_NAMES`] order.
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(UnreachableCode),
-        Box::new(UnusedBinding),
-        Box::new(FlatteningDispatcher),
-        Box::new(GlobalStringArray),
-        Box::new(StringDecoderCall),
-        Box::new(DebuggerInLoop),
-        Box::new(SelfDefendingToString),
-        Box::new(NonAlphanumericDensity),
-        Box::new(CommaSequenceDensity),
-    ]
-}
+pub(crate) static RULES: [&dyn Rule; N_RULES] = [
+    &UnreachableCode,
+    &UnusedBinding,
+    &FlatteningDispatcher,
+    &GlobalStringArray,
+    &StringDecoderCall,
+    &DebuggerInLoop,
+    &SelfDefendingToString,
+    &NonAlphanumericDensity,
+    &CommaSequenceDensity,
+];

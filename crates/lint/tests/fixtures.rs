@@ -1,7 +1,7 @@
 //! Fixture tests: every rule must fire on the transform preset that
 //! produces its signature and stay silent on clean input.
 
-use jsdetect_lint::{Diagnostic, LintRunner, Severity};
+use jsdetect_lint::{Diagnostic, Severity};
 use jsdetect_parser::parse;
 use jsdetect_transform::{apply, Technique};
 
@@ -29,7 +29,7 @@ log('done with work');
 fn lint(src: &str) -> Vec<Diagnostic> {
     let program = parse(src).expect("fixture must parse");
     let graph = jsdetect_flow::analyze(&program);
-    LintRunner::default().run(src, &program, &graph)
+    jsdetect_lint::lint(src, &program, &graph).0
 }
 
 fn transformed(t: Technique) -> String {

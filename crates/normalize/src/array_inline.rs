@@ -32,6 +32,11 @@ impl Pass for ArrayInlinePass {
         let mut scan_from = 0;
         while scan_from < program.body.len() {
             self.cx_tick(cx);
+            // Past a deadline or out of fuel no pool can be rewritten, and
+            // each one costs a scope analysis of the whole program.
+            if !cx.healthy() {
+                break;
+            }
             let Some(pool) = find_pool(program, scan_from) else { break };
             // Never rescan this prelude: whether or not anything below
             // succeeds, the cursor moves past it, bounding the loop by the
@@ -278,7 +283,8 @@ fn remaining_refs(program: &mut Program, pool: &Pool) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::{normalize_program, NormalizeOptions, PassKind};
+    use crate::tests::normalize;
+    use crate::{NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -286,7 +292,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::ArrayInline], ..NormalizeOptions::default() };
-        to_minified(&normalize_program(&p, &opts).0)
+        to_minified(&normalize(&p, &opts).0)
     }
 
     #[test]
@@ -354,7 +360,7 @@ mod tests {
                 passes: vec![PassKind::ArrayInline],
                 ..NormalizeOptions::default()
             };
-            let (p, report) = normalize_program(&parse(&obf).unwrap(), &opts);
+            let (p, report) = normalize(&parse(&obf).unwrap(), &opts);
             assert!(report.total_rewrites() > 0, "seed {}", seed);
             assert_eq!(to_minified(&p), canonical, "seed {}", seed);
         }

@@ -136,7 +136,8 @@ fn is_static_member(e: &Expr, object: &str, name: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use crate::{normalize_program, NormalizeOptions, PassKind};
+    use crate::tests::normalize;
+    use crate::{NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -146,7 +147,7 @@ mod tests {
             passes: vec![PassKind::StringConcat],
             ..NormalizeOptions::default()
         };
-        to_minified(&normalize_program(&p, &opts).0)
+        to_minified(&normalize(&p, &opts).0)
     }
 
     #[test]
@@ -197,8 +198,7 @@ mod tests {
         let src = "function greet() { return 'hello world, obfuscated people'; }";
         for seed in [1u64, 2, 3, 4, 5] {
             let obf = apply(src, &[Technique::StringObfuscation], seed).unwrap();
-            let (p, report) =
-                normalize_program(&parse(&obf).unwrap(), &NormalizeOptions::default());
+            let (p, report) = normalize(&parse(&obf).unwrap(), &NormalizeOptions::default());
             let out = to_minified(&p);
             // Whatever mix of split/reverse/fromCharCode the seed picked,
             // every statically decodable chain must collapse; the encoded

@@ -320,7 +320,8 @@ fn strict_types_differ(l: &LitValue, r: &LitValue) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use crate::{normalize_program, NormalizeOptions, PassKind};
+    use crate::tests::normalize;
+    use crate::{NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -328,7 +329,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Constants], ..NormalizeOptions::default() };
-        to_minified(&normalize_program(&p, &opts).0)
+        to_minified(&normalize(&p, &opts).0)
     }
 
     #[test]

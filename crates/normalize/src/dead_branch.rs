@@ -81,7 +81,8 @@ impl MutVisitor for Eliminate<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{normalize_program, NormalizeOptions, PassKind};
+    use crate::tests::normalize;
+    use crate::{NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -89,7 +90,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::DeadBranch], ..NormalizeOptions::default() };
-        to_minified(&normalize_program(&p, &opts).0)
+        to_minified(&normalize(&p, &opts).0)
     }
 
     #[test]

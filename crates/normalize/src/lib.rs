@@ -14,10 +14,9 @@
 //! trips. Three bounds keep hostile input from looping the normalizer:
 //!
 //! - a **round cap** ([`NormalizeOptions::max_rounds`]),
-//! - a **rewrite fuel** shared by all passes
-//!   ([`NormalizeOptions::max_rewrites`]), and
-//! - the usual [`jsdetect_guard::Budget`] wall-clock deadline from
-//!   [`NormalizeOptions::limits`].
+//! - a **rewrite fuel** of 100 000 rewrites shared by all passes, and
+//! - the wall-clock deadline of the caller's [`jsdetect_guard::Budget`],
+//!   the same budget the rest of the script's analysis charges.
 //!
 //! A run borrows the input and rewrites a single working copy, the only
 //! clone it makes. Every pass runs inside [`jsdetect_guard::isolate`], so
@@ -36,12 +35,14 @@
 //! # Examples
 //!
 //! ```
+//! use jsdetect_guard::{Budget, Limits};
 //! use jsdetect_normalize::{normalize_program, NormalizeOptions};
 //! # use jsdetect_ast::*;
 //! # fn parse_fixture() -> Program { Program { body: vec![], span: Span::DUMMY } }
 //!
 //! let input = parse_fixture();
-//! let (normalized, report) = normalize_program(&input, &NormalizeOptions::default());
+//! let budget = Budget::new(&Limits::trusted());
+//! let (normalized, report) = normalize_program(&input, &NormalizeOptions::default(), &budget);
 //! assert_eq!(report.outcome, jsdetect_guard::OutcomeKind::Ok);
 //! assert_eq!(normalized, input);
 //! ```
@@ -57,9 +58,13 @@ mod eval;
 mod sequence;
 
 use jsdetect_ast::Program;
-use jsdetect_guard::{isolate, AnalysisError, Budget, Limits, OutcomeKind};
+use jsdetect_guard::{isolate, AnalysisError, Budget, OutcomeKind};
 use jsdetect_obs::names;
 use std::cell::{Cell, RefCell};
+
+/// Total rewrite fuel shared by all passes across all rounds; running out
+/// degrades the outcome.
+const MAX_REWRITES: u64 = 100_000;
 
 /// The individual passes, in their canonical execution order.
 ///
@@ -186,29 +191,11 @@ pub struct NormalizeOptions {
     /// Maximum fixpoint rounds before giving up (not a degradation: the
     /// program is simply normalized as far as the cap allows).
     pub max_rounds: u32,
-    /// Total rewrite fuel shared by all passes across all rounds; running
-    /// out degrades the outcome.
-    pub max_rewrites: u64,
-    /// Guard limits; only the deadline axis is charged by the normalizer
-    /// itself (structural axes were already enforced at parse time).
-    pub limits: Limits,
 }
 
 impl Default for NormalizeOptions {
     fn default() -> Self {
-        NormalizeOptions {
-            passes: PassKind::ALL.to_vec(),
-            max_rounds: 8,
-            max_rewrites: 100_000,
-            limits: Limits::trusted(),
-        }
-    }
-}
-
-impl NormalizeOptions {
-    /// Options for untrusted input: wild guard limits, same pass suite.
-    pub fn wild() -> Self {
-        NormalizeOptions { limits: Limits::wild(), ..NormalizeOptions::default() }
+        NormalizeOptions { passes: PassKind::ALL.to_vec(), max_rounds: 8 }
     }
 }
 
@@ -251,29 +238,37 @@ impl NormalizeReport {
 /// Drives the enabled passes to a fixpoint over a copy of `input` and
 /// returns the normalized copy with the report.
 ///
+/// The passes tick `budget`'s deadline clock; only that axis is charged
+/// here (the structural axes were enforced at parse time). A deadline hit
+/// degrades the run and stays recorded in `budget`.
+///
 /// `input` is cloned exactly once. When the report shows zero rewrites and
 /// an `Ok` outcome, the returned program equals `input`. On a degraded
 /// outcome the returned program is still a *valid* AST: a fuel or deadline
 /// cut keeps the partial rewrite (every individual rewrite is atomic),
 /// while a pass panic discards the working copy and returns a fresh copy
 /// of the input ([`NormalizeReport::rolled_back`]).
-pub fn normalize_program(input: &Program, opts: &NormalizeOptions) -> (Program, NormalizeReport) {
+pub fn normalize_program(
+    input: &Program,
+    opts: &NormalizeOptions,
+    budget: &Budget,
+) -> (Program, NormalizeReport) {
     let passes: Vec<&dyn Pass> = opts.passes.iter().map(|kind| kind.pass()).collect();
-    run_passes(input, &passes, opts)
+    run_passes(input, &passes, opts.max_rounds, budget)
 }
 
 /// The fixpoint loop behind [`normalize_program`], over explicit pass
-/// instances (`opts.passes` is ignored).
+/// instances.
 fn run_passes(
     input: &Program,
     passes: &[&dyn Pass],
-    opts: &NormalizeOptions,
+    max_rounds: u32,
+    budget: &Budget,
 ) -> (Program, NormalizeReport) {
     let _span = jsdetect_obs::span(names::SPAN_NORMALIZE);
-    let budget = Budget::new(&opts.limits);
     let cx = PassCx {
-        budget: &budget,
-        fuel: Cell::new(opts.max_rewrites),
+        budget,
+        fuel: Cell::new(MAX_REWRITES),
         fuel_exhausted: Cell::new(false),
         error: RefCell::new(None),
     };
@@ -286,7 +281,7 @@ fn run_passes(
     };
     let mut program = input.clone();
 
-    'rounds: for _ in 0..opts.max_rounds {
+    'rounds: for _ in 0..max_rounds {
         report.rounds += 1;
         let mut round_rewrites = 0u64;
         for (i, pass) in passes.iter().enumerate() {
@@ -331,12 +326,27 @@ fn run_passes(
 mod tests {
     use super::*;
     use jsdetect_codegen::to_minified;
+    use jsdetect_guard::Limits;
     use jsdetect_parser::parse;
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    /// Normalizes `input` under trusted limits.
+    pub(crate) fn normalize(
+        input: &Program,
+        opts: &NormalizeOptions,
+    ) -> (Program, NormalizeReport) {
+        normalize_program(input, opts, &Budget::new(&Limits::trusted()))
+    }
+
     fn norm(src: &str) -> (String, NormalizeReport) {
-        let (p, report) = normalize_program(&parse(src).unwrap(), &NormalizeOptions::default());
+        let (p, report) = normalize(&parse(src).unwrap(), &NormalizeOptions::default());
         (to_minified(&p), report)
+    }
+
+    /// Statements that each fold ten `+`s: 10 010 rewrites per 1 001
+    /// statements, so `MAX_REWRITES / 10 + 1` of them run out of fuel.
+    fn fold_chain(statements: usize) -> String {
+        "x = 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 10 + 11;\n".repeat(statements)
     }
 
     /// Does nothing in round 1; in round 2 it mangles the copy, then
@@ -391,12 +401,17 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_degrades_instead_of_looping() {
-        let src = "var a = 1 + 2; var b = 3 + 4; var c = 5 + 6; var d = 'x' + 'y';";
-        let opts = NormalizeOptions { max_rewrites: 2, ..NormalizeOptions::default() };
-        let (p, report) = normalize_program(&parse(src).unwrap(), &opts);
+        let at_cap = fold_chain(MAX_REWRITES as usize / 10);
+        let (_, report) = normalize(&parse(&at_cap).unwrap(), &NormalizeOptions::default());
+        assert!(!report.fuel_exhausted);
+        assert_eq!(report.outcome, OutcomeKind::Ok);
+        assert_eq!(report.total_rewrites(), MAX_REWRITES);
+
+        let src = fold_chain(MAX_REWRITES as usize / 10 + 1);
+        let (p, report) = normalize(&parse(&src).unwrap(), &NormalizeOptions::default());
         assert!(report.fuel_exhausted);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
-        assert!(report.total_rewrites() <= 2);
+        assert_eq!(report.total_rewrites(), MAX_REWRITES);
         // The partially rewritten program still prints and reparses.
         let printed = to_minified(&p);
         assert!(parse(&printed).is_ok(), "{}", printed);
@@ -407,7 +422,7 @@ mod tests {
         let src = "x = (1, 2, f());";
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        let (_, report) = normalize_program(&parse(src).unwrap(), &opts);
+        let (_, report) = normalize(&parse(src).unwrap(), &opts);
         assert_eq!(report.rewrites.len(), 1);
         assert_eq!(report.rewrites_for(PassKind::Constants), 0);
     }
@@ -415,7 +430,7 @@ mod tests {
     #[test]
     fn zero_rewrites_return_the_input_unchanged() {
         let input = parse("function f(a) { return a.b(c, 'd'); } f(x);").unwrap();
-        let (out, report) = normalize_program(&input, &NormalizeOptions::default());
+        let (out, report) = normalize(&input, &NormalizeOptions::default());
         assert_eq!(report.total_rewrites(), 0);
         assert_eq!(report.outcome, OutcomeKind::Ok);
         assert_eq!(out, input);
@@ -428,7 +443,8 @@ mod tests {
         let input = parse("var k = 1 + 2; use(k);").unwrap();
         let panicking = PanicsInRoundTwo(AtomicU32::new(0));
         let passes: [&dyn Pass; 2] = [PassKind::Constants.pass(), &panicking];
-        let (out, report) = run_passes(&input, &passes, &NormalizeOptions::default());
+        let budget = Budget::new(&Limits::trusted());
+        let (out, report) = run_passes(&input, &passes, 8, &budget);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
         assert!(report.rolled_back());
@@ -442,9 +458,8 @@ mod tests {
 
     #[test]
     fn fuel_cuts_are_not_rollbacks() {
-        let src = "var a = 1 + 2; var b = 3 + 4;";
-        let opts = NormalizeOptions { max_rewrites: 1, ..NormalizeOptions::default() };
-        let (_, report) = normalize_program(&parse(src).unwrap(), &opts);
+        let src = fold_chain(MAX_REWRITES as usize / 10 + 1);
+        let (_, report) = normalize(&parse(&src).unwrap(), &NormalizeOptions::default());
         assert_eq!(report.outcome, OutcomeKind::Degraded);
         assert!(!report.rolled_back());
     }

@@ -120,7 +120,8 @@ impl MutVisitor for Unflatten<'_, '_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{normalize_program, NormalizeOptions, PassKind};
+    use crate::tests::normalize;
+    use crate::{NormalizeOptions, PassKind};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -128,7 +129,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        to_minified(&normalize_program(&p, &opts).0)
+        to_minified(&normalize(&p, &opts).0)
     }
 
     #[test]
@@ -170,7 +171,7 @@ mod tests {
         use jsdetect_transform::{apply, Technique};
         let src = "log('one'); log('two'); log('three');";
         let min = apply(src, &[Technique::MinificationAdvanced], 3).unwrap();
-        let (p, report) = normalize_program(
+        let (p, report) = normalize(
             &parse(&min).unwrap(),
             &NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() },
         );

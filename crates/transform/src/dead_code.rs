@@ -11,23 +11,13 @@ use jsdetect_ast::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Options for dead-code injection.
-#[derive(Debug, Clone)]
-pub struct DeadCodeOptions {
-    /// Injected statements per existing statement (approximate).
-    pub density: f64,
-    /// Maximum junk statements to inject in total.
-    pub max_injected: usize,
-}
-
-impl Default for DeadCodeOptions {
-    fn default() -> Self {
-        DeadCodeOptions { density: 0.6, max_injected: 64 }
-    }
-}
+/// Injected statements per existing statement (approximate).
+const DENSITY: f64 = 0.6;
+/// Maximum junk statements to inject in total.
+const MAX_INJECTED: usize = 64;
 
 /// Injects dead code in place. Returns the number of injected statements.
-pub fn inject_dead_code(program: &mut Program, rng: &mut StdRng, opts: &DeadCodeOptions) -> usize {
+pub fn inject_dead_code(program: &mut Program, rng: &mut StdRng) -> usize {
     let sentinel = format!("_0x{:x}s", rng.gen_range(0x1000u32..0xFFFF));
     let sentinel_value = format!("W{:x}", rng.gen::<u32>());
     let mut injector = Injector {
@@ -35,8 +25,6 @@ pub fn inject_dead_code(program: &mut Program, rng: &mut StdRng, opts: &DeadCode
         sentinel: sentinel.clone(),
         sentinel_value: sentinel_value.clone(),
         injected: 0,
-        max: opts.max_injected,
-        density: opts.density,
     };
     let skip = crate::string_obf::directive_count(&program.body);
     let mut body = std::mem::take(&mut program.body);
@@ -60,20 +48,18 @@ struct Injector<'a> {
     sentinel: String,
     sentinel_value: String,
     injected: usize,
-    max: usize,
-    density: f64,
 }
 
 impl Injector<'_> {
     /// Inserts junk at random positions of a statement list.
     fn stmt_list(&mut self, body: &mut Vec<Stmt>, skip: usize) {
-        if self.injected >= self.max {
+        if self.injected >= MAX_INJECTED {
             return;
         }
         let n = body.len().saturating_sub(skip);
-        let count = ((n as f64 * self.density).ceil() as usize).clamp(1, 8);
+        let count = ((n as f64 * DENSITY).ceil() as usize).clamp(1, 8);
         for _ in 0..count {
-            if self.injected >= self.max {
+            if self.injected >= MAX_INJECTED {
                 break;
             }
             let pos =
@@ -242,7 +228,7 @@ mod tests {
     fn run(src: &str) -> String {
         let mut prog = parse(src).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        inject_dead_code(&mut prog, &mut rng, &DeadCodeOptions::default());
+        inject_dead_code(&mut prog, &mut rng);
         to_minified(&prog)
     }
 
@@ -270,25 +256,20 @@ mod tests {
     fn injects_into_function_bodies() {
         let mut prog = parse("function deep() { inner(); }").unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let n = inject_dead_code(
-            &mut prog,
-            &mut rng,
-            &DeadCodeOptions { density: 1.0, max_injected: 10 },
-        );
+        let n = inject_dead_code(&mut prog, &mut rng);
         assert!(n >= 3, "expected several injections, got {}", n);
     }
 
     #[test]
     fn respects_max_injected() {
-        let src = "a();b();c();d();e();f();g();h();i();j();";
-        let mut prog = parse(src).unwrap();
+        // Ten bodies of 14 statements ask for 8 junk statements each (the
+        // per-list cap), plus 6 at the top level: 86 in all.
+        let body = "a();b();c();d();e();f();g();h();i();j();k();l();m();n();";
+        let src: String = (0..10).map(|i| format!("function f{}() {{ {} }}", i, body)).collect();
+        let mut prog = parse(&src).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let n = inject_dead_code(
-            &mut prog,
-            &mut rng,
-            &DeadCodeOptions { density: 5.0, max_injected: 4 },
-        );
-        assert!(n <= 5, "{}", n); // 4 + sentinel
+        let n = inject_dead_code(&mut prog, &mut rng);
+        assert_eq!(n, MAX_INJECTED + 1); // + sentinel
     }
 
     #[test]

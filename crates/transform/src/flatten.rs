@@ -22,69 +22,51 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Options for control-flow flattening.
-#[derive(Debug, Clone)]
-pub struct FlattenOptions {
-    /// Minimum number of flattenable statements in a body.
-    pub min_stmts: usize,
-    /// Maximum number of statements to flatten in one body.
-    pub max_stmts: usize,
-    /// Flatten the top-level program body too (not only functions).
-    pub include_top_level: bool,
-}
+/// Minimum number of flattenable statements in a body.
+const MIN_STMTS: usize = 3;
+/// Maximum number of statements to flatten in one body.
+const MAX_STMTS: usize = 64;
 
-impl Default for FlattenOptions {
-    fn default() -> Self {
-        FlattenOptions { min_stmts: 3, max_stmts: 64, include_top_level: true }
-    }
-}
-
-/// Flattens eligible statement lists in place. Returns how many bodies
-/// were flattened.
-pub fn flatten_control_flow(
-    program: &mut Program,
-    rng: &mut StdRng,
-    opts: &FlattenOptions,
-) -> usize {
+/// Flattens eligible statement lists in place, function bodies and the
+/// top-level program body. Returns how many bodies were flattened.
+pub fn flatten_control_flow(program: &mut Program, rng: &mut StdRng) -> usize {
     let mut count = 0;
     // Function bodies first (visit before restructuring the top level).
     let mut body = std::mem::take(&mut program.body);
     for s in body.iter_mut() {
-        count += flatten_in_stmt(s, rng, opts);
+        count += flatten_in_stmt(s, rng);
     }
-    if opts.include_top_level {
-        count += flatten_list(&mut body, rng, opts);
-    }
+    count += flatten_list(&mut body, rng);
     program.body = body;
     count
 }
 
-fn flatten_in_stmt(s: &mut Stmt, rng: &mut StdRng, opts: &FlattenOptions) -> usize {
+fn flatten_in_stmt(s: &mut Stmt, rng: &mut StdRng) -> usize {
     let mut count = 0;
     match s {
         Stmt::FunctionDecl(f) => {
             for st in f.body.iter_mut() {
-                count += flatten_in_stmt(st, rng, opts);
+                count += flatten_in_stmt(st, rng);
             }
-            count += flatten_list(&mut f.body, rng, opts);
+            count += flatten_list(&mut f.body, rng);
         }
-        Stmt::Expr { expr, .. } => count += flatten_in_expr(expr, rng, opts),
+        Stmt::Expr { expr, .. } => count += flatten_in_expr(expr, rng),
         Stmt::VarDecl { decls, .. } => {
             for d in decls.iter_mut() {
                 if let Some(init) = &mut d.init {
-                    count += flatten_in_expr(init, rng, opts);
+                    count += flatten_in_expr(init, rng);
                 }
             }
         }
         Stmt::Block { body, .. } => {
             for st in body.iter_mut() {
-                count += flatten_in_stmt(st, rng, opts);
+                count += flatten_in_stmt(st, rng);
             }
         }
         Stmt::If { consequent, alternate, .. } => {
-            count += flatten_in_stmt(consequent, rng, opts);
+            count += flatten_in_stmt(consequent, rng);
             if let Some(alt) = alternate {
-                count += flatten_in_stmt(alt, rng, opts);
+                count += flatten_in_stmt(alt, rng);
             }
         }
         Stmt::For { body, .. }
@@ -93,19 +75,19 @@ fn flatten_in_stmt(s: &mut Stmt, rng: &mut StdRng, opts: &FlattenOptions) -> usi
         | Stmt::While { body, .. }
         | Stmt::DoWhile { body, .. }
         | Stmt::Labeled { body, .. }
-        | Stmt::With { body, .. } => count += flatten_in_stmt(body, rng, opts),
+        | Stmt::With { body, .. } => count += flatten_in_stmt(body, rng),
         Stmt::Try { block, handler, finalizer, .. } => {
             for st in block.iter_mut() {
-                count += flatten_in_stmt(st, rng, opts);
+                count += flatten_in_stmt(st, rng);
             }
             if let Some(h) = handler {
                 for st in h.body.iter_mut() {
-                    count += flatten_in_stmt(st, rng, opts);
+                    count += flatten_in_stmt(st, rng);
                 }
             }
             if let Some(fin) = finalizer {
                 for st in fin.iter_mut() {
-                    count += flatten_in_stmt(st, rng, opts);
+                    count += flatten_in_stmt(st, rng);
                 }
             }
         }
@@ -114,36 +96,36 @@ fn flatten_in_stmt(s: &mut Stmt, rng: &mut StdRng, opts: &FlattenOptions) -> usi
     count
 }
 
-fn flatten_in_expr(e: &mut Expr, rng: &mut StdRng, opts: &FlattenOptions) -> usize {
+fn flatten_in_expr(e: &mut Expr, rng: &mut StdRng) -> usize {
     let mut count = 0;
     match e {
         Expr::Function(f) => {
             for st in f.body.iter_mut() {
-                count += flatten_in_stmt(st, rng, opts);
+                count += flatten_in_stmt(st, rng);
             }
-            count += flatten_list(&mut f.body, rng, opts);
+            count += flatten_list(&mut f.body, rng);
         }
         Expr::Arrow { body: ArrowBody::Block(stmts), .. } => {
             for st in stmts.iter_mut() {
-                count += flatten_in_stmt(st, rng, opts);
+                count += flatten_in_stmt(st, rng);
             }
-            count += flatten_list(stmts, rng, opts);
+            count += flatten_list(stmts, rng);
         }
         Expr::Call { callee, args, .. } | Expr::New { callee, args, .. } => {
-            count += flatten_in_expr(callee, rng, opts);
+            count += flatten_in_expr(callee, rng);
             for a in args.iter_mut() {
-                count += flatten_in_expr(a, rng, opts);
+                count += flatten_in_expr(a, rng);
             }
         }
-        Expr::Assign { value, .. } => count += flatten_in_expr(value, rng, opts),
+        Expr::Assign { value, .. } => count += flatten_in_expr(value, rng),
         Expr::Object { props, .. } => {
             for p in props.iter_mut() {
-                count += flatten_in_expr(&mut p.value, rng, opts);
+                count += flatten_in_expr(&mut p.value, rng);
             }
         }
         Expr::Array { elements, .. } => {
             for el in elements.iter_mut().flatten() {
-                count += flatten_in_expr(el, rng, opts);
+                count += flatten_in_expr(el, rng);
             }
         }
         _ => {}
@@ -178,14 +160,14 @@ fn is_flattenable(s: &Stmt) -> bool {
 }
 
 /// Flattens one statement list if eligible. Returns 1 if flattened.
-fn flatten_list(body: &mut Vec<Stmt>, rng: &mut StdRng, opts: &FlattenOptions) -> usize {
+fn flatten_list(body: &mut Vec<Stmt>, rng: &mut StdRng) -> usize {
     let skip = crate::string_obf::directive_count(body);
     // Partition: leading directives + function/class declarations stay out.
     let decls: Vec<usize> = (skip..body.len())
         .filter(|&i| matches!(body[i], Stmt::FunctionDecl(_) | Stmt::ClassDecl(_)))
         .collect();
     let flatten_idx: Vec<usize> = (skip..body.len()).filter(|i| !decls.contains(i)).collect();
-    if flatten_idx.len() < opts.min_stmts || flatten_idx.len() > opts.max_stmts {
+    if flatten_idx.len() < MIN_STMTS || flatten_idx.len() > MAX_STMTS {
         return 0;
     }
     if flatten_idx.iter().any(|&i| !is_flattenable(&body[i])) {
@@ -292,7 +274,7 @@ mod tests {
     fn run(src: &str) -> String {
         let mut prog = parse(src).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        flatten_control_flow(&mut prog, &mut rng, &FlattenOptions::default());
+        flatten_control_flow(&mut prog, &mut rng);
         to_minified(&prog)
     }
 
@@ -326,6 +308,12 @@ mod tests {
     fn too_few_statements_untouched() {
         let out = run("a(); b();");
         assert!(!out.contains("switch"), "{}", out);
+    }
+
+    #[test]
+    fn too_many_statements_untouched() {
+        assert!(run(&"a();".repeat(MAX_STMTS)).contains("switch"));
+        assert!(!run(&"a();".repeat(MAX_STMTS + 1)).contains("switch"));
     }
 
     #[test]

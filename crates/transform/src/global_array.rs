@@ -1,7 +1,7 @@
 //! Global array obfuscation (paper §II-A, *data obfuscation*).
 //!
-//! Moves string literals into a global array, optionally rotated at load
-//! time by an IIFE (the obfuscator.io shape), and replaces each literal
+//! Moves string literals into a global array, rotated at load time by an
+//! IIFE (the obfuscator.io shape), and replaces each literal
 //! occurrence with a call to an accessor function taking a hex-string
 //! index: `_0x4f2a('0x1')`.
 
@@ -12,26 +12,14 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Options for the global-array pass.
-#[derive(Debug, Clone)]
-pub struct GlobalArrayOptions {
-    /// Minimum string length to pool.
-    pub min_len: usize,
-    /// Inject the rotation IIFE.
-    pub rotate: bool,
-}
-
-impl Default for GlobalArrayOptions {
-    fn default() -> Self {
-        GlobalArrayOptions { min_len: 2, rotate: true }
-    }
-}
+/// Minimum string length to pool.
+const MIN_LEN: usize = 2;
 
 /// Applies the transformation in place. Returns the number of pooled
 /// strings.
-pub fn global_array(program: &mut Program, rng: &mut StdRng, opts: &GlobalArrayOptions) -> usize {
+pub fn global_array(program: &mut Program, rng: &mut StdRng) -> usize {
     // Collect distinct strings in first-appearance order.
-    let mut collector = Collect { min_len: opts.min_len, seen: Vec::new() };
+    let mut collector = Collect { seen: Vec::new() };
     let skip = crate::string_obf::directive_count(&program.body);
     for s in program.body.iter_mut().skip(skip) {
         collector.visit_stmt_mut(s);
@@ -53,24 +41,21 @@ pub fn global_array(program: &mut Program, rng: &mut StdRng, opts: &GlobalArrayO
 
     // Rotation: emit the array pre-rotated so the runtime IIFE restores the
     // original order (`times = k` executes `k - 1` push/shift rotations).
-    let k: usize = if opts.rotate { rng.gen_range(0x20..0x200) } else { 0 };
-    let mut stored = strings.clone();
-    if opts.rotate && !stored.is_empty() {
-        let n = stored.len();
-        let left = (k - 1) % n;
-        // Runtime rotates left by `left`; store rotated right by `left`.
-        stored.rotate_right(left);
-    }
+    let k: usize = rng.gen_range(0x20..0x200);
+    let mut stored = strings;
+    // Runtime rotates left by `(k - 1) % n`; store rotated right by it.
+    let left = (k - 1) % stored.len();
+    stored.rotate_right(left);
 
-    let mut prelude = vec![var_decl(
-        VarKind::Var,
-        arr_name.clone(),
-        Some(array(stored.into_iter().map(str_lit).collect())),
-    )];
-    if opts.rotate {
-        prelude.push(rotation_iife(&arr_name, k));
-    }
-    prelude.push(accessor_decl(&acc_name, &arr_name));
+    let prelude = [
+        var_decl(
+            VarKind::Var,
+            arr_name.clone(),
+            Some(array(stored.into_iter().map(str_lit).collect())),
+        ),
+        rotation_iife(&arr_name, k),
+        accessor_decl(&acc_name, &arr_name),
+    ];
 
     for (i, stmt) in prelude.into_iter().enumerate() {
         program.body.insert(skip + i, stmt);
@@ -79,14 +64,13 @@ pub fn global_array(program: &mut Program, rng: &mut StdRng, opts: &GlobalArrayO
 }
 
 struct Collect {
-    min_len: usize,
     seen: Vec<Atom>,
 }
 
 impl MutVisitor for Collect {
     fn visit_expr_mut(&mut self, e: &mut Expr) {
         if let Expr::Lit(Lit { value: LitValue::Str(s), .. }) = e {
-            if s.len() >= self.min_len && !self.seen.contains(s) {
+            if s.len() >= MIN_LEN && !self.seen.contains(s) {
                 self.seen.push(*s);
             }
             return;
@@ -167,16 +151,16 @@ mod tests {
     use jsdetect_parser::parse;
     use rand::SeedableRng;
 
-    fn run(src: &str, rotate: bool) -> String {
+    fn run(src: &str) -> String {
         let mut prog = parse(src).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        global_array(&mut prog, &mut rng, &GlobalArrayOptions { min_len: 2, rotate });
+        global_array(&mut prog, &mut rng);
         to_minified(&prog)
     }
 
     #[test]
     fn strings_pooled_and_replaced() {
-        let out = run("f('alpha'); g('beta'); h('alpha');", false);
+        let out = run("f('alpha'); g('beta'); h('alpha');");
         // Array contains both strings once.
         assert_eq!(out.matches("'alpha'").count(), 1, "{}", out);
         assert_eq!(out.matches("'beta'").count(), 1, "{}", out);
@@ -188,7 +172,7 @@ mod tests {
 
     #[test]
     fn rotation_iife_injected() {
-        let out = run("f('alpha'); g('beta'); h('gamma');", true);
+        let out = run("f('alpha'); g('beta'); h('gamma');");
         assert!(out.contains("push"), "{}", out);
         assert!(out.contains("shift"), "{}", out);
         assert!(parse(&out).is_ok());
@@ -196,7 +180,7 @@ mod tests {
 
     #[test]
     fn accessor_uses_parse_int() {
-        let out = run("f('alpha');", false);
+        let out = run("f('alpha');");
         assert!(out.contains("parseInt("), "{}", out);
     }
 
@@ -226,13 +210,13 @@ mod tests {
 
     #[test]
     fn no_strings_is_noop() {
-        let out = run("var x = 1 + 2;", true);
+        let out = run("var x = 1 + 2;");
         assert_eq!(out, "var x=1+2;");
     }
 
     #[test]
     fn short_strings_skipped() {
-        let out = run("f('a'); g('hello');", false);
+        let out = run("f('a'); g('hello');");
         assert!(out.contains("f('a')"), "{}", out);
         assert!(!out.contains("g('hello')"), "{}", out);
     }

@@ -165,17 +165,13 @@ fn apply_passes(src: &str, techniques: &[Technique], seed: u64) -> Result<String
     let mut prog = parse(src)?;
 
     if has(DeadCodeInjection) {
-        dead_code::inject_dead_code(&mut prog, &mut rng, &dead_code::DeadCodeOptions::default());
+        dead_code::inject_dead_code(&mut prog, &mut rng);
     }
     if has(ControlFlowFlattening) {
-        flatten::flatten_control_flow(&mut prog, &mut rng, &flatten::FlattenOptions::default());
+        flatten::flatten_control_flow(&mut prog, &mut rng);
     }
     if has(GlobalArray) {
-        global_array::global_array(
-            &mut prog,
-            &mut rng,
-            &global_array::GlobalArrayOptions::default(),
-        );
+        global_array::global_array(&mut prog, &mut rng);
     }
     if has(StringObfuscation) {
         string_obf::obfuscate_strings(

@@ -33,7 +33,6 @@ use jsdetect_suite::detector::{
     classify_many_cached, train_pipeline, AnalysisConfig, DetectorConfig, Technique,
     TrainedDetectors, DEFAULT_THRESHOLD,
 };
-use jsdetect_suite::lint::LintRunner;
 
 fn usage() -> ! {
     eprintln!(
@@ -317,7 +316,6 @@ fn cmd_lint(argv: &[String]) {
     if files.is_empty() {
         usage();
     }
-    let runner = LintRunner::default();
     let mut rows: Vec<DiagnosticRow> = Vec::new();
     let mut had_error = false;
     for path in files {
@@ -338,7 +336,7 @@ fn cmd_lint(argv: &[String]) {
             }
         };
         let graph = jsdetect_suite::flow::analyze(&program);
-        for d in runner.run(&src, &program, &graph) {
+        for d in jsdetect_suite::lint::lint(&src, &program, &graph).0 {
             let (line, col) = jsdetect_suite::ast::line_col(&src, d.span.start);
             if json {
                 rows.push(DiagnosticRow {
@@ -709,7 +707,7 @@ fn cmd_trace(argv: &[String]) {
 /// Exits non-zero only for failures outside {ok, degraded} — unreadable
 /// files, in practice, since the normalizer itself never rejects.
 fn cmd_normalize(argv: &[String]) {
-    use jsdetect_suite::guard::{Limits, OutcomeKind};
+    use jsdetect_suite::guard::{Budget, Limits, OutcomeKind};
     use jsdetect_suite::normalize::{normalize_program, NormalizeOptions, PassKind};
 
     let emit = argv.iter().any(|a| a == "--emit");
@@ -754,7 +752,7 @@ fn cmd_normalize(argv: &[String]) {
     }
 
     jsdetect_suite::obs::set_enabled(true);
-    let opts = NormalizeOptions { passes, max_rounds, limits, ..NormalizeOptions::default() };
+    let opts = NormalizeOptions { passes, max_rounds };
     let (mut n_ok, mut n_degraded, mut n_failed) = (0usize, 0usize, 0usize);
     for f in &files {
         let path = f.display();
@@ -779,7 +777,7 @@ fn cmd_normalize(argv: &[String]) {
                 continue;
             }
         };
-        let (normalized, report) = normalize_program(&program, &opts);
+        let (normalized, report) = normalize_program(&program, &opts, &Budget::new(&limits));
         match report.outcome {
             OutcomeKind::Ok => n_ok += 1,
             _ => n_degraded += 1,

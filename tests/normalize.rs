@@ -18,22 +18,23 @@
 use jsdetect_suite::ast::kind_stream;
 use jsdetect_suite::codegen::{to_minified, to_source};
 use jsdetect_suite::corpus::RegularJsGenerator;
-use jsdetect_suite::guard::{Limits, OutcomeKind};
+use jsdetect_suite::guard::{Budget, Limits, OutcomeKind};
 use jsdetect_suite::normalize::{normalize_program, NormalizeOptions, PassKind};
 use jsdetect_suite::parser::parse;
 use jsdetect_suite::transform::{apply, Technique};
 
-/// Deterministic options: deadline off, deterministic fuel/round caps
-/// only — the same configuration feature extraction uses.
-fn opts() -> NormalizeOptions {
-    NormalizeOptions { limits: Limits::unbounded(), ..NormalizeOptions::default() }
+/// Deterministic budget: deadline off, deterministic fuel/round caps
+/// only — the same configuration feature extraction uses under trusted
+/// limits.
+fn budget() -> Budget {
+    Budget::new(&Limits::unbounded())
 }
 
 /// Parses, normalizes, and returns (program printed readable, report
 /// outcome), panicking on parse failure.
 fn normalize_src(src: &str, label: &str) -> (String, OutcomeKind) {
     let p = parse(src).unwrap_or_else(|e| panic!("{}: does not parse: {}", label, e));
-    let (normalized, report) = normalize_program(&p, &opts());
+    let (normalized, report) = normalize_program(&p, &NormalizeOptions::default(), &budget());
     (to_source(&normalized), report.outcome)
 }
 
@@ -113,7 +114,7 @@ fn normalization_is_idempotent_across_presets() {
     for (label, src) in &sources {
         let (once, _) = normalize_src(src, label);
         let p = parse(&once).unwrap_or_else(|e| panic!("{}: once does not parse: {}", label, e));
-        let (p, report) = normalize_program(&p, &opts());
+        let (p, report) = normalize_program(&p, &NormalizeOptions::default(), &budget());
         assert_eq!(
             report.total_rewrites(),
             0,
@@ -137,7 +138,7 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
         let Ok(obf) = apply(&src, &[Technique::GlobalArray], 101 + i) else {
             continue;
         };
-        let (p, report) = normalize_program(&parse(&obf).unwrap(), &inline_only);
+        let (p, report) = normalize_program(&parse(&obf).unwrap(), &inline_only, &budget());
         assert_eq!(
             to_minified(&p),
             canonical,
@@ -160,7 +161,6 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
 fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
     use jsdetect_suite::corpus::{chaos_corpus, module_corpus, regular_corpus};
     use jsdetect_suite::features::{analyze, measure_deltas, neutral_deltas, TreeStats};
-    use jsdetect_suite::lint::LintRunner;
     use jsdetect_suite::transform::presets::Tool;
 
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
@@ -212,8 +212,9 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
             let program = parse(src).expect("an Ok script parses");
             let tree = TreeStats::of(&program);
             let graph = jsdetect_suite::flow::analyze(&program);
-            let lint = LintRunner::default().run_with_summary(src, &program, &graph).1;
-            let (normalized, report) = normalize_program(&program, &opts());
+            let lint = jsdetect_suite::lint::lint(src, &program, &graph).1;
+            let (normalized, report) =
+                normalize_program(&program, &NormalizeOptions::default(), &budget());
             analyzed += 1;
             if report.outcome != OutcomeKind::Ok {
                 assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
