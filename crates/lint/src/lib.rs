@@ -8,7 +8,8 @@
 //! leave behind (§II-A): dispatcher loops from control-flow flattening,
 //! global string pools and their decoder shims, anti-debugging probes,
 //! self-defending guards, injected dead code, and identifier-charset
-//! anomalies.
+//! anomalies. [`lint`] runs the one built-in rule set, in [`RULE_NAMES`]
+//! order, over one program.
 //!
 //! The per-rule hit counts, normalized by statement count
 //! ([`LintSummary::features`]), are also appended to the hand-picked
