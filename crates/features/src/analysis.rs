@@ -194,7 +194,7 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
             graph.dataflow.truncated_bindings as u64,
         );
     }
-    budget.check_cfg_edges(graph.control_flow.edges.len() as u64)?;
+    budget.check_cfg_edges(graph.control_flow.edges as u64)?;
     budget.check_deadline()?;
 
     let lint = {

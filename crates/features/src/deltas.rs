@@ -10,7 +10,8 @@
 //! string-entropy delta, and one density delta per lint rule. The
 //! original side's node count and mean string entropy come from the front
 //! end's one walk of the original tree ([`TreeStats`]), so a measurement
-//! walks only the normalized tree, with the same [`TreeStats::of`].
+//! walks only the normalized tree, and there counts just its nodes and the
+//! byte entropy of its string literals.
 //!
 //! Normalization charges the script's own [`Budget`], so the analysis
 //! deadline bounds it too; the rewrite fuel and the round cap bound it
@@ -27,8 +28,9 @@
 //! pins that equality over every corpus; 37% of the benchmark's seed-7
 //! `cold_scan` crawl takes this path.
 
+use crate::handpicked::byte_entropy;
 use crate::tree::TreeStats;
-use jsdetect_ast::Program;
+use jsdetect_ast::{walk, Expr, Lit, LitValue, NodeRef, Program};
 use jsdetect_guard::{Budget, OutcomeKind};
 use jsdetect_lint::{LintSummary, N_RULES, RULE_NAMES};
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
@@ -88,10 +90,20 @@ pub fn measure_deltas(
     normalized: &Program,
     lint: &LintSummary,
 ) -> Vec<f32> {
-    let norm_tree = TreeStats::of(normalized);
+    // Only the node count and the string entropy are read off the
+    // normalized tree, with the same sums `TreeStats` keeps.
+    let (mut nodes, mut strings, mut entropy_sum) = (0usize, 0usize, 0f64);
+    walk(normalized, &mut |node, _| {
+        nodes += 1;
+        if let NodeRef::Expr(Expr::Lit(Lit { value: LitValue::Str(s), .. })) = node {
+            strings += 1;
+            entropy_sum += byte_entropy(s);
+        }
+    });
+    let mean_entropy = (entropy_sum / strings.max(1) as f64) as f32;
     let mut v = Vec::with_capacity(N_NORMALIZE);
-    v.push(norm_tree.node_count as f32 / tree.node_count.max(1) as f32);
-    v.push(norm_tree.mean_string_entropy() - tree.mean_string_entropy());
+    v.push(nodes as f32 / tree.node_count.max(1) as f32);
+    v.push(mean_entropy - tree.mean_string_entropy());
     let graph = jsdetect_flow::analyze(normalized);
     let norm_lint = jsdetect_lint::lint(src, normalized, &graph).1;
     let orig_densities = lint.features();

@@ -187,8 +187,7 @@ pub(crate) fn handpicked_features(a: &ScriptAnalysis<'_>) -> Vec<f32> {
         if w.packed_regex { 1.0 } else { 0.0 },
         (w.case_count as f64 / t.kind(NodeKind::SwitchStatement).max(1) as f64) as f32,
         (w.literal_true_loops as f64 / n_loops) as f32,
-        (a.graph.control_flow.edges.len() as f64 / a.graph.control_flow.node_count.max(1) as f64)
-            as f32,
+        (a.graph.control_flow.edges as f64 / a.graph.control_flow.node_count.max(1) as f64) as f32,
         (a.graph.dataflow.pairs as f64 / read_refs) as f32,
         (global_refs / n_refs) as f32,
         (n_functions / lines) as f32,
@@ -486,7 +485,7 @@ fn is_packed_regex_source(s: &str) -> bool {
 }
 
 /// Shannon entropy over bytes, in bits.
-fn byte_entropy(s: &str) -> f64 {
+pub(crate) fn byte_entropy(s: &str) -> f64 {
     if s.is_empty() {
         return 0.0;
     }

@@ -1,14 +1,25 @@
-//! Control-flow edges over statement-level nodes.
+//! Control flow over statement-level nodes, counted rather than stored.
 //!
 //! Following the paper (§III-A), control flow is restricted to nodes that
 //! affect execution paths: statement nodes, `CatchClause`, `SwitchCase`,
-//! and `ConditionalExpression`. Nodes are identified by their source span
-//! plus kind; edges carry the reason the flow exists.
+//! and `ConditionalExpression`. The layer is read only as numbers: the
+//! edge count (the `cf_edges_per_node` feature and the edge budget), the
+//! node count, and the nodes no path from an entry reaches (lint's
+//! `unreachable-code`). One walk fills all three; no edge or node list is
+//! kept.
+//!
+//! Reachability is a `live` flag carried down the walk. The first
+//! statement of the program and of every function body is live (any
+//! function may be invoked externally). A later statement in a list is
+//! live when the one before it is live and is not a `return`, `throw`,
+//! `break` or `continue`. Everything else (block and case contents, `if`
+//! arms, loop bodies, cases, catch clauses, labeled, `with` and `export`
+//! bodies, ternaries) inherits the flag of the node it hangs off.
 
 use jsdetect_ast::*;
 
 /// A control-flow node: a statement-level AST node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CfNode {
     /// Kind of the underlying AST node.
     pub kind: NodeKind,
@@ -16,111 +27,28 @@ pub struct CfNode {
     pub span: Span,
 }
 
-/// Why a control-flow edge exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CfEdgeKind {
-    /// Fallthrough to the next statement in a list.
-    Seq,
-    /// Taken branch of a condition (if/ternary consequent, loop entry).
-    BranchTrue,
-    /// Not-taken branch (else, loop exit is implicit).
-    BranchFalse,
-    /// Loop back-edge.
-    LoopBack,
-    /// Switch discriminant to a case.
-    CaseMatch,
-    /// Exceptional flow into a catch handler.
-    Exception,
-    /// Entry into a finally block.
-    Finally,
-}
-
-/// A directed control-flow edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CfEdge {
-    /// Source node.
-    pub from: CfNode,
-    /// Destination node.
-    pub to: CfNode,
-    /// Edge kind.
-    pub kind: CfEdgeKind,
-}
-
-/// The collected control-flow edges of a program.
+/// The control flow of a program: its edge and node counts and the nodes
+/// no entry reaches.
 #[derive(Debug, Clone, Default)]
 pub struct ControlFlow {
-    /// All edges, in construction order.
-    pub edges: Vec<CfEdge>,
-    /// All registered nodes, in construction order.
-    pub nodes: Vec<CfNode>,
-    /// Entry nodes: the program's first statement plus the first statement
-    /// of every function body (any function may be invoked externally).
-    pub roots: Vec<CfNode>,
-    /// Number of control-flow nodes seen (`nodes.len()`).
+    /// Number of edges: fallthrough between list siblings (none out of a
+    /// terminator); entry into a non-empty block, case, try, catch or
+    /// finally body; one per `if` arm, case, catch clause and labeled,
+    /// `with` or `export` body; two per loop (entry and back edge); three
+    /// per ternary.
+    pub edges: usize,
+    /// Number of control-flow nodes.
     pub node_count: usize,
+    /// Nodes no path from an entry reaches, in registration order: a
+    /// statement list's nodes before anything nested in them.
+    pub unreachable: Vec<CfNode>,
 }
 
-impl ControlFlow {
-    /// Number of edges of the given kind.
-    pub fn count(&self, kind: CfEdgeKind) -> usize {
-        self.edges.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Nodes reachable from the entry roots by following edges of any kind
-    /// (BFS order). Statements after a `return`/`throw`/`break`/`continue`
-    /// get no fallthrough edge, so they are not reachable this way.
-    pub fn reachable_from_entry(&self) -> impl Iterator<Item = CfNode> {
-        let mut adjacency: std::collections::HashMap<CfNode, Vec<CfNode>> =
-            std::collections::HashMap::new();
-        for e in &self.edges {
-            adjacency.entry(e.from).or_default().push(e.to);
-        }
-        let mut seen: std::collections::HashSet<CfNode> = std::collections::HashSet::new();
-        let mut order: Vec<CfNode> = Vec::new();
-        let mut queue: std::collections::VecDeque<CfNode> = std::collections::VecDeque::new();
-        for &root in &self.roots {
-            if seen.insert(root) {
-                order.push(root);
-                queue.push_back(root);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            if let Some(next) = adjacency.get(&n) {
-                for &m in next {
-                    if seen.insert(m) {
-                        order.push(m);
-                        queue.push_back(m);
-                    }
-                }
-            }
-        }
-        order.into_iter()
-    }
-
-    /// Registered nodes that are *not* reachable from any entry root, in
-    /// construction order.
-    pub fn unreachable_nodes(&self) -> Vec<CfNode> {
-        let reachable: std::collections::HashSet<CfNode> = self.reachable_from_entry().collect();
-        self.nodes.iter().copied().filter(|n| !reachable.contains(n)).collect()
-    }
-}
-
-/// Builds control-flow edges for a program.
+/// Counts the control flow of a program in one walk.
 pub fn build_cfg(program: &Program) -> ControlFlow {
     let mut cf = ControlFlow::default();
-    if let Some(first) = program.body.first() {
-        cf.roots.push(node_of(first));
-    }
-    seq_edges(&program.body, &mut cf);
-    for s in &program.body {
-        stmt_edges(s, &mut cf);
-    }
-    cf.node_count = cf.nodes.len();
+    cf.list(&program.body, true);
     cf
-}
-
-fn node_of(s: &Stmt) -> CfNode {
-    CfNode { kind: stmt_kind(s), span: s.span() }
 }
 
 /// True for statements that never fall through to their successor.
@@ -131,287 +59,215 @@ fn is_terminator(s: &Stmt) -> bool {
     )
 }
 
-/// Registers a function body: its first statement becomes an entry root
-/// (the function may be called from anywhere), then normal edges follow.
-fn fn_body_edges(body: &[Stmt], cf: &mut ControlFlow) {
-    if let Some(first) = body.first() {
-        cf.roots.push(node_of(first));
-    }
-    seq_edges(body, cf);
-    for st in body {
-        stmt_edges(st, cf);
-    }
+/// Each statement of a list with its liveness, given the first one's.
+fn with_liveness(stmts: &[Stmt], first: bool) -> impl Iterator<Item = (&Stmt, bool)> {
+    stmts.iter().scan(first, |live, s| {
+        let me = *live;
+        *live = me && !is_terminator(s);
+        Some((s, me))
+    })
 }
 
-fn seq_edges(stmts: &[Stmt], cf: &mut ControlFlow) {
-    cf.nodes.extend(stmts.iter().map(node_of));
-    for pair in stmts.windows(2) {
-        if is_terminator(&pair[0]) {
-            continue; // no fallthrough edge out of return/throw/break/continue
-        }
-        cf.edges.push(CfEdge {
-            from: node_of(&pair[0]),
-            to: node_of(&pair[1]),
-            kind: CfEdgeKind::Seq,
-        });
-    }
-}
-
-/// Registers a statement that is a branch/loop target but not part of a
-/// statement list (an `if` arm, a loop body). Each such statement has
-/// exactly one parent context, so no node is registered twice.
-fn register_body(s: &Stmt, cf: &mut ControlFlow) {
-    cf.nodes.push(node_of(s));
-}
-
-fn stmt_edges(s: &Stmt, cf: &mut ControlFlow) {
-    let me = node_of(s);
-    match s {
-        Stmt::Expr { expr, .. } => expr_edges(expr, me, cf),
-        Stmt::Block { body, .. } => {
-            if let Some(first) = body.first() {
-                cf.edges.push(CfEdge { from: me, to: node_of(first), kind: CfEdgeKind::Seq });
-            }
-            seq_edges(body, cf);
-            for st in body {
-                stmt_edges(st, cf);
-            }
-        }
-        Stmt::VarDecl { decls, .. } => {
-            for d in decls {
-                if let Some(init) = &d.init {
-                    expr_edges(init, me, cf);
-                }
-            }
-        }
-        Stmt::FunctionDecl(f) => fn_body_edges(&f.body, cf),
-        Stmt::ClassDecl(c) => class_edges(c, cf),
-        Stmt::If { test, consequent, alternate, .. } => {
-            expr_edges(test, me, cf);
-            register_body(consequent, cf);
-            cf.edges.push(CfEdge {
-                from: me,
-                to: node_of(consequent),
-                kind: CfEdgeKind::BranchTrue,
-            });
-            stmt_edges(consequent, cf);
-            if let Some(alt) = alternate {
-                register_body(alt, cf);
-                cf.edges.push(CfEdge { from: me, to: node_of(alt), kind: CfEdgeKind::BranchFalse });
-                stmt_edges(alt, cf);
-            }
-        }
-        Stmt::For { init, test, update, body, .. } => {
-            if let Some(ForInit::Expr(e)) = init {
-                expr_edges(e, me, cf);
-            }
-            if let Some(t) = test {
-                expr_edges(t, me, cf);
-            }
-            if let Some(u) = update {
-                expr_edges(u, me, cf);
-            }
-            loop_edges(me, body, cf);
-        }
-        Stmt::ForIn { body, object, .. } => {
-            expr_edges(object, me, cf);
-            loop_edges(me, body, cf);
-        }
-        Stmt::ForOf { body, iterable, .. } => {
-            expr_edges(iterable, me, cf);
-            loop_edges(me, body, cf);
-        }
-        Stmt::While { test, body, .. } => {
-            expr_edges(test, me, cf);
-            loop_edges(me, body, cf);
-        }
-        Stmt::DoWhile { body, test, .. } => {
-            expr_edges(test, me, cf);
-            loop_edges(me, body, cf);
-        }
-        Stmt::Switch { discriminant, cases, .. } => {
-            expr_edges(discriminant, me, cf);
-            for c in cases {
-                let case_node = CfNode { kind: NodeKind::SwitchCase, span: c.span };
-                cf.nodes.push(case_node);
-                cf.edges.push(CfEdge { from: me, to: case_node, kind: CfEdgeKind::CaseMatch });
-                if let Some(first) = c.body.first() {
-                    cf.edges.push(CfEdge {
-                        from: case_node,
-                        to: node_of(first),
-                        kind: CfEdgeKind::Seq,
-                    });
-                }
-                seq_edges(&c.body, cf);
-                for st in &c.body {
-                    stmt_edges(st, cf);
-                }
-            }
-        }
-        Stmt::Try { block, handler, finalizer, .. } => {
-            if let Some(first) = block.first() {
-                cf.edges.push(CfEdge { from: me, to: node_of(first), kind: CfEdgeKind::Seq });
-            }
-            seq_edges(block, cf);
-            for st in block {
-                stmt_edges(st, cf);
-            }
-            if let Some(h) = handler {
-                let catch_node = CfNode { kind: NodeKind::CatchClause, span: h.span };
-                cf.nodes.push(catch_node);
-                cf.edges.push(CfEdge { from: me, to: catch_node, kind: CfEdgeKind::Exception });
-                if let Some(first) = h.body.first() {
-                    cf.edges.push(CfEdge {
-                        from: catch_node,
-                        to: node_of(first),
-                        kind: CfEdgeKind::Seq,
-                    });
-                }
-                seq_edges(&h.body, cf);
-                for st in &h.body {
-                    stmt_edges(st, cf);
-                }
-            }
-            if let Some(fin) = finalizer {
-                if let Some(first) = fin.first() {
-                    cf.edges.push(CfEdge {
-                        from: me,
-                        to: node_of(first),
-                        kind: CfEdgeKind::Finally,
-                    });
-                }
-                seq_edges(fin, cf);
-                for st in fin {
-                    stmt_edges(st, cf);
-                }
-            }
-        }
-        Stmt::Throw { arg, .. } => expr_edges(arg, me, cf),
-        Stmt::Return { arg, .. } => {
-            if let Some(a) = arg {
-                expr_edges(a, me, cf);
-            }
-        }
-        Stmt::Labeled { body, .. } => {
-            register_body(body, cf);
-            cf.edges.push(CfEdge { from: me, to: node_of(body), kind: CfEdgeKind::Seq });
-            stmt_edges(body, cf);
-        }
-        Stmt::With { body, object, .. } => {
-            expr_edges(object, me, cf);
-            register_body(body, cf);
-            cf.edges.push(CfEdge { from: me, to: node_of(body), kind: CfEdgeKind::Seq });
-            stmt_edges(body, cf);
-        }
-        Stmt::Break { .. } | Stmt::Continue { .. } | Stmt::Empty { .. } | Stmt::Debugger { .. } => {
-        }
-        // Module declarations: imports and re-exports carry no local flow;
-        // an exported declaration or default expression flows like the
-        // underlying statement/expression.
-        Stmt::Import { .. } | Stmt::ExportAll { .. } => {}
-        Stmt::ExportNamed { decl, .. } => {
-            if let Some(decl) = decl {
-                register_body(decl, cf);
-                cf.edges.push(CfEdge { from: me, to: node_of(decl), kind: CfEdgeKind::Seq });
-                stmt_edges(decl, cf);
-            }
-        }
-        Stmt::ExportDefault { expr, .. } => expr_edges(expr, me, cf),
-    }
-}
-
-fn loop_edges(me: CfNode, body: &Stmt, cf: &mut ControlFlow) {
-    register_body(body, cf);
-    cf.edges.push(CfEdge { from: me, to: node_of(body), kind: CfEdgeKind::BranchTrue });
-    cf.edges.push(CfEdge { from: node_of(body), to: me, kind: CfEdgeKind::LoopBack });
-    stmt_edges(body, cf);
-}
-
-fn class_edges(c: &Class, cf: &mut ControlFlow) {
-    for m in &c.body {
-        if let ClassMemberValue::Method(f) = &m.value {
-            fn_body_edges(&f.body, cf);
+impl ControlFlow {
+    fn node(&mut self, kind: NodeKind, span: Span, live: bool) {
+        self.node_count += 1;
+        if !live {
+            self.unreachable.push(CfNode { kind, span });
         }
     }
-}
 
-/// Walks an expression looking for control-flow-relevant sub-expressions:
-/// `ConditionalExpression` (ternary branches) and nested function bodies.
-fn expr_edges(e: &Expr, enclosing: CfNode, cf: &mut ControlFlow) {
-    match e {
-        Expr::Conditional { test, consequent, alternate, .. } => {
-            let node = CfNode { kind: NodeKind::ConditionalExpression, span: e.span() };
-            cf.nodes.push(node);
-            cf.edges.push(CfEdge { from: enclosing, to: node, kind: CfEdgeKind::Seq });
-            expr_edges(test, node, cf);
-            cf.edges.push(CfEdge {
-                from: node,
-                to: CfNode { kind: NodeKind::ConditionalExpression, span: consequent.span() },
-                kind: CfEdgeKind::BranchTrue,
-            });
-            cf.edges.push(CfEdge {
-                from: node,
-                to: CfNode { kind: NodeKind::ConditionalExpression, span: alternate.span() },
-                kind: CfEdgeKind::BranchFalse,
-            });
-            expr_edges(consequent, node, cf);
-            expr_edges(alternate, node, cf);
+    fn stmt_node(&mut self, s: &Stmt, live: bool) {
+        self.node(stmt_kind(s), s.span(), live);
+    }
+
+    /// A statement list whose first statement has liveness `live`: every
+    /// statement is registered before any is walked.
+    fn list(&mut self, stmts: &[Stmt], live: bool) {
+        for (s, live) in with_liveness(stmts, live) {
+            self.stmt_node(s, live);
         }
-        Expr::Function(f) => fn_body_edges(&f.body, cf),
-        Expr::Arrow { body, .. } => match body {
-            ArrowBody::Expr(inner) => expr_edges(inner, enclosing, cf),
-            ArrowBody::Block(stmts) => fn_body_edges(stmts, cf),
-        },
-        Expr::Class(c) => class_edges(c, cf),
-        Expr::Array { elements, .. } => {
-            for el in elements.iter().flatten() {
-                expr_edges(el, enclosing, cf);
+        if let Some((_, init)) = stmts.split_last() {
+            self.edges += init.iter().filter(|s| !is_terminator(s)).count();
+        }
+        for (s, live) in with_liveness(stmts, live) {
+            self.stmt(s, live);
+        }
+    }
+
+    /// A list entered by one edge from its owner (block, case, try, catch
+    /// and finally bodies), when it has a first statement.
+    fn entered(&mut self, stmts: &[Stmt], live: bool) {
+        self.edges += usize::from(!stmts.is_empty());
+        self.list(stmts, live);
+    }
+
+    /// A single statement entered by one edge from its owner (an `if` arm,
+    /// a labeled, `with` or `export` body). Each has exactly one parent,
+    /// so no node is registered twice.
+    fn arm(&mut self, s: &Stmt, live: bool) {
+        self.stmt_node(s, live);
+        self.edges += 1;
+        self.stmt(s, live);
+    }
+
+    /// A loop body: the entry edge and the back edge.
+    fn looped(&mut self, body: &Stmt, live: bool) {
+        self.edges += 1;
+        self.arm(body, live);
+    }
+
+    fn stmt(&mut self, s: &Stmt, live: bool) {
+        match s {
+            Stmt::Expr { expr, .. } | Stmt::Throw { arg: expr, .. } => self.expr(expr, live),
+            Stmt::Block { body, .. } => self.entered(body, live),
+            Stmt::VarDecl { decls, .. } => {
+                for init in decls.iter().filter_map(|d| d.init.as_ref()) {
+                    self.expr(init, live);
+                }
+            }
+            Stmt::FunctionDecl(f) => self.list(&f.body, true),
+            Stmt::ClassDecl(c) => self.class(c),
+            Stmt::If { test, consequent, alternate, .. } => {
+                self.expr(test, live);
+                self.arm(consequent, live);
+                if let Some(alt) = alternate {
+                    self.arm(alt, live);
+                }
+            }
+            Stmt::For { init, test, update, body, .. } => {
+                if let Some(ForInit::Expr(e)) = init {
+                    self.expr(e, live);
+                }
+                for e in [test, update].into_iter().flatten() {
+                    self.expr(e, live);
+                }
+                self.looped(body, live);
+            }
+            Stmt::ForIn { body, object: e, .. }
+            | Stmt::ForOf { body, iterable: e, .. }
+            | Stmt::While { test: e, body, .. }
+            | Stmt::DoWhile { body, test: e, .. } => {
+                self.expr(e, live);
+                self.looped(body, live);
+            }
+            Stmt::Switch { discriminant, cases, .. } => {
+                self.expr(discriminant, live);
+                for c in cases {
+                    self.node(NodeKind::SwitchCase, c.span, live);
+                    self.edges += 1;
+                    self.entered(&c.body, live);
+                }
+            }
+            Stmt::Try { block, handler, finalizer, .. } => {
+                self.entered(block, live);
+                if let Some(h) = handler {
+                    self.node(NodeKind::CatchClause, h.span, live);
+                    self.edges += 1;
+                    self.entered(&h.body, live);
+                }
+                if let Some(fin) = finalizer {
+                    self.entered(fin, live);
+                }
+            }
+            Stmt::Return { arg, .. } => {
+                if let Some(a) = arg {
+                    self.expr(a, live);
+                }
+            }
+            Stmt::Labeled { body, .. } => self.arm(body, live),
+            Stmt::With { body, object, .. } => {
+                self.expr(object, live);
+                self.arm(body, live);
+            }
+            // Module declarations: imports and re-exports carry no local
+            // flow; an exported declaration or default expression flows
+            // like the underlying statement/expression.
+            Stmt::ExportNamed { decl, .. } => {
+                if let Some(decl) = decl {
+                    self.arm(decl, live);
+                }
+            }
+            Stmt::ExportDefault { expr, .. } => self.expr(expr, live),
+            Stmt::Break { .. }
+            | Stmt::Continue { .. }
+            | Stmt::Empty { .. }
+            | Stmt::Debugger { .. }
+            | Stmt::Import { .. }
+            | Stmt::ExportAll { .. } => {}
+        }
+    }
+
+    fn class(&mut self, c: &Class) {
+        for m in &c.body {
+            if let ClassMemberValue::Method(f) = &m.value {
+                self.list(&f.body, true);
             }
         }
-        Expr::Object { props, .. } => {
-            for p in props {
-                expr_edges(&p.value, enclosing, cf);
+    }
+
+    /// Walks an expression for its control-flow-relevant parts:
+    /// `ConditionalExpression` (a node with an entry edge and two branch
+    /// edges) and nested function bodies.
+    fn expr(&mut self, e: &Expr, live: bool) {
+        match e {
+            Expr::Conditional { test, consequent, alternate, .. } => {
+                self.node(NodeKind::ConditionalExpression, e.span(), live);
+                self.edges += 3;
+                self.expr(test, live);
+                self.expr(consequent, live);
+                self.expr(alternate, live);
             }
-        }
-        Expr::Unary { arg, .. }
-        | Expr::Update { arg, .. }
-        | Expr::Spread { arg, .. }
-        | Expr::Await { arg, .. } => expr_edges(arg, enclosing, cf),
-        Expr::Binary { left, right, .. } | Expr::Logical { left, right, .. } => {
-            expr_edges(left, enclosing, cf);
-            expr_edges(right, enclosing, cf);
-        }
-        Expr::Assign { value, .. } => expr_edges(value, enclosing, cf),
-        Expr::Call { callee, args, .. } | Expr::New { callee, args, .. } => {
-            expr_edges(callee, enclosing, cf);
-            for a in args {
-                expr_edges(a, enclosing, cf);
+            Expr::Function(f) => self.list(&f.body, true),
+            Expr::Arrow { body, .. } => match body {
+                ArrowBody::Expr(inner) => self.expr(inner, live),
+                ArrowBody::Block(stmts) => self.list(stmts, true),
+            },
+            Expr::Class(c) => self.class(c),
+            Expr::Array { elements, .. } => {
+                for el in elements.iter().flatten() {
+                    self.expr(el, live);
+                }
             }
-        }
-        Expr::Member { object, property, .. } => {
-            expr_edges(object, enclosing, cf);
-            if let MemberProp::Computed(p) = property {
-                expr_edges(p, enclosing, cf);
+            Expr::Object { props, .. } => {
+                for p in props {
+                    self.expr(&p.value, live);
+                }
             }
-        }
-        Expr::Sequence { exprs, .. } => {
-            for ex in exprs {
-                expr_edges(ex, enclosing, cf);
+            Expr::Unary { arg, .. }
+            | Expr::Update { arg, .. }
+            | Expr::Spread { arg, .. }
+            | Expr::Await { arg, .. }
+            | Expr::Assign { value: arg, .. }
+            | Expr::Yield { arg: Some(arg), .. } => self.expr(arg, live),
+            Expr::Binary { left, right, .. } | Expr::Logical { left, right, .. } => {
+                self.expr(left, live);
+                self.expr(right, live);
             }
-        }
-        Expr::Template { exprs, .. } => {
-            for ex in exprs {
-                expr_edges(ex, enclosing, cf);
+            Expr::Call { callee, args, .. } | Expr::New { callee, args, .. } => {
+                self.expr(callee, live);
+                for a in args {
+                    self.expr(a, live);
+                }
             }
-        }
-        Expr::TaggedTemplate { tag, exprs, .. } => {
-            expr_edges(tag, enclosing, cf);
-            for ex in exprs {
-                expr_edges(ex, enclosing, cf);
+            Expr::Member { object, property, .. } => {
+                self.expr(object, live);
+                if let MemberProp::Computed(p) = property {
+                    self.expr(p, live);
+                }
             }
+            Expr::Sequence { exprs, .. } | Expr::Template { exprs, .. } => {
+                for ex in exprs {
+                    self.expr(ex, live);
+                }
+            }
+            Expr::TaggedTemplate { tag, exprs, .. } => {
+                self.expr(tag, live);
+                for ex in exprs {
+                    self.expr(ex, live);
+                }
+            }
+            _ => {}
         }
-        Expr::Yield { arg: Some(a), .. } => expr_edges(a, enclosing, cf),
-        _ => {}
     }
 }
 
@@ -424,24 +280,24 @@ mod tests {
         build_cfg(&parse(src).unwrap())
     }
 
+    fn dead_kinds(src: &str) -> Vec<NodeKind> {
+        cfg(src).unreachable.iter().map(|n| n.kind).collect()
+    }
+
     #[test]
     fn sequence_edges_between_siblings() {
         let cf = cfg("a(); b(); c();");
-        assert_eq!(cf.count(CfEdgeKind::Seq), 2);
+        assert_eq!((cf.edges, cf.node_count), (2, 3));
     }
 
     #[test]
     fn if_has_branch_edges() {
-        let cf = cfg("if (x) a(); else b();");
-        assert_eq!(cf.count(CfEdgeKind::BranchTrue), 1);
-        assert_eq!(cf.count(CfEdgeKind::BranchFalse), 1);
+        assert_eq!(cfg("if (x) a(); else b();").edges, 2);
     }
 
     #[test]
     fn if_without_else_has_only_true_branch() {
-        let cf = cfg("if (x) a();");
-        assert_eq!(cf.count(CfEdgeKind::BranchTrue), 1);
-        assert_eq!(cf.count(CfEdgeKind::BranchFalse), 0);
+        assert_eq!(cfg("if (x) a();").edges, 1);
     }
 
     #[test]
@@ -453,56 +309,70 @@ mod tests {
             "for (k in o) f();",
             "for (k of o) f();",
         ] {
-            let cf = cfg(src);
-            assert_eq!(cf.count(CfEdgeKind::LoopBack), 1, "no back edge in {:?}", src);
+            assert_eq!(cfg(src).edges, 2, "entry and back edge in {:?}", src);
         }
     }
 
     #[test]
     fn switch_cases_get_match_edges() {
+        // One match edge per case plus one into each case body.
         let cf = cfg("switch (x) { case 1: a(); case 2: b(); default: c(); }");
-        assert_eq!(cf.count(CfEdgeKind::CaseMatch), 3);
+        assert_eq!(cf.edges, 6);
     }
 
     #[test]
     fn try_catch_has_exception_edge() {
+        // Into the block, to the handler, into its body, into the finalizer.
         let cf = cfg("try { f(); } catch (e) { g(); } finally { h(); }");
-        assert_eq!(cf.count(CfEdgeKind::Exception), 1);
-        assert_eq!(cf.count(CfEdgeKind::Finally), 1);
+        assert_eq!(cf.edges, 4);
     }
 
     #[test]
     fn ternary_contributes_branches() {
         let cf = cfg("x = a ? b : c;");
-        assert_eq!(cf.count(CfEdgeKind::BranchTrue), 1);
-        assert_eq!(cf.count(CfEdgeKind::BranchFalse), 1);
+        assert_eq!((cf.edges, cf.node_count), (3, 2));
     }
 
     #[test]
     fn function_bodies_are_traversed() {
-        let cf = cfg("function f() { if (x) a(); }");
-        assert_eq!(cf.count(CfEdgeKind::BranchTrue), 1);
+        assert_eq!(cfg("function f() { if (x) a(); }").edges, 1);
     }
 
     #[test]
     fn straight_line_code_is_fully_reachable() {
         let cf = cfg("a(); b(); c();");
-        assert_eq!(cf.reachable_from_entry().count(), 3);
-        assert!(cf.unreachable_nodes().is_empty());
+        assert_eq!(cf.node_count, 3);
+        assert!(cf.unreachable.is_empty());
     }
 
     #[test]
     fn code_after_return_is_unreachable() {
-        let cf = cfg("function f() { return 1; dead(); }");
-        let dead: Vec<_> = cf.unreachable_nodes();
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].kind, NodeKind::ExpressionStatement);
+        assert_eq!(
+            dead_kinds("function f() { return 1; dead(); }"),
+            [NodeKind::ExpressionStatement]
+        );
     }
 
     #[test]
     fn code_after_throw_and_break_is_unreachable() {
         let cf = cfg("while (x) { break; dead1(); } function g() { throw e; dead2(); }");
-        assert_eq!(cf.unreachable_nodes().len(), 2);
+        assert_eq!(cf.unreachable.len(), 2);
+    }
+
+    #[test]
+    fn dead_statements_pass_their_flag_down_in_registration_order() {
+        // The list's nodes first, then what nests in them; the ternary
+        // inherits the dead statement's flag.
+        assert_eq!(
+            dead_kinds("function f() { return; if (x) { a(); } y = p ? q : r; }"),
+            [
+                NodeKind::IfStatement,
+                NodeKind::ExpressionStatement,
+                NodeKind::BlockStatement,
+                NodeKind::ExpressionStatement,
+                NodeKind::ConditionalExpression,
+            ]
+        );
     }
 
     #[test]
@@ -510,32 +380,36 @@ mod tests {
         // Single-statement if arms and loop bodies are not inside a
         // statement list; they must still be registered and reachable.
         let cf = cfg("if (x) a(); else b(); while (y) c();");
-        assert!(cf.unreachable_nodes().is_empty());
-        assert!(cf.reachable_from_entry().count() >= 5);
+        assert!(cf.unreachable.is_empty());
+        assert_eq!(cf.node_count, 5);
     }
 
     #[test]
     fn function_bodies_are_entry_roots() {
-        // `f` is never called, but its body must not be flagged dead.
-        let cf = cfg("var z = 1; function f() { inner(); }");
-        assert!(cf.unreachable_nodes().is_empty());
-        assert_eq!(cf.roots.len(), 2);
+        // `f` is never called and `h` is declared after a `return`: only
+        // the dead declaration is flagged, never a function's body.
+        assert!(cfg("var z = 1; function f() { inner(); }").unreachable.is_empty());
+        assert_eq!(
+            dead_kinds("function g() { return; function h() { ok(); } }"),
+            [NodeKind::FunctionDeclaration]
+        );
     }
 
     #[test]
-    fn node_count_matches_registered_nodes() {
+    fn node_count_covers_every_node_kind() {
+        // if, try; two arms; b(), c(); d(); the catch clause; g().
         let cf = cfg("if (a) { b(); } else { c(); } try { d(); } catch (e) { g(); }");
-        assert_eq!(cf.node_count, cf.nodes.len());
-        assert!(cf.node_count > 0);
+        assert_eq!(cf.node_count, 9);
     }
 
     #[test]
     fn flattened_switch_shape_has_many_edges() {
         // Control-flow-flattened code: while(true) + switch = lots of edges.
+        // Loop entry and back edge 2, into the block 1, four cases with
+        // their bodies 8, and 2 fallthroughs in each of three cases.
         let cf = cfg(
             "while (true) { switch (s) { case 0: a(); s = 2; break; case 1: b(); s = 3; break; case 2: c(); s = 1; break; case 3: return; } }",
         );
-        assert!(cf.count(CfEdgeKind::CaseMatch) >= 4);
-        assert_eq!(cf.count(CfEdgeKind::LoopBack), 1);
+        assert_eq!(cf.edges, 17);
     }
 }

@@ -2,11 +2,13 @@
 //!
 //! This crate reproduces the JSTAP-style graph layer the paper builds on
 //! top of Esprima's AST (§III-A): scope-aware identifier resolution,
-//! control-flow edges restricted to statement-level nodes (plus
-//! `CatchClause`, `SwitchCase`, and `ConditionalExpression`), and the
-//! count of def→use data-flow pairs between `Identifier` nodes. The
-//! paper's two-minute data-flow timeout is mirrored by fixed reference and
-//! per-binding pair budgets.
+//! control flow restricted to statement-level nodes (plus `CatchClause`,
+//! `SwitchCase`, and `ConditionalExpression`), and def→use data flow
+//! between `Identifier` nodes. The paper reads both flow layers only as
+//! numbers, so neither is stored: control flow is an edge count, a node
+//! count and the list of nodes no entry reaches, and data flow is a pair
+//! count. The paper's two-minute data-flow timeout is mirrored by fixed
+//! reference and per-binding pair budgets.
 //!
 //! # Examples
 //!
@@ -18,6 +20,8 @@
 //! let graph = analyze(&prog);
 //! assert!(graph.dataflow.complete);
 //! assert_eq!(graph.dataflow.pairs, 2); // x flows to `if (x)` and `f(x)`
+//! assert_eq!(graph.control_flow.edges, 2); // `var` → `if`, `if` → its arm
+//! assert!(graph.control_flow.unreachable.is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -27,7 +31,7 @@ mod cfg;
 mod dataflow;
 mod scope;
 
-pub use cfg::{build_cfg, CfEdge, CfEdgeKind, CfNode, ControlFlow};
+pub use cfg::{build_cfg, CfNode, ControlFlow};
 pub use dataflow::{build_dataflow, DataFlow};
 pub use scope::{
     analyze_scopes, classify_def_value, Binding, BindingId, BindingKind, DefValueKind, RefKind,
@@ -41,7 +45,7 @@ use jsdetect_ast::Program;
 pub struct ProgramGraph {
     /// Scope tree with bindings and references.
     pub scopes: ScopeTree,
-    /// Control-flow edges.
+    /// Control-flow counts and unreachable nodes.
     pub control_flow: ControlFlow,
     /// Data-flow (def→use) pair count.
     pub dataflow: DataFlow,

@@ -45,25 +45,23 @@ impl MutVisitor for Eliminate<'_, '_> {
         // and a replacement is never re-visited.
         walk_stmt_mut(self, s);
         self.cx.tick(1);
-        let replacement = match s {
-            Stmt::If { test, consequent, alternate, span } => match truthiness(test) {
-                Some(true) => std::mem::replace(&mut **consequent, Stmt::Empty { span: *span }),
-                Some(false) => match alternate.take() {
-                    Some(alt) => *alt,
-                    None => Stmt::Empty { span: *span },
-                },
-                None => return,
-            },
-            Stmt::While { test, span, .. } => match truthiness(test) {
-                Some(false) => Stmt::Empty { span: *span },
-                _ => return,
-            },
-            _ => return,
+        let taken = match s {
+            Stmt::If { test, .. } => truthiness(test),
+            Stmt::While { test, .. } => truthiness(test).filter(|&t| !t),
+            _ => None,
         };
-        if self.cx.spend() {
-            *s = replacement;
-            self.count += 1;
+        // Decide, pay, then move: a refused spend must leave `s` whole.
+        let Some(taken) = taken else { return };
+        if !self.cx.spend() {
+            return;
         }
+        let span = s.span();
+        *s = match std::mem::replace(s, Stmt::Empty { span }) {
+            Stmt::If { consequent, .. } if taken => *consequent,
+            Stmt::If { alternate: Some(alt), .. } => *alt,
+            _ => Stmt::Empty { span },
+        };
+        self.count += 1;
     }
 
     fn visit_stmts_mut(&mut self, stmts: &mut Vec<Stmt>) {
@@ -82,7 +80,7 @@ impl MutVisitor for Eliminate<'_, '_> {
 #[cfg(test)]
 mod tests {
     use crate::tests::normalize;
-    use crate::{NormalizeOptions, PassKind};
+    use crate::{NormalizeOptions, PassKind, MAX_REWRITES};
     use jsdetect_codegen::to_minified;
     use jsdetect_parser::parse;
 
@@ -128,6 +126,21 @@ mod tests {
         assert!(out.contains("b()"), "{}", out);
         assert!(!out.contains("a()"), "{}", out);
         assert!(!out.contains("c()"), "{}", out);
+    }
+
+    #[test]
+    fn fuel_cut_leaves_the_branch_whole() {
+        // One more constant branch than the fuel pays for: the unpaid one
+        // must keep its body, not turn into `if(true);`.
+        let src = "if (true) a();\n".repeat(MAX_REWRITES as usize) + "if (true) keep();";
+        let p = parse(&src).unwrap();
+        let opts =
+            NormalizeOptions { passes: vec![PassKind::DeadBranch], ..NormalizeOptions::default() };
+        let (out, report) = normalize(&p, &opts);
+        assert!(report.fuel_exhausted);
+        assert_eq!(report.total_rewrites(), MAX_REWRITES);
+        let out = to_minified(&out);
+        assert!(out.ends_with("a();if(true)keep();"), "{}", &out[out.len() - 40..]);
     }
 
     #[test]
