@@ -133,11 +133,12 @@ fn outcome_tag(o: OutcomeKind) -> u8 {
     }
 }
 
+/// Writes `s` behind a u16 length, cut at the last char boundary that
+/// fits, so a long error message stays valid UTF-8.
 fn push_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize);
-    buf.extend_from_slice(&(bytes.len().min(u16::MAX as usize) as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+    let s = &s[..s.floor_char_boundary(u16::MAX as usize)];
+    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Encodes one record, including the trailing checksum.

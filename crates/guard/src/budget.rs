@@ -51,7 +51,7 @@ impl Budget {
     }
 
     /// Tokens charged so far: one running total over every token any lexer
-    /// produced under this budget, parser-backtracking re-lexes and the
+    /// produced under this budget, the regex and template rescans and the
     /// degraded fallback's scan included.
     pub fn tokens_used(&self) -> u64 {
         self.tokens.get()

@@ -14,7 +14,7 @@ pub struct Limits {
     /// Maximum input size in bytes, checked before any work runs.
     pub max_input_bytes: usize,
     /// Maximum number of tokens the lexer may produce (charged per token,
-    /// including re-lexes during parser backtracking).
+    /// including the parser's regex and template rescans).
     pub max_tokens: u64,
     /// Maximum parser recursion depth (the stack-overflow guard).
     pub max_ast_depth: u32,

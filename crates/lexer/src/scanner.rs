@@ -146,22 +146,6 @@ impl<'s> Lexer<'s> {
         self.pos as u32
     }
 
-    /// Resets the byte position (used by the parser for backtracking).
-    pub fn set_pos(&mut self, pos: u32) {
-        self.pos = pos as usize;
-    }
-
-    /// Number of comments recorded so far (used with
-    /// [`Lexer::truncate_comments`] for backtracking).
-    pub fn comments_len(&self) -> usize {
-        self.comments.len()
-    }
-
-    /// Drops comments recorded past `len` (parser backtracking).
-    pub fn truncate_comments(&mut self, len: usize) {
-        self.comments.truncate(len);
-    }
-
     /// Re-lexes a token that began at `start` as a regular-expression
     /// literal. Used by the parser when it knows a `/` or `/=` token sits
     /// at an expression-start position.

@@ -11,10 +11,12 @@
 //! Module declarations are accepted at any statement position rather than
 //! only at a module-goal top level — wild scripts mix goals freely, and the
 //! detector must not reject them. [`Program::module_goal`] reports whether
-//! a parse actually contained module syntax. Arrow-function parameter
-//! lists are parsed with backtracking over the raw lexer, and `/` is
-//! rescanned as a regular expression whenever the parser sits at an
-//! expression-start position.
+//! a parse actually contained module syntax. The parser never backtracks:
+//! a parenthesized group is parsed once as an expression and read as
+//! arrow-function parameters when `=>` follows (the cover grammar of
+//! ECMA-262's `CoverParenthesizedExpressionAndArrowParameterList`), and
+//! `/` is rescanned as a regular expression whenever the parser sits at
+//! an expression-start position.
 
 use crate::error::ParseError;
 use jsdetect_ast::*;
@@ -61,10 +63,9 @@ pub fn parse_with_budget(src: &str, budget: &Budget) -> Result<Program, ParseErr
 }
 
 /// [`parse_with_budget`], returning the comments and the counts of the
-/// tokens the parse committed to alongside. Backtracked tokens are not
-/// counted, and a `/` or `}` the parser re-lexed counts as the regex or
-/// template token it became, so the counts are those of the script's one
-/// token list, EOF included.
+/// tokens alongside. A `/` or `}` the parser re-lexed counts as the regex
+/// or template token it became, so the counts are those of the script's
+/// one token list, EOF included.
 pub fn parse_with_comments_budget<'s>(
     src: &'s str,
     budget: &'s Budget,
@@ -78,21 +79,37 @@ pub fn parse_with_comments_budget<'s>(
 struct Parser<'s> {
     lexer: Lexer<'s>,
     cur: Token,
+    /// Up to two lookahead tokens; the second only decides `async x =>`.
     peeked: Option<Token>,
+    peeked2: Option<Token>,
     /// Tokens the parse has moved past. A token is counted when it stops
     /// being `cur`, so the rescans that replace `cur` need no correction.
     counts: TokenCounts,
     depth: u32,
     src_len: u32,
     budget: Option<&'s Budget>,
+    /// Start of the assignment expression entered last: a parenthesized
+    /// group that opens there may be an arrow head.
+    head: u32,
+    /// The group that opened at `head` and closed right before a same-line
+    /// `=>`, left for `parse_assignment_inner` to read as parameters.
+    arrow_head: Option<ArrowHead>,
+    /// Spans of the cover-grammar forms no binding pattern may contain:
+    /// parenthesized expressions, spreads followed by a comma, and object
+    /// properties with an `async` or `*` prefix but no method body. Pushed
+    /// as each form ends, so sorted by end; cleared per top-level
+    /// statement, as no group spans two.
+    non_binding: Vec<Span>,
 }
 
-/// Snapshot for backtracking (arrow-function cover grammar).
-struct State {
-    lex_pos: u32,
-    cur: Token,
-    comments_len: usize,
-    counts: TokenCounts,
+/// A parenthesized group that may head an arrow function.
+struct ArrowHead {
+    /// The group's expression is the `Sequence` of its elements, even
+    /// when it has one (a provisional group).
+    list: bool,
+    /// The error the expression grammar gives at an arrow-only form
+    /// (`()`, `(a,)`, `(...rest)`): the group's fate if no arrow follows.
+    provisional: Option<ParseError>,
 }
 
 impl<'s> Parser<'s> {
@@ -106,10 +123,14 @@ impl<'s> Parser<'s> {
             lexer,
             cur,
             peeked: None,
+            peeked2: None,
             counts: TokenCounts::default(),
             depth: 0,
             src_len: src.len() as u32,
             budget,
+            head: u32::MAX,
+            arrow_head: None,
+            non_binding: Vec::new(),
         })
     }
 
@@ -118,7 +139,10 @@ impl<'s> Parser<'s> {
     fn advance(&mut self) -> Result<(), ParseError> {
         self.counts.add(&self.cur);
         self.cur = match self.peeked.take() {
-            Some(t) => t,
+            Some(t) => {
+                self.peeked = self.peeked2.take();
+                t
+            }
             None => self.lexer.next_token(false)?,
         };
         Ok(())
@@ -131,26 +155,13 @@ impl<'s> Parser<'s> {
         Ok(self.peeked.as_ref().unwrap())
     }
 
-    fn save(&self) -> State {
-        State {
-            lex_pos: match &self.peeked {
-                // If we have peeked, the lexer has advanced past `peeked`;
-                // restoring to the peeked token's start re-lexes it.
-                Some(t) => t.span.start,
-                None => self.lexer.pos(),
-            },
-            cur: self.cur,
-            comments_len: self.lexer.comments_len(),
-            counts: self.counts,
+    /// The token after [`Parser::peek`]'s.
+    fn peek2(&mut self) -> Result<&Token, ParseError> {
+        self.peek()?;
+        if self.peeked2.is_none() {
+            self.peeked2 = Some(self.lexer.next_token(false)?);
         }
-    }
-
-    fn restore(&mut self, st: State) {
-        self.lexer.set_pos(st.lex_pos);
-        self.lexer.truncate_comments(st.comments_len);
-        self.cur = st.cur;
-        self.counts = st.counts;
-        self.peeked = None;
+        Ok(self.peeked2.as_ref().unwrap())
     }
 
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
@@ -274,6 +285,7 @@ impl<'s> Parser<'s> {
     fn parse_program(&mut self) -> Result<Program, ParseError> {
         let mut body = Vec::new();
         while !self.cur.is_eof() {
+            self.non_binding.clear();
             body.push(self.parse_stmt()?);
         }
         Ok(Program { body, span: Span::new(0, self.src_len) })
@@ -538,7 +550,7 @@ impl<'s> Parser<'s> {
         let first = self.parse_expr(false)?;
         if self.is_kw(Kw::In) {
             self.advance()?;
-            let target = ForTarget::Pat(expr_to_pat(first)?);
+            let target = ForTarget::Pat(expr_to_pat(first, false)?);
             let object = self.parse_expr(true)?;
             self.expect_punct(Punct::RParen)?;
             let body = Box::new(self.parse_stmt()?);
@@ -547,7 +559,7 @@ impl<'s> Parser<'s> {
         }
         if self.is_ident("of") {
             self.advance()?;
-            let target = ForTarget::Pat(expr_to_pat(first)?);
+            let target = ForTarget::Pat(expr_to_pat(first, false)?);
             let iterable = self.parse_assignment(true)?;
             self.expect_punct(Punct::RParen)?;
             let body = Box::new(self.parse_stmt()?);
@@ -992,20 +1004,11 @@ impl<'s> Parser<'s> {
         let mut params = Vec::new();
         while !self.is_punct(Punct::RParen) {
             if self.is_punct(Punct::Ellipsis) {
-                let rstart = self.cur.span.start;
-                self.advance()?;
-                let arg = self.parse_binding_pat()?;
-                let span = Span::new(rstart, arg.span().end);
-                params.push(Pat::Rest { arg: Box::new(arg), span });
+                params.push(self.parse_rest_pat()?);
                 break;
             }
-            let mut p = self.parse_binding_pat()?;
-            if self.eat_punct(Punct::Eq)? {
-                let value = self.parse_assignment(true)?;
-                let span = Span::new(p.span().start, value.span().end);
-                p = Pat::Assign { target: Box::new(p), value: Box::new(value), span };
-            }
-            params.push(p);
+            let p = self.parse_binding_pat()?;
+            params.push(self.parse_default(p)?);
             if !self.eat_punct(Punct::Comma)? {
                 break;
             }
@@ -1239,13 +1242,32 @@ impl<'s> Parser<'s> {
             return Ok(Expr::Yield { arg, delegate, span: Span::new(start, end) });
         }
 
-        // Arrow functions. Three shapes: `x => ...`, `(params) => ...`,
-        // `async x => ...` / `async (params) => ...`.
-        if let Some(arrow) = self.try_parse_arrow()? {
+        // Arrow functions: `x => …` and `async x => …` are seen by
+        // lookahead; `(…) => …` and `async (…) => …` parse as a group or a
+        // call first and are read as parameters when `=>` follows.
+        if let Some(arrow) = self.parse_ident_arrow()? {
             return Ok(arrow);
         }
-
+        let start = self.cur.span.start;
+        let async_call = self.is_ident("async") && {
+            let next = self.peek()?;
+            next.is_punct(Punct::LParen) && !next.newline_before
+        };
+        self.head = start;
         let lhs = self.parse_conditional(in_allowed)?;
+        if let Some(is_async) = self.cover_arrow(start, async_call, &lhs)? {
+            // A head that binds is a list group's `Sequence`, the call
+            // `async(…)`, or a group's lone element.
+            let elems = match lhs {
+                Expr::Sequence { exprs, .. } => exprs,
+                Expr::Call { args, .. } => args,
+                e => vec![e],
+            };
+            let params =
+                elems.into_iter().map(|e| expr_to_pat(e, true)).collect::<Result<_, _>>()?;
+            self.advance()?; // =>
+            return self.finish_arrow(start, params, is_async);
+        }
 
         // Assignment operators.
         let op = match &self.cur.kind {
@@ -1253,7 +1275,7 @@ impl<'s> Parser<'s> {
             _ => None,
         };
         if let Some(op) = op {
-            let target = expr_to_pat(lhs)?;
+            let target = expr_to_pat(lhs, false)?;
             self.advance()?;
             let value = self.parse_assignment(in_allowed)?;
             let span = Span::new(target.span().start, value.span().end);
@@ -1262,76 +1284,73 @@ impl<'s> Parser<'s> {
         Ok(lhs)
     }
 
-    /// Attempts to parse an arrow function at the current position,
-    /// backtracking on failure. Returns `Ok(None)` if the input is not an
-    /// arrow function.
-    fn try_parse_arrow(&mut self) -> Result<Option<Expr>, ParseError> {
+    /// `x => …` or `async x => …` at the current position, decided by
+    /// lookahead alone.
+    fn parse_ident_arrow(&mut self) -> Result<Option<Expr>, ParseError> {
+        let TokenKind::Ident(name) = self.cur.kind else {
+            return Ok(None);
+        };
         let start = self.cur.span.start;
-
-        // `ident => ...`
-        if let TokenKind::Ident(name) = &self.cur.kind {
-            let name = *name;
-            if name != "async" {
-                let next = self.peek()?;
-                if next.is_punct(Punct::Arrow) && !next.newline_before {
-                    let param = Pat::Ident(Ident { name, span: self.cur.span });
-                    self.advance()?; // ident
-                    self.advance()?; // =>
-                    return Ok(Some(self.finish_arrow(start, vec![param], false)?));
+        let is_async = name == "async";
+        let param = if is_async {
+            let next = self.peek()?;
+            match next.kind {
+                TokenKind::Ident(pname) if !next.newline_before => {
+                    Ident { name: pname, span: next.span }
                 }
-            } else {
-                // `async x => ...` / `async (params) => ...`
-                let next = self.peek()?;
-                if !next.newline_before {
-                    if let TokenKind::Ident(pname) = &next.kind {
-                        let pname = *pname;
-                        let pspan = next.span;
-                        let st = self.save();
-                        self.advance()?; // async
-                        self.advance()?; // param ident
-                        if self.is_punct(Punct::Arrow) && !self.cur.newline_before {
-                            self.advance()?; // =>
-                            let param = Pat::Ident(Ident { name: pname, span: pspan });
-                            return Ok(Some(self.finish_arrow(start, vec![param], true)?));
-                        }
-                        self.restore(st);
-                    } else if next.is_punct(Punct::LParen) {
-                        let st = self.save();
-                        self.advance()?; // async
-                        match self.try_paren_arrow(start, true)? {
-                            Some(e) => return Ok(Some(e)),
-                            None => self.restore(st),
-                        }
-                    }
-                }
+                _ => return Ok(None),
             }
-        } else if self.is_punct(Punct::LParen) {
-            let st = self.save();
-            match self.try_paren_arrow(start, false)? {
-                Some(e) => return Ok(Some(e)),
-                None => self.restore(st),
-            }
+        } else {
+            Ident { name, span: self.cur.span }
+        };
+        let arrow = if is_async { self.peek2()? } else { self.peek()? };
+        if !arrow.is_punct(Punct::Arrow) || arrow.newline_before {
+            return Ok(None);
         }
-        Ok(None)
+        if is_async {
+            self.advance()?;
+        }
+        self.advance()?; // param
+        self.advance()?; // =>
+        Ok(Some(self.finish_arrow(start, vec![Pat::Ident(param)], is_async)?))
     }
 
-    /// Speculatively parses `(params) => body`; returns `None` (without
-    /// consuming) if the parenthesized fragment is not an arrow head.
-    fn try_paren_arrow(&mut self, start: u32, is_async: bool) -> Result<Option<Expr>, ParseError> {
-        let st = self.save();
-        let params = match self.parse_params() {
-            Ok(p) => p,
-            Err(_) => {
-                self.restore(st);
-                return Ok(None);
+    /// Whether `lhs`, parsed from `start` and followed by a same-line
+    /// `=>`, heads an arrow function, and if so whether an async one: the
+    /// group [`Parser::parse_group`] left in `arrow_head`, or the call
+    /// `async(…)` when `async_call`, whose elements all bind. A
+    /// provisional group that does not bind fails with its error.
+    fn cover_arrow(
+        &mut self,
+        start: u32,
+        async_call: bool,
+        lhs: &Expr,
+    ) -> Result<Option<bool>, ParseError> {
+        let head = self.arrow_head.take();
+        let elems = match (&head, lhs) {
+            (Some(head), Expr::Sequence { exprs, .. }) if head.list => exprs.as_slice(),
+            (Some(_), e) => std::slice::from_ref(e),
+            (None, Expr::Call { callee, args, .. })
+                if async_call
+                    && self.is_punct(Punct::Arrow)
+                    && !self.cur.newline_before
+                    && matches!(&**callee, Expr::Ident(i) if i.span.start == start) =>
+            {
+                args.as_slice()
             }
+            _ => return Ok(None),
         };
-        if self.is_punct(Punct::Arrow) && !self.cur.newline_before {
-            self.advance()?;
-            Ok(Some(self.finish_arrow(start, params, is_async)?))
-        } else {
-            self.restore(st);
-            Ok(None)
+        if elems.iter().all(|e| self.binds(e, true)) {
+            return Ok(Some(head.is_none()));
+        }
+        match head {
+            Some(ArrowHead { provisional: Some(err), .. }) => Err(err),
+            Some(_) => {
+                // No arrow head after all, but a parenthesized expression.
+                self.refuse(lhs.span());
+                Ok(None)
+            }
+            None => Ok(None),
         }
     }
 
@@ -1559,132 +1578,87 @@ impl<'s> Parser<'s> {
         };
 
         let mut links = 0u32;
-        let r = self.parse_lhs_chain(e, &mut links);
+        let r = self.parse_lhs_chain(e, &mut links, true);
         self.chain_release(links);
         r
     }
 
-    fn parse_lhs_chain(&mut self, mut e: Expr, links: &mut u32) -> Result<Expr, ParseError> {
+    /// The member, call and tagged-template links after `e`; without
+    /// `calls`, only `.name` and `[index]` links (a `new` callee).
+    fn parse_lhs_chain(
+        &mut self,
+        mut e: Expr,
+        links: &mut u32,
+        calls: bool,
+    ) -> Result<Expr, ParseError> {
         loop {
+            let start = e.span().start;
             match &self.cur.kind {
                 TokenKind::Punct(Punct::Dot) => {
                     self.chain_link(links)?;
                     self.advance()?;
-                    if let TokenKind::PrivateName(n) = &self.cur.kind {
-                        let prop = Ident { name: *n, span: self.cur.span };
-                        let span = Span::new(e.span().start, self.cur.span.end);
-                        self.advance()?;
-                        e = Expr::Member {
-                            object: Box::new(e),
-                            property: MemberProp::Private(prop),
-                            optional: false,
-                            span,
-                        };
-                        continue;
-                    }
-                    let name = match &self.cur.kind {
-                        TokenKind::Ident(n) => *n,
-                        TokenKind::Keyword(kw) => kw.atom(),
-                        _ => return Err(self.unexpected("property name")),
-                    };
-                    let pspan = self.cur.span;
-                    self.advance()?;
-                    let span = Span::new(e.span().start, pspan.end);
-                    e = Expr::Member {
-                        object: Box::new(e),
-                        property: MemberProp::Ident(Ident { name, span: pspan }),
-                        optional: false,
-                        span,
-                    };
+                    e = self.parse_member_name(e, false, "property name")?;
                 }
-                TokenKind::Punct(Punct::OptionalChain) => {
+                TokenKind::Punct(Punct::OptionalChain) if calls => {
                     self.chain_link(links)?;
                     self.advance()?;
-                    match &self.cur.kind {
+                    e = match &self.cur.kind {
                         TokenKind::Punct(Punct::LParen) => {
                             let (args, end) = self.parse_args()?;
-                            let span = Span::new(e.span().start, end);
-                            e = Expr::Call { callee: Box::new(e), args, span };
+                            Expr::Call { callee: Box::new(e), args, span: Span::new(start, end) }
                         }
-                        TokenKind::Punct(Punct::LBracket) => {
-                            self.advance()?;
-                            let idx = self.parse_expr(true)?;
-                            let end = self.cur.span.end;
-                            self.expect_punct(Punct::RBracket)?;
-                            let span = Span::new(e.span().start, end);
-                            e = Expr::Member {
-                                object: Box::new(e),
-                                property: MemberProp::Computed(Box::new(idx)),
-                                optional: true,
-                                span,
-                            };
-                        }
-                        TokenKind::Ident(n) => {
-                            let prop = Ident { name: *n, span: self.cur.span };
-                            let span = Span::new(e.span().start, self.cur.span.end);
-                            self.advance()?;
-                            e = Expr::Member {
-                                object: Box::new(e),
-                                property: MemberProp::Ident(prop),
-                                optional: true,
-                                span,
-                            };
-                        }
-                        TokenKind::Keyword(kw) => {
-                            let prop = Ident { name: kw.atom(), span: self.cur.span };
-                            let span = Span::new(e.span().start, self.cur.span.end);
-                            self.advance()?;
-                            e = Expr::Member {
-                                object: Box::new(e),
-                                property: MemberProp::Ident(prop),
-                                optional: true,
-                                span,
-                            };
-                        }
-                        TokenKind::PrivateName(n) => {
-                            let prop = Ident { name: *n, span: self.cur.span };
-                            let span = Span::new(e.span().start, self.cur.span.end);
-                            self.advance()?;
-                            e = Expr::Member {
-                                object: Box::new(e),
-                                property: MemberProp::Private(prop),
-                                optional: true,
-                                span,
-                            };
-                        }
-                        _ => return Err(self.unexpected("optional chain")),
-                    }
+                        TokenKind::Punct(Punct::LBracket) => self.parse_index(e, true)?,
+                        _ => self.parse_member_name(e, true, "optional chain")?,
+                    };
                 }
                 TokenKind::Punct(Punct::LBracket) => {
                     self.chain_link(links)?;
-                    self.advance()?;
-                    let idx = self.parse_expr(true)?;
-                    let end = self.cur.span.end;
-                    self.expect_punct(Punct::RBracket)?;
-                    let span = Span::new(e.span().start, end);
-                    e = Expr::Member {
-                        object: Box::new(e),
-                        property: MemberProp::Computed(Box::new(idx)),
-                        optional: false,
-                        span,
-                    };
+                    e = self.parse_index(e, false)?;
                 }
-                TokenKind::Punct(Punct::LParen) => {
+                TokenKind::Punct(Punct::LParen) if calls => {
                     self.chain_link(links)?;
                     let (args, end) = self.parse_args()?;
-                    let span = Span::new(e.span().start, end);
-                    e = Expr::Call { callee: Box::new(e), args, span };
+                    e = Expr::Call { callee: Box::new(e), args, span: Span::new(start, end) };
                 }
-                TokenKind::TemplateNoSub { .. } | TokenKind::TemplateHead { .. } => {
+                TokenKind::TemplateNoSub { .. } | TokenKind::TemplateHead { .. } if calls => {
                     self.chain_link(links)?;
                     let (quasis, exprs, end) = self.parse_template_parts()?;
-                    let span = Span::new(e.span().start, end);
+                    let span = Span::new(start, end);
                     e = Expr::TaggedTemplate { tag: Box::new(e), quasis, exprs, span };
                 }
                 _ => break,
             }
         }
         Ok(e)
+    }
+
+    /// `object.name` (keywords included) or `object.#name`, at the name.
+    fn parse_member_name(
+        &mut self,
+        object: Expr,
+        optional: bool,
+        what: &str,
+    ) -> Result<Expr, ParseError> {
+        let span = self.cur.span;
+        let property = match self.cur.kind {
+            TokenKind::Ident(name) => MemberProp::Ident(Ident { name, span }),
+            TokenKind::Keyword(kw) => MemberProp::Ident(Ident { name: kw.atom(), span }),
+            TokenKind::PrivateName(name) => MemberProp::Private(Ident { name, span }),
+            _ => return Err(self.unexpected(what)),
+        };
+        self.advance()?;
+        let span = Span::new(object.span().start, span.end);
+        Ok(Expr::Member { object: Box::new(object), property, optional, span })
+    }
+
+    /// `object[index]`, at the `[`.
+    fn parse_index(&mut self, object: Expr, optional: bool) -> Result<Expr, ParseError> {
+        self.advance()?; // [
+        let index = self.parse_expr(true)?;
+        let span = Span::new(object.span().start, self.cur.span.end);
+        self.expect_punct(Punct::RBracket)?;
+        let property = MemberProp::Computed(Box::new(index));
+        Ok(Expr::Member { object: Box::new(object), property, optional, span })
     }
 
     /// Like [`Parser::parse_lhs_inner`] but stops before call arguments —
@@ -1712,88 +1686,145 @@ impl<'s> Parser<'s> {
             self.parse_primary()?
         };
         let mut links = 0u32;
-        let r = self.parse_member_only_chain(e, &mut links);
+        let r = self.parse_lhs_chain(e, &mut links, false);
         self.chain_release(links);
         r
-    }
-
-    fn parse_member_only_chain(
-        &mut self,
-        mut e: Expr,
-        links: &mut u32,
-    ) -> Result<Expr, ParseError> {
-        loop {
-            match &self.cur.kind {
-                TokenKind::Punct(Punct::Dot) => {
-                    self.chain_link(links)?;
-                    self.advance()?;
-                    if let TokenKind::PrivateName(n) = &self.cur.kind {
-                        let prop = Ident { name: *n, span: self.cur.span };
-                        let span = Span::new(e.span().start, self.cur.span.end);
-                        self.advance()?;
-                        e = Expr::Member {
-                            object: Box::new(e),
-                            property: MemberProp::Private(prop),
-                            optional: false,
-                            span,
-                        };
-                        continue;
-                    }
-                    let name = match &self.cur.kind {
-                        TokenKind::Ident(n) => *n,
-                        TokenKind::Keyword(kw) => kw.atom(),
-                        _ => return Err(self.unexpected("property name")),
-                    };
-                    let pspan = self.cur.span;
-                    self.advance()?;
-                    let span = Span::new(e.span().start, pspan.end);
-                    e = Expr::Member {
-                        object: Box::new(e),
-                        property: MemberProp::Ident(Ident { name, span: pspan }),
-                        optional: false,
-                        span,
-                    };
-                }
-                TokenKind::Punct(Punct::LBracket) => {
-                    self.chain_link(links)?;
-                    self.advance()?;
-                    let idx = self.parse_expr(true)?;
-                    let end = self.cur.span.end;
-                    self.expect_punct(Punct::RBracket)?;
-                    let span = Span::new(e.span().start, end);
-                    e = Expr::Member {
-                        object: Box::new(e),
-                        property: MemberProp::Computed(Box::new(idx)),
-                        optional: false,
-                        span,
-                    };
-                }
-                _ => break,
-            }
-        }
-        Ok(e)
     }
 
     fn parse_args(&mut self) -> Result<(Vec<Expr>, u32), ParseError> {
         self.expect_punct(Punct::LParen)?;
         let mut args = Vec::new();
         while !self.is_punct(Punct::RParen) {
-            if self.is_punct(Punct::Ellipsis) {
-                let start = self.cur.span.start;
-                self.advance()?;
-                let arg = self.parse_assignment(true)?;
-                let span = Span::new(start, arg.span().end);
-                args.push(Expr::Spread { arg: Box::new(arg), span });
+            let arg = if self.is_punct(Punct::Ellipsis) {
+                self.parse_spread()?
             } else {
-                args.push(self.parse_assignment(true)?);
-            }
-            if !self.eat_punct(Punct::Comma)? {
+                self.parse_assignment(true)?
+            };
+            let more = self.eat_punct_after(Punct::Comma, &arg)?;
+            args.push(arg);
+            if !more {
                 break;
             }
         }
         let end = self.cur.span.end;
         self.expect_punct(Punct::RParen)?;
         Ok((args, end))
+    }
+
+    /// `...expr` in an argument list, array literal or group.
+    fn parse_spread(&mut self) -> Result<Expr, ParseError> {
+        let start = self.cur.span.start;
+        self.expect_punct(Punct::Ellipsis)?;
+        let arg = self.parse_assignment(true)?;
+        let span = Span::new(start, arg.span().end);
+        Ok(Expr::Spread { arg: Box::new(arg), span })
+    }
+
+    /// [`Parser::eat_punct`] after a list element: a spread followed by a
+    /// comma can never be a rest element, so its span is recorded.
+    fn eat_punct_after(&mut self, p: Punct, elem: &Expr) -> Result<bool, ParseError> {
+        let eaten = self.eat_punct(p)?;
+        if eaten && matches!(elem, Expr::Spread { .. }) {
+            self.refuse(elem.span());
+        }
+        Ok(eaten)
+    }
+
+    /// A parenthesized group, parsed once as the cover grammar of an
+    /// expression and an arrow head: its elements parse as assignment
+    /// expressions, and three forms only an arrow head allows are accepted
+    /// provisionally: `()`, a trailing comma and a final `...rest`.
+    ///
+    /// A group that opens at `head` and closes right before a same-line
+    /// `=>` is left in `arrow_head` for `parse_assignment_inner` to read.
+    /// Any other is a parenthesized expression, and a provisional one fails
+    /// with the error the expression grammar gives at its arrow-only form.
+    fn parse_group(&mut self) -> Result<Expr, ParseError> {
+        let open = self.cur.span.start;
+        let at_head = open == self.head;
+        self.advance()?; // (
+
+        // The depth frame `parse_expr` takes comes with the first element;
+        // `()` and `(...rest)` take none, as parameter lists never did.
+        let (mut elems, provisional) = if self.at_arrow_only_form() {
+            let err = self.expression_error(true);
+            self.parse_group_rest(Vec::new(), err)?
+        } else {
+            let g = self.enter()?;
+            let r = self.parse_group_elements();
+            self.leave(g);
+            r?
+        };
+        let list = elems.len() != 1 || provisional.is_some();
+        let expr = if list {
+            let span = match (elems.first(), elems.last()) {
+                (Some(first), Some(last)) => Span::new(first.span().start, last.span().end),
+                _ => Span::new(open, open),
+            };
+            Expr::Sequence { exprs: elems, span }
+        } else {
+            elems.pop().unwrap()
+        };
+        if at_head && self.is_punct(Punct::Arrow) && !self.cur.newline_before {
+            self.arrow_head = Some(ArrowHead { list, provisional });
+        } else if let Some(err) = provisional {
+            return Err(err);
+        } else {
+            self.refuse(expr.span());
+        }
+        Ok(expr)
+    }
+
+    /// The elements of a group from its first through its `)`, and the
+    /// provisional error if an arrow-only form follows one.
+    fn parse_group_elements(&mut self) -> Result<(Vec<Expr>, Option<ParseError>), ParseError> {
+        let mut elems = Vec::new();
+        loop {
+            elems.push(self.parse_assignment(true)?);
+            if !self.eat_punct(Punct::Comma)? {
+                self.expect_punct(Punct::RParen)?;
+                return Ok((elems, None));
+            }
+            if self.at_arrow_only_form() {
+                let err = self.expression_error(false);
+                return self.parse_group_rest(elems, err);
+            }
+        }
+    }
+
+    /// Whether the current token, where a group element would start, is
+    /// `)` or `...`: a form only an arrow head allows.
+    fn at_arrow_only_form(&self) -> bool {
+        self.is_punct(Punct::RParen) || self.is_punct(Punct::Ellipsis)
+    }
+
+    /// The rest of a group after its arrow-only form: an optional
+    /// `...rest`, then `)`. The expression grammar fails at that form with
+    /// `err`, so an error past it is `err` too.
+    fn parse_group_rest(
+        &mut self,
+        mut elems: Vec<Expr>,
+        err: ParseError,
+    ) -> Result<(Vec<Expr>, Option<ParseError>), ParseError> {
+        let rest = match self.is_punct(Punct::Ellipsis) {
+            true => self.parse_spread().map(|rest| elems.push(rest)),
+            false => Ok(()),
+        };
+        match rest.and_then(|()| self.expect_punct(Punct::RParen)) {
+            Ok(()) => Ok((elems, Some(err))),
+            Err(_) => Err(err),
+        }
+    }
+
+    /// The error the expression grammar gives at the current `)` or `...`,
+    /// which starts no expression. It is asked of that grammar itself, at
+    /// a group's start or after a comma, so its depth checks run as there.
+    fn expression_error(&mut self, group_start: bool) -> ParseError {
+        let r = if group_start { self.parse_expr(true) } else { self.parse_assignment(true) };
+        match r {
+            Err(e) => e,
+            Ok(_) => unreachable!("`)` and `...` start no expression"),
+        }
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
@@ -1898,12 +1929,7 @@ impl<'s> Parser<'s> {
                 self.advance()?;
                 Ok(e)
             }
-            TokenKind::Punct(Punct::LParen) => {
-                self.advance()?;
-                let e = self.parse_expr(true)?;
-                self.expect_punct(Punct::RParen)?;
-                Ok(e)
-            }
+            TokenKind::Punct(Punct::LParen) => self.parse_group(),
             TokenKind::Punct(Punct::LBracket) => self.parse_array_literal(),
             TokenKind::Punct(Punct::LBrace) => self.parse_object_literal(),
             TokenKind::TemplateNoSub { .. } | TokenKind::TemplateHead { .. } => {
@@ -1926,16 +1952,14 @@ impl<'s> Parser<'s> {
                 self.advance()?;
                 continue;
             }
-            if self.is_punct(Punct::Ellipsis) {
-                let sstart = self.cur.span.start;
-                self.advance()?;
-                let arg = self.parse_assignment(true)?;
-                let span = Span::new(sstart, arg.span().end);
-                elements.push(Some(Expr::Spread { arg: Box::new(arg), span }));
+            let el = if self.is_punct(Punct::Ellipsis) {
+                self.parse_spread()?
             } else {
-                elements.push(Some(self.parse_assignment(true)?));
-            }
-            if !self.eat_punct(Punct::Comma)? {
+                self.parse_assignment(true)?
+            };
+            let more = self.eat_punct_after(Punct::Comma, &el)?;
+            elements.push(Some(el));
+            if !more {
                 break;
             }
         }
@@ -1949,8 +1973,10 @@ impl<'s> Parser<'s> {
         self.expect_punct(Punct::LBrace)?;
         let mut props = Vec::new();
         while !self.is_punct(Punct::RBrace) {
-            props.push(self.parse_object_prop()?);
-            if !self.eat_punct(Punct::Comma)? {
+            let prop = self.parse_object_prop()?;
+            let more = self.eat_punct_after(Punct::Comma, &prop.value)?;
+            props.push(prop);
+            if !more {
                 break;
             }
         }
@@ -2038,48 +2064,35 @@ impl<'s> Parser<'s> {
             return Err(self.err_here("getter/setter requires a parameter list"));
         }
 
-        // `key: value`.
-        if self.eat_punct(Punct::Colon)? {
-            let value = self.parse_assignment(true)?;
-            let span = Span::new(start, value.span().end);
-            return Ok(Property {
-                key,
-                value,
-                kind: PropKind::Init,
-                computed,
-                shorthand: false,
-                method: false,
-                span,
-            });
-        }
-
-        // Shorthand `{a}` or `{a = default}` (the latter only valid in
-        // patterns; parsed as assignment for cover-grammar purposes).
-        let name = match &key {
-            PropKey::Ident(i) => *i,
-            _ => return Err(self.err_here("expected `:` after property key")),
-        };
-        let mut value = Expr::Ident(name);
-        if self.eat_punct(Punct::Eq)? {
-            let default = self.parse_assignment(true)?;
-            let span = Span::new(start, default.span().end);
-            value = Expr::Assign {
-                op: AssignOp::Assign,
-                target: Box::new(Pat::Ident(name)),
-                value: Box::new(default),
-                span,
+        // `key: value`, or shorthand `{a}` or `{a = default}` (the latter
+        // only valid in patterns; parsed as assignment for cover-grammar
+        // purposes).
+        let (value, shorthand) = if self.eat_punct(Punct::Colon)? {
+            (self.parse_assignment(true)?, false)
+        } else {
+            let name = match &key {
+                PropKey::Ident(i) => *i,
+                _ => return Err(self.err_here("expected `:` after property key")),
             };
-        }
+            let mut value = Expr::Ident(name);
+            if self.eat_punct(Punct::Eq)? {
+                let default = self.parse_assignment(true)?;
+                let span = Span::new(start, default.span().end);
+                value = Expr::Assign {
+                    op: AssignOp::Assign,
+                    target: Box::new(Pat::Ident(name)),
+                    value: Box::new(default),
+                    span,
+                };
+            }
+            (value, true)
+        };
         let span = Span::new(start, value.span().end);
-        Ok(Property {
-            key,
-            value,
-            kind: PropKind::Init,
-            computed: false,
-            shorthand: true,
-            method: false,
-            span,
-        })
+        if is_async || is_generator {
+            // `{async a}` and `{*a: b}` parse, but bind nothing.
+            self.refuse(span);
+        }
+        Ok(Property { key, value, kind: PropKind::Init, computed, shorthand, method: false, span })
     }
 
     /// Parses the quasis/expressions of a template literal starting at the
@@ -2108,6 +2121,7 @@ impl<'s> Parser<'s> {
                     }
                     self.cur = self.lexer.continue_template(self.cur.span.start)?;
                     self.peeked = None;
+                    self.peeked2 = None;
                     let tspan = self.cur.span;
                     match self.cur.kind {
                         TokenKind::TemplateMiddle { cooked, raw } => {
@@ -2231,20 +2245,11 @@ impl<'s> Parser<'s> {
                         continue;
                     }
                     if self.is_punct(Punct::Ellipsis) {
-                        let rstart = self.cur.span.start;
-                        self.advance()?;
-                        let arg = self.parse_binding_pat()?;
-                        let span = Span::new(rstart, arg.span().end);
-                        elements.push(Some(Pat::Rest { arg: Box::new(arg), span }));
+                        elements.push(Some(self.parse_rest_pat()?));
                         break;
                     }
-                    let mut p = self.parse_binding_pat()?;
-                    if self.eat_punct(Punct::Eq)? {
-                        let value = self.parse_assignment(true)?;
-                        let span = Span::new(p.span().start, value.span().end);
-                        p = Pat::Assign { target: Box::new(p), value: Box::new(value), span };
-                    }
-                    elements.push(Some(p));
+                    let p = self.parse_binding_pat()?;
+                    elements.push(Some(self.parse_default(p)?));
                     if !self.eat_punct(Punct::Comma)? {
                         break;
                     }
@@ -2259,43 +2264,25 @@ impl<'s> Parser<'s> {
                 let mut props = Vec::new();
                 while !self.is_punct(Punct::RBrace) {
                     if self.is_punct(Punct::Ellipsis) {
-                        let rstart = self.cur.span.start;
-                        self.advance()?;
-                        let arg = self.parse_binding_pat()?;
-                        let span = Span::new(rstart, arg.span().end);
-                        props.push(ObjectPatProp {
-                            key: PropKey::Ident(Ident::new("...")),
-                            value: Pat::Rest { arg: Box::new(arg), span },
-                            computed: false,
-                            shorthand: false,
-                            span,
-                        });
+                        let value = self.parse_rest_pat()?;
+                        let span = value.span();
+                        let key = PropKey::Ident(Ident::new("..."));
+                        let (computed, shorthand) = (false, false);
+                        props.push(ObjectPatProp { key, value, computed, shorthand, span });
                         break;
                     }
                     let pstart = self.cur.span.start;
                     let (key, computed) = self.parse_prop_key()?;
-                    let (value, shorthand) = if self.eat_punct(Punct::Colon)? {
-                        let mut p = self.parse_binding_pat()?;
-                        if self.eat_punct(Punct::Eq)? {
-                            let v = self.parse_assignment(true)?;
-                            let span = Span::new(p.span().start, v.span().end);
-                            p = Pat::Assign { target: Box::new(p), value: Box::new(v), span };
-                        }
-                        (p, false)
+                    let (target, shorthand) = if self.eat_punct(Punct::Colon)? {
+                        (self.parse_binding_pat()?, false)
                     } else {
                         // Shorthand: `{a}` or `{a = default}`.
-                        let name = match &key {
-                            PropKey::Ident(i) => *i,
+                        match &key {
+                            PropKey::Ident(i) => (Pat::Ident(*i), true),
                             _ => return Err(self.err_here("invalid shorthand pattern")),
-                        };
-                        let mut p = Pat::Ident(name);
-                        if self.eat_punct(Punct::Eq)? {
-                            let v = self.parse_assignment(true)?;
-                            let span = Span::new(p.span().start, v.span().end);
-                            p = Pat::Assign { target: Box::new(p), value: Box::new(v), span };
                         }
-                        (p, true)
                     };
+                    let value = self.parse_default(target)?;
                     let pend = value.span().end;
                     props.push(ObjectPatProp {
                         key,
@@ -2315,50 +2302,122 @@ impl<'s> Parser<'s> {
             _ => Err(self.unexpected("binding pattern")),
         }
     }
+
+    /// `target` with an optional `= default`.
+    fn parse_default(&mut self, target: Pat) -> Result<Pat, ParseError> {
+        if !self.eat_punct(Punct::Eq)? {
+            return Ok(target);
+        }
+        let value = self.parse_assignment(true)?;
+        let span = Span::new(target.span().start, value.span().end);
+        Ok(Pat::Assign { target: Box::new(target), value: Box::new(value), span })
+    }
+
+    /// `...pattern` in a parameter list or a destructuring pattern.
+    fn parse_rest_pat(&mut self) -> Result<Pat, ParseError> {
+        let start = self.cur.span.start;
+        self.expect_punct(Punct::Ellipsis)?;
+        let arg = self.parse_binding_pat()?;
+        let span = Span::new(start, arg.span().end);
+        Ok(Pat::Rest { arg: Box::new(arg), span })
+    }
 }
 
 struct DepthGuard;
 
+impl Parser<'_> {
+    // ---- cover grammar ---------------------------------------------------
+
+    /// Whether `e`, an element of a group, call, array or object literal
+    /// in a would-be arrow head, is also what `parse_params` accepts
+    /// there: a binding pattern, with a default or as a rest when it is an
+    /// `element` of a list. `yield` names a binding.
+    fn binds(&self, e: &Expr, element: bool) -> bool {
+        !self.refuses(e.span())
+            && match e {
+                Expr::Ident(_) | Expr::Yield { arg: None, delegate: false, .. } => true,
+                Expr::Array { elements, .. } => {
+                    elements.iter().flatten().all(|e| self.binds(e, true))
+                }
+                Expr::Object { props, .. } => {
+                    props.iter().all(|p| !self.refuses(p.span) && self.binds(&p.value, true))
+                }
+                Expr::Spread { arg, .. } => element && self.binds(arg, false),
+                Expr::Assign { op: AssignOp::Assign, target, .. } => {
+                    element && self.binds_pat(target, false)
+                }
+                _ => false,
+            }
+    }
+
+    /// [`Parser::binds`] for an assignment target already read as a
+    /// pattern, which may hold member targets.
+    fn binds_pat(&self, p: &Pat, element: bool) -> bool {
+        !self.refuses(p.span())
+            && match p {
+                Pat::Ident(_) => true,
+                Pat::Array { elements, .. } => {
+                    elements.iter().flatten().all(|p| self.binds_pat(p, true))
+                }
+                Pat::Object { props, .. } => {
+                    props.iter().all(|p| !self.refuses(p.span) && self.binds_pat(&p.value, true))
+                }
+                Pat::Rest { arg: target, .. } | Pat::Assign { target, .. } => {
+                    element && self.binds_pat(target, false)
+                }
+                Pat::Member(_) => false,
+            }
+    }
+
+    /// Records `span` in `non_binding`.
+    fn refuse(&mut self, span: Span) {
+        debug_assert!(self.non_binding.last().is_none_or(|last| last.end <= span.end));
+        self.non_binding.push(span);
+    }
+
+    /// Whether `span` is in `non_binding`.
+    fn refuses(&self, span: Span) -> bool {
+        let from = self.non_binding.partition_point(|s| s.end < span.end);
+        self.non_binding[from..].iter().take_while(|s| s.end == span.end).any(|s| *s == span)
+    }
+}
+
 /// Reinterprets an expression as an assignment-target pattern
-/// (`for (x of ...)`, `[a, b] = c`).
-pub(crate) fn expr_to_pat(e: Expr) -> Result<Pat, ParseError> {
+/// (`for (x of ...)`, `[a, b] = c`), or with `binding` as an arrow
+/// parameter [`Parser::binds`] accepted, where a bare `yield` names a
+/// binding.
+pub(crate) fn expr_to_pat(e: Expr, binding: bool) -> Result<Pat, ParseError> {
     let pos = e.span().start;
     match e {
         Expr::Ident(i) => Ok(Pat::Ident(i)),
+        Expr::Yield { arg: None, delegate: false, span } if binding => {
+            Ok(Pat::Ident(Ident { name: "yield".into(), span }))
+        }
         Expr::Member { .. } => Ok(Pat::Member(Box::new(e))),
+        Expr::Spread { arg, span } => {
+            Ok(Pat::Rest { arg: Box::new(expr_to_pat(*arg, binding)?), span })
+        }
         Expr::Array { elements, span } => {
-            let mut pats = Vec::new();
-            for el in elements {
-                match el {
-                    None => pats.push(None),
-                    Some(Expr::Spread { arg, span }) => {
-                        let p = expr_to_pat(*arg)?;
-                        pats.push(Some(Pat::Rest { arg: Box::new(p), span }));
-                    }
-                    Some(e) => pats.push(Some(expr_to_pat(e)?)),
-                }
-            }
-            Ok(Pat::Array { elements: pats, span })
+            let elements = elements
+                .into_iter()
+                .map(|el| el.map(|e| expr_to_pat(e, binding)).transpose())
+                .collect::<Result<_, _>>()?;
+            Ok(Pat::Array { elements, span })
         }
         Expr::Object { props, span } => {
-            let mut out = Vec::new();
-            for p in props {
-                let value = match p.value {
-                    // `{...rest}` in assignment position → object rest.
-                    Expr::Spread { arg, span } => {
-                        Pat::Rest { arg: Box::new(expr_to_pat(*arg)?), span }
-                    }
-                    v => expr_to_pat(v)?,
-                };
-                out.push(ObjectPatProp {
-                    key: p.key,
-                    value,
-                    computed: p.computed,
-                    shorthand: p.shorthand,
-                    span: p.span,
-                });
-            }
-            Ok(Pat::Object { props: out, span })
+            let props = props
+                .into_iter()
+                .map(|p| {
+                    Ok(ObjectPatProp {
+                        key: p.key,
+                        value: expr_to_pat(p.value, binding)?,
+                        computed: p.computed,
+                        shorthand: p.shorthand,
+                        span: p.span,
+                    })
+                })
+                .collect::<Result<_, ParseError>>()?;
+            Ok(Pat::Object { props, span })
         }
         Expr::Assign { op: AssignOp::Assign, target, value, span } => {
             Ok(Pat::Assign { target, value, span })

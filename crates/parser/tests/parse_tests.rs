@@ -721,6 +721,42 @@ fn budgeted_parse_records_typed_depth_violation() {
     assert!(budget.tokens_used() > 0);
 }
 
+/// `x = (a = (a = … 1));`: `depth` nested groups, each a would-be arrow
+/// head whose default holds the next.
+fn nested_default_groups(depth: usize) -> String {
+    format!("x = {}1{};", "(a = ".repeat(depth), ")".repeat(depth))
+}
+
+/// `x = f((a = f((a = … 1))));`: the same nesting through call arguments.
+fn nested_default_calls(depth: usize) -> String {
+    format!("x = {}1{};", "f((a = ".repeat(depth), "))".repeat(depth))
+}
+
+#[test]
+fn nested_groups_are_lexed_once_under_the_wild_budget() {
+    use jsdetect_guard::{Budget, Limits};
+    for src in [nested_default_groups(20), nested_default_calls(14)] {
+        let budget = Budget::new(&Limits::wild());
+        let (_, _, counts) = jsdetect_parser::parse_with_comments_budget(&src, &budget)
+            .unwrap_or_else(|e| panic!("{}: {}", src, e));
+        assert_eq!(budget.tokens_used(), counts.total as u64, "{}", src);
+    }
+}
+
+#[test]
+fn deeply_nested_groups_fail_fast_on_depth() {
+    use jsdetect_guard::{AnalysisError, Budget, Limits};
+    let src = nested_default_groups(30);
+    let budget = Budget::new(&Limits::trusted());
+    let started = std::time::Instant::now();
+    assert!(jsdetect_parser::parse_with_budget(&src, &budget).is_err());
+    assert_eq!(
+        budget.take_violation(),
+        Some(AnalysisError::AstDepthExceeded { limit: Limits::trusted().max_ast_depth })
+    );
+    assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
+}
+
 #[test]
 fn realistic_program_parses() {
     let src = r#"

@@ -152,67 +152,6 @@ pub fn obfuscate_field_references(src: &str) -> Result<String, TransformError> {
     Ok(jsdetect_codegen::to_source(&prog))
 }
 
-/// Another unmonitored §II-A technique: **integer obfuscation** — numbers
-/// no longer appear in plain text but are computed with arithmetic
-/// operators (`42` → `(0x55 ^ 0x7f)`), leaving a distinctive surplus of
-/// binary expressions over numeric literals.
-pub fn obfuscate_integers(src: &str, seed: u64) -> Result<String, TransformError> {
-    use jsdetect_ast::builder as b;
-    use jsdetect_ast::visit_mut::{walk_expr_mut, MutVisitor};
-    use jsdetect_ast::{BinaryOp, Expr, Lit, LitValue};
-    use rand::Rng;
-
-    struct Ints {
-        rng: StdRng,
-    }
-    impl MutVisitor for Ints {
-        fn visit_expr_mut(&mut self, e: &mut Expr) {
-            if let Expr::Lit(Lit { value: LitValue::Num(n), .. }) = e {
-                let v = *n;
-                if v.fract() == 0.0 && (0.0..=1_000_000.0).contains(&v) {
-                    let v = v as i64;
-                    let replacement = match self.rng.gen_range(0..3u8) {
-                        0 => {
-                            // v = a + b
-                            let a = self.rng.gen_range(0..=v.max(1));
-                            b::binary(
-                                BinaryOp::Add,
-                                b::num_lit(a as f64),
-                                b::num_lit((v - a) as f64),
-                            )
-                        }
-                        1 => {
-                            // v = a - b
-                            let off = self.rng.gen_range(1..=997i64);
-                            b::binary(
-                                BinaryOp::Sub,
-                                b::num_lit((v + off) as f64),
-                                b::num_lit(off as f64),
-                            )
-                        }
-                        _ => {
-                            // v = mask ^ (mask ^ v)
-                            let mask = self.rng.gen_range(0..=0xffffi64);
-                            b::binary(
-                                BinaryOp::BitXor,
-                                b::num_lit(mask as f64),
-                                b::num_lit((mask ^ v) as f64),
-                            )
-                        }
-                    };
-                    *e = replacement;
-                    return;
-                }
-            }
-            walk_expr_mut(self, e);
-        }
-    }
-
-    let mut prog = jsdetect_parser::parse(src)?;
-    Ints { rng: StdRng::seed_from_u64(seed) }.visit_program_mut(&mut prog);
-    Ok(jsdetect_codegen::to_source(&prog))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,37 +224,6 @@ mod tests {
         let out = obfuscate_field_references("var o = {key: 1}; o.key;").unwrap();
         assert!(out.contains("{key: 1}"), "{}", out);
         assert!(out.contains("o['key']"), "{}", out);
-    }
-
-    #[test]
-    fn integer_obfuscation_hides_plain_numbers() {
-        let out = obfuscate_integers("x = 42; y = 1000; z = 3.5;", 9).unwrap();
-        assert!(!out.contains("x = 42;"), "plain 42 must be computed: {}", out);
-        assert!(!out.contains("y = 1000;"), "plain 1000 must be computed: {}", out);
-        assert!(out.contains("z = 3.5;"), "floats stay: {}", out);
-        assert!(jsdetect_parser::parse(&out).is_ok());
-        // The arithmetic must still evaluate to the original values.
-        // (Spot-check the a+b form: both operands sum to 42 when split.)
-        let reparsed = jsdetect_parser::parse(&out).unwrap();
-        assert!(jsdetect_ast::kind_stream(&reparsed)
-            .contains(&jsdetect_ast::NodeKind::BinaryExpression));
-    }
-
-    #[test]
-    fn integer_obfuscation_is_semantics_preserving_arithmetic() {
-        // Verify the generated operand pairs recombine to the original
-        // value for many seeds by folding with the advanced minifier.
-        for seed in 0..12 {
-            let out = obfuscate_integers("check(7777);", seed).unwrap();
-            let folded = crate::apply(&out, &[Technique::MinificationAdvanced], 0).unwrap();
-            assert!(
-                folded.contains("check(7777)"),
-                "seed {}: constant folding must recover 7777: {} -> {}",
-                seed,
-                out.trim(),
-                folded
-            );
-        }
     }
 
     #[test]

@@ -272,6 +272,26 @@ fn corrupted_records_are_evicted_recomputed_and_rewritten() {
 }
 
 #[test]
+fn a_long_error_message_is_cut_on_a_char_boundary() {
+    let _g = locked();
+    // The parse error quotes the ~80 KB identifier; with this padding the
+    // record's 65,535-byte string field ends inside a two-byte `ä`.
+    let src = format!("a{}{};", " ".repeat(9), "ä".repeat(40_000));
+    let config = AnalysisConfig::default();
+    let dir = scratch();
+    let (cold, ..) = counted_scan(&[&src], &config, &open(&dir, &config));
+    assert_eq!(cold[0].outcome, OutcomeKind::Degraded);
+    assert!(cold[0].error_msg.len() > u16::MAX as usize);
+
+    // A second handle reads the record back instead of evicting it.
+    let (warm, hits, misses, _, corrupt) = counted_scan(&[&src], &config, &open(&dir, &config));
+    assert_eq!((hits, misses, corrupt), (1, 0, 0));
+    assert!(cold[0].error_msg.starts_with(&warm[0].error_msg));
+    assert_eq!(warm[0].payload, cold[0].payload);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn readonly_mode_replays_hits_but_never_writes() {
     let _g = locked();
     let fixtures = fixture_sources();
