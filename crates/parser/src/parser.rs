@@ -1700,7 +1700,7 @@ impl<'s> Parser<'s> {
             } else {
                 self.parse_assignment(true)?
             };
-            let more = self.eat_punct_after(Punct::Comma, &arg)?;
+            let more = self.eat_comma_after(&arg)?;
             args.push(arg);
             if !more {
                 break;
@@ -1720,10 +1720,10 @@ impl<'s> Parser<'s> {
         Ok(Expr::Spread { arg: Box::new(arg), span })
     }
 
-    /// [`Parser::eat_punct`] after a list element: a spread followed by a
-    /// comma can never be a rest element, so its span is recorded.
-    fn eat_punct_after(&mut self, p: Punct, elem: &Expr) -> Result<bool, ParseError> {
-        let eaten = self.eat_punct(p)?;
+    /// Eats a `,` after a list element. A spread followed by a comma can
+    /// never be a rest element, so its span is recorded.
+    fn eat_comma_after(&mut self, elem: &Expr) -> Result<bool, ParseError> {
+        let eaten = self.eat_punct(Punct::Comma)?;
         if eaten && matches!(elem, Expr::Spread { .. }) {
             self.refuse(elem.span());
         }
@@ -1957,7 +1957,7 @@ impl<'s> Parser<'s> {
             } else {
                 self.parse_assignment(true)?
             };
-            let more = self.eat_punct_after(Punct::Comma, &el)?;
+            let more = self.eat_comma_after(&el)?;
             elements.push(Some(el));
             if !more {
                 break;
@@ -1974,7 +1974,7 @@ impl<'s> Parser<'s> {
         let mut props = Vec::new();
         while !self.is_punct(Punct::RBrace) {
             let prop = self.parse_object_prop()?;
-            let more = self.eat_punct_after(Punct::Comma, &prop.value)?;
+            let more = self.eat_comma_after(&prop.value)?;
             props.push(prop);
             if !more {
                 break;
