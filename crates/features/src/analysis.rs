@@ -312,6 +312,14 @@ mod tests {
     }
 
     #[test]
+    fn a_syntax_error_after_an_arrow_at_the_depth_limit_degrades() {
+        // `() => {}` takes no frame for its parameters, where the
+        // expression grammar would take five past the limit.
+        let src = format!("x = {}() => {{}}{}; a b;", "[".repeat(35), "]".repeat(35));
+        assert_eq!(analyze(&src, &Limits::wild()).outcome, OutcomeKind::Degraded);
+    }
+
+    #[test]
     fn clean_script_is_ok() {
         let r = analyze("var x = 1; if (x) { f(x); }", &Limits::wild());
         assert_eq!(r.outcome, OutcomeKind::Ok);

@@ -131,19 +131,9 @@ impl<'s> Lexer<'s> {
         Lexer { src, pos: 0, comments: Vec::new(), budget: Some(budget) }
     }
 
-    /// Comments encountered so far.
-    pub fn comments(&self) -> &[Comment] {
-        &self.comments
-    }
-
     /// Consumes the lexer, returning all comments encountered.
     pub fn into_comments(self) -> Vec<Comment> {
         self.comments
-    }
-
-    /// Current byte position.
-    pub fn pos(&self) -> u32 {
-        self.pos as u32
     }
 
     /// Re-lexes a token that began at `start` as a regular-expression
@@ -1029,7 +1019,7 @@ fn tokenize_into(lexer: &mut Lexer<'_>, tokens: &mut Vec<Token>) -> Result<(), L
             if brace_stack.contains(&true) {
                 return Err(LexError {
                     msg: "unterminated template substitution".into(),
-                    pos: lexer.pos(),
+                    pos: lexer.pos as u32,
                 });
             }
             return Ok(());

@@ -20,7 +20,7 @@
 
 use crate::error::ParseError;
 use jsdetect_ast::*;
-use jsdetect_guard::Budget;
+use jsdetect_guard::{AnalysisError, Budget};
 use jsdetect_lexer::{Comment, Kw, Lexer, Punct, Token, TokenCounts, TokenKind};
 
 /// Maximum AST nesting depth accepted by the parser.
@@ -79,37 +79,70 @@ pub fn parse_with_comments_budget<'s>(
 struct Parser<'s> {
     lexer: Lexer<'s>,
     cur: Token,
-    /// Up to two lookahead tokens; the second only decides `async x =>`.
     peeked: Option<Token>,
-    peeked2: Option<Token>,
     /// Tokens the parse has moved past. A token is counted when it stops
     /// being `cur`, so the rescans that replace `cur` need no correction.
     counts: TokenCounts,
+    /// Recursion-guard frames charged, and their limit.
     depth: u32,
+    limit: u32,
     src_len: u32,
     budget: Option<&'s Budget>,
-    /// Start of the assignment expression entered last: a parenthesized
-    /// group that opens there may be an arrow head.
-    head: u32,
-    /// The group that opened at `head` and closed right before a same-line
-    /// `=>`, left for `parse_assignment_inner` to read as parameters.
-    arrow_head: Option<ArrowHead>,
-    /// Spans of the cover-grammar forms no binding pattern may contain:
-    /// parenthesized expressions, spreads followed by a comma, and object
-    /// properties with an `async` or `*` prefix but no method body. Pushed
-    /// as each form ends, so sorted by end; cleared per top-level
-    /// statement, as no group spans two.
-    non_binding: Vec<Span>,
+    /// The covers open around the current token, innermost last.
+    covers: Vec<Cover>,
+    /// How many of the next frames are owed to the innermost cover.
+    owe: u8,
+    /// Start of the last cover element whose frames were owed, or of the
+    /// arguments of a cover's `async(…)`: a list there is in its pattern.
+    pattern_at: u32,
 }
 
-/// A parenthesized group that may head an arrow function.
-struct ArrowHead {
-    /// The group's expression is the `Sequence` of its elements, even
-    /// when it has one (a provisional group).
-    list: bool,
-    /// The error the expression grammar gives at an arrow-only form
-    /// (`()`, `(a,)`, `(...rest)`): the group's fate if no arrow follows.
+/// A group, `async(…)`, `async x`, or `x` before `=>`, at the start of an
+/// assignment expression: parsed once, charged as the grammar it turns out
+/// to be. The frames the expression grammar takes beyond a parameter list's
+/// one per binding pattern are owed here until it closes.
+#[derive(Default)]
+struct Cover {
+    start: u32,
+    /// Owed frames open now.
+    owed: u32,
+    /// The depths reached, read as an expression and as parameters.
+    expr: Reach,
+    params: Reach,
+    /// Set by a group closed right before a same-line `=>`: whether its
+    /// expression is the `Sequence` of its elements, even of one.
+    head: Option<bool>,
+    /// The expression grammar's error at an arrow-only form; `expr`
+    /// records nothing past it.
     provisional: Option<ParseError>,
+    /// Set at a parenthesized element, a spread before a comma or a
+    /// prefixed property without a body in its pattern: it binds nothing.
+    refused: bool,
+}
+
+impl Cover {
+    fn reach_expr(&mut self, depth: u32, pos: u32) {
+        if self.provisional.is_none() {
+            self.expr.push(depth, pos);
+        }
+    }
+}
+
+/// Running maxima of the depth over a region in token order: each a depth
+/// and the first position that reached it.
+#[derive(Default)]
+struct Reach(Vec<(u32, u32)>);
+
+impl Reach {
+    fn push(&mut self, depth: u32, pos: u32) {
+        if self.0.last().is_none_or(|&(d, _)| depth > d) {
+            self.0.push((depth, pos));
+        }
+    }
+
+    fn first_over(&self, limit: u32) -> Option<u32> {
+        self.0.iter().find(|&&(d, _)| d > limit).map(|&(_, pos)| pos)
+    }
 }
 
 impl<'s> Parser<'s> {
@@ -123,14 +156,14 @@ impl<'s> Parser<'s> {
             lexer,
             cur,
             peeked: None,
-            peeked2: None,
             counts: TokenCounts::default(),
             depth: 0,
+            limit: budget.map_or(MAX_DEPTH, |b| b.limits().max_ast_depth),
             src_len: src.len() as u32,
             budget,
-            head: u32::MAX,
-            arrow_head: None,
-            non_binding: Vec::new(),
+            covers: Vec::new(),
+            owe: 0,
+            pattern_at: u32::MAX,
         })
     }
 
@@ -139,10 +172,7 @@ impl<'s> Parser<'s> {
     fn advance(&mut self) -> Result<(), ParseError> {
         self.counts.add(&self.cur);
         self.cur = match self.peeked.take() {
-            Some(t) => {
-                self.peeked = self.peeked2.take();
-                t
-            }
+            Some(t) => t,
             None => self.lexer.next_token(false)?,
         };
         Ok(())
@@ -153,15 +183,6 @@ impl<'s> Parser<'s> {
             self.peeked = Some(self.lexer.next_token(false)?);
         }
         Ok(self.peeked.as_ref().unwrap())
-    }
-
-    /// The token after [`Parser::peek`]'s.
-    fn peek2(&mut self) -> Result<&Token, ParseError> {
-        self.peek()?;
-        if self.peeked2.is_none() {
-            self.peeked2 = Some(self.lexer.next_token(false)?);
-        }
-        Ok(self.peeked2.as_ref().unwrap())
     }
 
     fn err_here(&self, msg: impl Into<String>) -> ParseError {
@@ -222,32 +243,48 @@ impl<'s> Parser<'s> {
         Ok(())
     }
 
-    fn check_depth_now(&mut self) -> Result<(), ParseError> {
-        match self.budget {
-            // The budget records the typed `AstDepthExceeded`; only the
-            // stringly rendering travels through the legacy `ParseError`.
-            Some(budget) => {
-                if let Err(e) = budget.check_depth(self.depth) {
-                    return Err(self.err_here(e.to_string()));
-                }
-            }
-            None => {
-                if self.depth > MAX_DEPTH {
-                    return Err(self.err_here("nesting too deep"));
-                }
-            }
+    /// Enters a recursion-guard frame: owed to the innermost cover while
+    /// `owe` lasts (returns `true`), else charged.
+    fn enter(&mut self) -> Result<bool, ParseError> {
+        if self.owe == 0 {
+            self.charge()?;
+            return Ok(false);
         }
-        Ok(())
+        self.owe -= 1;
+        let (depth, pos) = (self.depth, self.cur.span.start);
+        let cover = self.covers.last_mut().expect("frames are owed to a cover");
+        cover.owed += 1;
+        cover.reach_expr(depth + cover.owed, pos);
+        Ok(true)
     }
 
-    fn enter(&mut self) -> Result<DepthGuard, ParseError> {
+    fn leave(&mut self, owed: bool) {
+        match owed {
+            true => self.covers.last_mut().expect("owed to a cover").owed -= 1,
+            false => self.depth -= 1,
+        }
+    }
+
+    /// Charges a frame; past the limit every reading of the open covers fails.
+    fn charge(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
-        self.check_depth_now()?;
-        Ok(DepthGuard)
+        let pos = self.cur.span.start;
+        if let Some(cover) = self.covers.last_mut() {
+            cover.reach_expr(self.depth + cover.owed, pos);
+            cover.params.push(self.depth, pos);
+        }
+        match self.depth > self.limit {
+            true => Err(self.depth_error(pos)),
+            false => Ok(()),
+        }
     }
 
-    fn leave(&mut self, _g: DepthGuard) {
-        self.depth -= 1;
+    fn depth_error(&self, pos: u32) -> ParseError {
+        let msg = match self.budget {
+            Some(_) => AnalysisError::AstDepthExceeded { limit: self.limit }.to_string(),
+            None => "nesting too deep".into(),
+        };
+        ParseError::new(msg, pos)
     }
 
     /// Charges one more link of an iteratively-built chain against the
@@ -256,8 +293,7 @@ impl<'s> Parser<'s> {
     fn chain_link(&mut self, links: &mut u32) -> Result<(), ParseError> {
         *links += 1;
         if links.is_multiple_of(CHAIN_DEPTH_GRAIN) {
-            self.depth += 1;
-            self.check_depth_now()?;
+            self.charge()?;
         }
         Ok(())
     }
@@ -285,8 +321,14 @@ impl<'s> Parser<'s> {
     fn parse_program(&mut self) -> Result<Program, ParseError> {
         let mut body = Vec::new();
         while !self.cur.is_eof() {
-            self.non_binding.clear();
-            body.push(self.parse_stmt()?);
+            // The typed `AstDepthExceeded` is recorded once the error is
+            // final: in a cover an earlier error may take its place.
+            let stmt = self.parse_stmt().inspect_err(|e| {
+                if let Some(budget) = self.budget.filter(|_| *e == self.depth_error(e.pos)) {
+                    let _ = budget.check_depth(u32::MAX);
+                }
+            });
+            body.push(stmt?);
         }
         Ok(Program { body, span: Span::new(0, self.src_len) })
     }
@@ -933,11 +975,7 @@ impl<'s> Parser<'s> {
     fn parse_module_source(&mut self) -> Result<Lit, ParseError> {
         match &self.cur.kind {
             TokenKind::Str(s) => {
-                let lit = Lit {
-                    value: LitValue::Str(*s),
-                    raw: span_raw_placeholder(),
-                    span: self.cur.span,
-                };
+                let lit = Lit { value: LitValue::Str(*s), raw: Atom::empty(), span: self.cur.span };
                 self.advance()?;
                 Ok(lit)
             }
@@ -1146,20 +1184,8 @@ impl<'s> Parser<'s> {
                 self.advance()?;
                 Ok((PropKey::Ident(id), false))
             }
-            TokenKind::Str(s) => {
-                let lit = Lit { value: LitValue::Str(*s), raw: Atom::empty(), span: self.cur.span };
-                self.advance()?;
-                Ok((PropKey::Lit(lit), false))
-            }
-            TokenKind::Num(n) => {
-                let lit = Lit { value: LitValue::Num(*n), raw: Atom::empty(), span: self.cur.span };
-                self.advance()?;
-                Ok((PropKey::Lit(lit), false))
-            }
-            TokenKind::BigInt(d) => {
-                let lit =
-                    Lit { value: LitValue::BigInt(*d), raw: Atom::empty(), span: self.cur.span };
-                self.advance()?;
+            TokenKind::Str(_) | TokenKind::Num(_) | TokenKind::BigInt(_) => {
+                let Expr::Lit(lit) = self.parse_primary()? else { unreachable!() };
                 Ok((PropKey::Lit(lit), false))
             }
             TokenKind::PrivateName(n) => {
@@ -1216,6 +1242,13 @@ impl<'s> Parser<'s> {
         // yield-expression.
         if self.is_kw(Kw::Yield) {
             let start = self.cur.span.start;
+            if self.pattern_at == start {
+                // A bare `yield` element binds a name: the parameter
+                // grammar's frame for it, on that reading only.
+                let cover = self.covers.last_mut().expect("an element is in a cover");
+                cover.params.push(self.depth + 1, start);
+            }
+            self.owe = 0;
             let mut end = self.cur.span.end;
             self.advance()?;
             let delegate = if !self.cur.newline_before && self.is_punct(Punct::Star) {
@@ -1242,32 +1275,23 @@ impl<'s> Parser<'s> {
             return Ok(Expr::Yield { arg, delegate, span: Span::new(start, end) });
         }
 
-        // Arrow functions: `x => …` and `async x => …` are seen by
-        // lookahead; `(…) => …` and `async (…) => …` parse as a group or a
-        // call first and are read as parameters when `=>` follows.
-        if let Some(arrow) = self.parse_ident_arrow()? {
-            return Ok(arrow);
-        }
+        // Arrow functions: a cover parses as an expression and is read as
+        // arrow parameters when `=>` follows.
         let start = self.cur.span.start;
-        let async_call = self.is_ident("async") && {
-            let next = self.peek()?;
-            next.is_punct(Punct::LParen) && !next.newline_before
-        };
-        self.head = start;
-        let lhs = self.parse_conditional(in_allowed)?;
-        if let Some(is_async) = self.cover_arrow(start, async_call, &lhs)? {
-            // A head that binds is a list group's `Sequence`, the call
-            // `async(…)`, or a group's lone element.
-            let elems = match lhs {
-                Expr::Sequence { exprs, .. } => exprs,
-                Expr::Call { args, .. } => args,
-                e => vec![e],
-            };
-            let params =
-                elems.into_iter().map(|e| expr_to_pat(e, true)).collect::<Result<_, _>>()?;
-            self.advance()?; // =>
-            return self.finish_arrow(start, params, is_async);
+        let covered = self.opens_cover()?;
+        if covered {
+            self.covers.push(Cover { start, ..Cover::default() });
+            // The binary, unary and left-hand-side frames down to it.
+            self.owe = 3;
         }
+        let lhs = self.parse_conditional(in_allowed);
+        let lhs = match covered {
+            true => match self.close_cover(start, lhs)? {
+                (arrow, true) => return Ok(arrow),
+                (lhs, false) => lhs,
+            },
+            false => lhs?,
+        };
 
         // Assignment operators.
         let op = match &self.cur.kind {
@@ -1284,99 +1308,129 @@ impl<'s> Parser<'s> {
         Ok(lhs)
     }
 
-    /// `x => …` or `async x => …` at the current position, decided by
-    /// lookahead alone.
-    fn parse_ident_arrow(&mut self) -> Result<Option<Expr>, ParseError> {
+    /// Whether the current token opens a [`Cover`]: `(`, `async` followed on
+    /// its line by `(` or an identifier, or another identifier by `=>`.
+    fn opens_cover(&mut self) -> Result<bool, ParseError> {
         let TokenKind::Ident(name) = self.cur.kind else {
-            return Ok(None);
+            return Ok(self.is_punct(Punct::LParen));
         };
-        let start = self.cur.span.start;
-        let is_async = name == "async";
-        let param = if is_async {
-            let next = self.peek()?;
-            match next.kind {
-                TokenKind::Ident(pname) if !next.newline_before => {
-                    Ident { name: pname, span: next.span }
-                }
-                _ => return Ok(None),
-            }
-        } else {
-            Ident { name, span: self.cur.span }
-        };
-        let arrow = if is_async { self.peek2()? } else { self.peek()? };
-        if !arrow.is_punct(Punct::Arrow) || arrow.newline_before {
-            return Ok(None);
+        let next = *self.peek()?;
+        if next.newline_before || name != "async" {
+            return Ok(!next.newline_before && next.is_punct(Punct::Arrow));
         }
-        if is_async {
-            self.advance()?;
+        if next.is_punct(Punct::LParen) {
+            // The arguments of `async(…)` are the cover's elements.
+            self.pattern_at = next.span.start;
         }
-        self.advance()?; // param
-        self.advance()?; // =>
-        Ok(Some(self.finish_arrow(start, vec![Pat::Ident(param)], is_async)?))
+        Ok(next.is_punct(Punct::LParen) || matches!(next.kind, TokenKind::Ident(_)))
     }
 
-    /// Whether `lhs`, parsed from `start` and followed by a same-line
-    /// `=>`, heads an arrow function, and if so whether an async one: the
-    /// group [`Parser::parse_group`] left in `arrow_head`, or the call
-    /// `async(…)` when `async_call`, whose elements all bind. A
-    /// provisional group that does not bind fails with its error.
-    fn cover_arrow(
+    /// Closes the cover opened at `start` on its expression `lhs`: the
+    /// arrow function it heads and `true`, or `lhs` and `false`.
+    fn close_cover(
         &mut self,
         start: u32,
-        async_call: bool,
-        lhs: &Expr,
-    ) -> Result<Option<bool>, ParseError> {
-        let head = self.arrow_head.take();
-        let elems = match (&head, lhs) {
-            (Some(head), Expr::Sequence { exprs, .. }) if head.list => exprs.as_slice(),
+        lhs: Result<Expr, ParseError>,
+    ) -> Result<(Expr, bool), ParseError> {
+        let cover = self.covers.pop().expect("a cover is open");
+        self.owe = 0;
+        let (is_async, lhs) = lhs
+            .and_then(|lhs| Ok((self.cover_arrow(&cover, &lhs)?, lhs)))
+            .map_err(|e| self.cover_error(&cover, Some(e)))?;
+        self.settle(&cover, is_async.is_some())?;
+        let Some(is_async) = is_async else {
+            return Ok((lhs, false));
+        };
+        // A head that binds is a list group's `Sequence`, `async(…)`, the
+        // identifier after `async`, or a lone element or identifier.
+        let elems = match lhs {
+            Expr::Sequence { exprs, .. } if cover.head == Some(true) => exprs,
+            Expr::Call { args, .. } if is_async => args,
+            Expr::Ident(_) if is_async => {
+                let TokenKind::Ident(name) = self.cur.kind else { unreachable!() };
+                let param = Expr::Ident(Ident { name, span: self.cur.span });
+                self.advance()?;
+                vec![param]
+            }
+            e => vec![e],
+        };
+        let params = elems.into_iter().map(|e| expr_to_pat(e, true)).collect::<Result<_, _>>()?;
+        self.advance()?; // =>
+        let (body, end) = match self.is_punct(Punct::LBrace) {
+            true => self.parse_fn_body().map(|(body, end)| (ArrowBody::Block(body), end))?,
+            false => {
+                let e = self.parse_assignment(true)?;
+                let end = e.span().end;
+                (ArrowBody::Expr(Box::new(e)), end)
+            }
+        };
+        Ok((Expr::Arrow { params, body, is_async, span: Span::new(start, end) }, true))
+    }
+
+    /// Whether `cover`, parsed as `lhs` and followed by a same-line `=>`,
+    /// heads an arrow function, and if so whether an async one. A
+    /// provisional group that does not bind fails with its error.
+    fn cover_arrow(&mut self, cover: &Cover, lhs: &Expr) -> Result<Option<bool>, ParseError> {
+        let at_start = |e: &Expr| matches!(e, Expr::Ident(i) if i.span.start == cover.start);
+        let arrow_next = self.is_punct(Punct::Arrow) && !self.cur.newline_before;
+        let elems = match (cover.head, lhs) {
+            (Some(true), Expr::Sequence { exprs, .. }) => exprs.as_slice(),
             (Some(_), e) => std::slice::from_ref(e),
-            (None, Expr::Call { callee, args, .. })
-                if async_call
-                    && self.is_punct(Punct::Arrow)
-                    && !self.cur.newline_before
-                    && matches!(&**callee, Expr::Ident(i) if i.span.start == start) =>
-            {
+            (None, Expr::Call { callee, args, .. }) if arrow_next && at_start(callee) => {
                 args.as_slice()
+            }
+            (None, e) if arrow_next && at_start(e) => return Ok(Some(false)),
+            (None, e) if at_start(e) && !self.cur.newline_before => {
+                let ident = matches!(self.cur.kind, TokenKind::Ident(_));
+                let next = self.peek()?;
+                return Ok(
+                    (ident && next.is_punct(Punct::Arrow) && !next.newline_before).then_some(true)
+                );
             }
             _ => return Ok(None),
         };
-        if elems.iter().all(|e| self.binds(e, true)) {
-            return Ok(Some(head.is_none()));
+        if !cover.refused && elems.iter().all(|e| binds(e, true)) {
+            return Ok(Some(cover.head.is_none()));
         }
-        match head {
-            Some(ArrowHead { provisional: Some(err), .. }) => Err(err),
-            Some(_) => {
-                // No arrow head after all, but a parenthesized expression.
-                self.refuse(lhs.span());
-                Ok(None)
-            }
-            None => Ok(None),
+        match &cover.provisional {
+            Some(err) if cover.head.is_some() => Err(err.clone()),
+            _ => Ok(None),
         }
     }
 
-    fn finish_arrow(
-        &mut self,
-        start: u32,
-        params: Vec<Pat>,
-        is_async: bool,
-    ) -> Result<Expr, ParseError> {
-        if self.is_punct(Punct::LBrace) {
-            let (body, end) = self.parse_fn_body()?;
-            Ok(Expr::Arrow {
-                params,
-                body: ArrowBody::Block(body),
-                is_async,
-                span: Span::new(start, end),
-            })
-        } else {
-            let e = self.parse_assignment(true)?;
-            let end = e.span().end;
-            Ok(Expr::Arrow {
-                params,
-                body: ArrowBody::Expr(Box::new(e)),
-                is_async,
-                span: Span::new(start, end),
-            })
+    /// Charges a closed `cover` as parameters when `arrow`, else as an
+    /// expression, failing past the limit. An enclosing cover read as an
+    /// expression reads it as parameters only where they fit beside its
+    /// owed frames, and then inherits its provisional error.
+    fn settle(&mut self, cover: &Cover, arrow: bool) -> Result<(), ParseError> {
+        let limit = self.limit;
+        let reach = if arrow { &cover.params } else { &cover.expr };
+        if reach.first_over(limit).is_some() || (!arrow && cover.provisional.is_some()) {
+            return Err(self.cover_error(cover, None));
+        }
+        let Some(outer) = self.covers.last_mut() else {
+            return Ok(());
+        };
+        let fits = arrow && cover.params.first_over(limit.saturating_sub(outer.owed)).is_none();
+        for &(depth, pos) in if fits { &cover.params.0 } else { &cover.expr.0 } {
+            outer.reach_expr(depth + outer.owed, pos);
+        }
+        reach.0.iter().for_each(|&(depth, pos)| outer.params.push(depth, pos));
+        if !fits && outer.provisional.is_none() {
+            outer.provisional = cover.provisional.clone();
+        }
+        Ok(())
+    }
+
+    /// The error of a failing `cover` where the expression grammar alone
+    /// meets it: the first token its expression reading, with the open
+    /// covers read as expressions, took past the limit; else its
+    /// provisional error, which precedes any later one; else `err`.
+    fn cover_error(&self, cover: &Cover, err: Option<ParseError>) -> ParseError {
+        let owed = self.covers.iter().map(|c| c.owed).sum::<u32>();
+        match cover.expr.first_over(self.limit.saturating_sub(owed)) {
+            Some(pos) => self.depth_error(pos),
+            None => cover.provisional.clone().or(err).expect("a cover fails on an error"),
         }
     }
 
@@ -1692,15 +1746,12 @@ impl<'s> Parser<'s> {
     }
 
     fn parse_args(&mut self) -> Result<(Vec<Expr>, u32), ParseError> {
+        let pattern = self.pattern_at == self.cur.span.start;
         self.expect_punct(Punct::LParen)?;
         let mut args = Vec::new();
         while !self.is_punct(Punct::RParen) {
-            let arg = if self.is_punct(Punct::Ellipsis) {
-                self.parse_spread()?
-            } else {
-                self.parse_assignment(true)?
-            };
-            let more = self.eat_comma_after(&arg)?;
+            let arg = self.parse_element(pattern)?;
+            let more = self.eat_comma_after(&arg, pattern)?;
             args.push(arg);
             if !more {
                 break;
@@ -1711,21 +1762,48 @@ impl<'s> Parser<'s> {
         Ok((args, end))
     }
 
-    /// `...expr` in an argument list, array literal or group.
-    fn parse_spread(&mut self) -> Result<Expr, ParseError> {
+    /// An argument, array element or group element, or `...expr` there.
+    /// An element of a cover's `pattern` may bind a name.
+    fn parse_element(&mut self, pattern: bool) -> Result<Expr, ParseError> {
         let start = self.cur.span.start;
-        self.expect_punct(Punct::Ellipsis)?;
-        let arg = self.parse_assignment(true)?;
-        let span = Span::new(start, arg.span().end);
-        Ok(Expr::Spread { arg: Box::new(arg), span })
+        let spread = self.eat_punct(Punct::Ellipsis)?;
+        let e = self.parse_pattern_element(pattern)?;
+        Ok(match spread {
+            true => Expr::Spread { span: Span::new(start, e.span().end), arg: Box::new(e) },
+            false => e,
+        })
     }
 
-    /// Eats a `,` after a list element. A spread followed by a comma can
-    /// never be a rest element, so its span is recorded.
-    fn eat_comma_after(&mut self, elem: &Expr) -> Result<bool, ParseError> {
+    /// An assignment expression that, in a cover's `pattern`, may bind a
+    /// name: the expression grammar's three frames above its pattern
+    /// frame are owed, unless it starts no binding.
+    fn parse_pattern_element(&mut self, pattern: bool) -> Result<Expr, ParseError> {
+        let kind = self.cur.kind;
+        match kind {
+            _ if !pattern => {}
+            TokenKind::Punct(Punct::LParen) => self.refuse(),
+            TokenKind::Ident(_) if self.opens_cover()? => {}
+            TokenKind::Ident(_)
+            | TokenKind::Keyword(Kw::Yield)
+            | TokenKind::Punct(Punct::LBracket | Punct::LBrace) => {
+                (self.owe, self.pattern_at) = (3, self.cur.span.start)
+            }
+            _ => {}
+        }
+        self.parse_assignment(true)
+    }
+
+    /// Marks the innermost cover as binding nothing.
+    fn refuse(&mut self) {
+        self.covers.last_mut().expect("a pattern is in a cover").refused = true;
+    }
+
+    /// Eats a `,` after a list element. In a cover's `pattern` a spread
+    /// followed by a comma is no rest element.
+    fn eat_comma_after(&mut self, elem: &Expr, pattern: bool) -> Result<bool, ParseError> {
         let eaten = self.eat_punct(Punct::Comma)?;
-        if eaten && matches!(elem, Expr::Spread { .. }) {
-            self.refuse(elem.span());
+        if eaten && pattern && matches!(elem, Expr::Spread { .. }) {
+            self.refuse();
         }
         Ok(eaten)
     }
@@ -1733,29 +1811,29 @@ impl<'s> Parser<'s> {
     /// A parenthesized group, parsed once as the cover grammar of an
     /// expression and an arrow head: its elements parse as assignment
     /// expressions, and three forms only an arrow head allows are accepted
-    /// provisionally: `()`, a trailing comma and a final `...rest`.
-    ///
-    /// A group that opens at `head` and closes right before a same-line
-    /// `=>` is left in `arrow_head` for `parse_assignment_inner` to read.
-    /// Any other is a parenthesized expression, and a provisional one fails
-    /// with the error the expression grammar gives at its arrow-only form.
+    /// provisionally: `()`, a trailing comma and a final `...rest`. A group
+    /// that opens its [`Cover`] and closes right before a same-line `=>` is
+    /// marked there; any other is a parenthesized expression.
     fn parse_group(&mut self) -> Result<Expr, ParseError> {
         let open = self.cur.span.start;
-        let at_head = open == self.head;
+        let at_head = self.covers.last().is_some_and(|c| c.start == open);
         self.advance()?; // (
-
-        // The depth frame `parse_expr` takes comes with the first element;
-        // `()` and `(...rest)` take none, as parameter lists never did.
-        let (mut elems, provisional) = if self.at_arrow_only_form() {
-            let err = self.expression_error(true);
-            self.parse_group_rest(Vec::new(), err)?
-        } else {
+        let mut elems = Vec::new();
+        let mut form = self.at_arrow_only_form();
+        if !form {
+            // The expression grammar's frame for the group.
+            self.owe = u8::from(at_head);
             let g = self.enter()?;
-            let r = self.parse_group_elements();
+            let r = self.parse_group_elements(&mut elems, at_head);
             self.leave(g);
-            r?
-        };
-        let list = elems.len() != 1 || provisional.is_some();
+            form = r?;
+        }
+        let provisional = form.then(|| self.arrow_only_form(at_head)).transpose()?;
+        if form && self.is_punct(Punct::Ellipsis) {
+            elems.push(self.parse_element(true)?);
+        }
+        self.expect_punct(Punct::RParen)?;
+        let list = form || elems.len() != 1;
         let expr = if list {
             let span = match (elems.first(), elems.last()) {
                 (Some(first), Some(last)) => Span::new(first.span().start, last.span().end),
@@ -1766,28 +1844,25 @@ impl<'s> Parser<'s> {
             elems.pop().unwrap()
         };
         if at_head && self.is_punct(Punct::Arrow) && !self.cur.newline_before {
-            self.arrow_head = Some(ArrowHead { list, provisional });
+            self.covers.last_mut().expect("a head has a cover").head = Some(list);
         } else if let Some(err) = provisional {
             return Err(err);
-        } else {
-            self.refuse(expr.span());
         }
         Ok(expr)
     }
 
-    /// The elements of a group from its first through its `)`, and the
-    /// provisional error if an arrow-only form follows one.
-    fn parse_group_elements(&mut self) -> Result<(Vec<Expr>, Option<ParseError>), ParseError> {
-        let mut elems = Vec::new();
+    /// The elements of a group up to its `)`, or up to an arrow-only form
+    /// after a comma, and whether one follows.
+    fn parse_group_elements(
+        &mut self,
+        elems: &mut Vec<Expr>,
+        head: bool,
+    ) -> Result<bool, ParseError> {
         loop {
-            elems.push(self.parse_assignment(true)?);
-            if !self.eat_punct(Punct::Comma)? {
-                self.expect_punct(Punct::RParen)?;
-                return Ok((elems, None));
-            }
-            if self.at_arrow_only_form() {
-                let err = self.expression_error(false);
-                return self.parse_group_rest(elems, err);
+            elems.push(self.parse_pattern_element(head)?);
+            let comma = self.eat_punct(Punct::Comma)?;
+            if !comma || self.at_arrow_only_form() {
+                return Ok(comma);
             }
         }
     }
@@ -1798,81 +1873,39 @@ impl<'s> Parser<'s> {
         self.is_punct(Punct::RParen) || self.is_punct(Punct::Ellipsis)
     }
 
-    /// The rest of a group after its arrow-only form: an optional
-    /// `...rest`, then `)`. The expression grammar fails at that form with
-    /// `err`, so an error past it is `err` too.
-    fn parse_group_rest(
-        &mut self,
-        mut elems: Vec<Expr>,
-        err: ParseError,
-    ) -> Result<(Vec<Expr>, Option<ParseError>), ParseError> {
-        let rest = match self.is_punct(Punct::Ellipsis) {
-            true => self.parse_spread().map(|rest| elems.push(rest)),
-            false => Ok(()),
-        };
-        match rest.and_then(|()| self.expect_punct(Punct::RParen)) {
-            Ok(()) => Ok((elems, Some(err))),
-            Err(_) => Err(err),
+    /// The expression grammar fails at an arrow-only form, five frames
+    /// below the group. At a cover's group those frames are owed and the
+    /// error, returned, is provisional; elsewhere the parse fails here.
+    fn arrow_only_form(&mut self, at_head: bool) -> Result<ParseError, ParseError> {
+        self.owe = if at_head { 5 } else { 0 };
+        let frames = (0..5).map(|_| self.enter()).collect::<Result<Vec<_>, _>>()?;
+        frames.into_iter().for_each(|owed| self.leave(owed));
+        let err = self.unexpected("expression");
+        if !at_head {
+            return Err(err);
         }
-    }
-
-    /// The error the expression grammar gives at the current `)` or `...`,
-    /// which starts no expression. It is asked of that grammar itself, at
-    /// a group's start or after a comma, so its depth checks run as there.
-    fn expression_error(&mut self, group_start: bool) -> ParseError {
-        let r = if group_start { self.parse_expr(true) } else { self.parse_assignment(true) };
-        match r {
-            Err(e) => e,
-            Ok(_) => unreachable!("`)` and `...` start no expression"),
-        }
+        self.covers.last_mut().expect("a head has a cover").provisional = Some(err.clone());
+        Ok(err)
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
         self.rescan_regex_if_slash()?;
         let span = self.cur.span;
+        let value = match self.cur.kind {
+            TokenKind::Num(n) => Some(LitValue::Num(n)),
+            TokenKind::BigInt(d) => Some(LitValue::BigInt(d)),
+            TokenKind::Str(s) => Some(LitValue::Str(s)),
+            TokenKind::Regex { pattern, flags } => Some(LitValue::Regex { pattern, flags }),
+            TokenKind::Keyword(Kw::True) => Some(LitValue::Bool(true)),
+            TokenKind::Keyword(Kw::False) => Some(LitValue::Bool(false)),
+            TokenKind::Keyword(Kw::Null) => Some(LitValue::Null),
+            _ => None,
+        };
+        if let Some(value) = value {
+            self.advance()?;
+            return Ok(Expr::Lit(Lit { value, raw: Atom::empty(), span }));
+        }
         match &self.cur.kind {
-            TokenKind::Num(n) => {
-                let raw = span_raw_placeholder();
-                let e = Expr::Lit(Lit { value: LitValue::Num(*n), raw, span });
-                self.advance()?;
-                Ok(e)
-            }
-            TokenKind::BigInt(d) => {
-                let e = Expr::Lit(Lit {
-                    value: LitValue::BigInt(*d),
-                    raw: span_raw_placeholder(),
-                    span,
-                });
-                self.advance()?;
-                Ok(e)
-            }
-            TokenKind::Str(s) => {
-                let e =
-                    Expr::Lit(Lit { value: LitValue::Str(*s), raw: span_raw_placeholder(), span });
-                self.advance()?;
-                Ok(e)
-            }
-            TokenKind::Regex { pattern, flags } => {
-                let e = Expr::Lit(Lit {
-                    value: LitValue::Regex { pattern: *pattern, flags: *flags },
-                    raw: span_raw_placeholder(),
-                    span,
-                });
-                self.advance()?;
-                Ok(e)
-            }
-            TokenKind::Keyword(Kw::True) => {
-                self.advance()?;
-                Ok(Expr::Lit(Lit { value: LitValue::Bool(true), raw: Atom::empty(), span }))
-            }
-            TokenKind::Keyword(Kw::False) => {
-                self.advance()?;
-                Ok(Expr::Lit(Lit { value: LitValue::Bool(false), raw: Atom::empty(), span }))
-            }
-            TokenKind::Keyword(Kw::Null) => {
-                self.advance()?;
-                Ok(Expr::Lit(Lit { value: LitValue::Null, raw: Atom::empty(), span }))
-            }
             TokenKind::Keyword(Kw::This) => {
                 self.advance()?;
                 Ok(Expr::This { span })
@@ -1943,6 +1976,7 @@ impl<'s> Parser<'s> {
 
     fn parse_array_literal(&mut self) -> Result<Expr, ParseError> {
         let start = self.cur.span.start;
+        let pattern = self.pattern_at == start;
         self.expect_punct(Punct::LBracket)?;
         let mut elements = Vec::new();
         while !self.is_punct(Punct::RBracket) {
@@ -1952,12 +1986,8 @@ impl<'s> Parser<'s> {
                 self.advance()?;
                 continue;
             }
-            let el = if self.is_punct(Punct::Ellipsis) {
-                self.parse_spread()?
-            } else {
-                self.parse_assignment(true)?
-            };
-            let more = self.eat_comma_after(&el)?;
+            let el = self.parse_element(pattern)?;
+            let more = self.eat_comma_after(&el, pattern)?;
             elements.push(Some(el));
             if !more {
                 break;
@@ -1970,11 +2000,12 @@ impl<'s> Parser<'s> {
 
     fn parse_object_literal(&mut self) -> Result<Expr, ParseError> {
         let start = self.cur.span.start;
+        let pattern = self.pattern_at == start;
         self.expect_punct(Punct::LBrace)?;
         let mut props = Vec::new();
         while !self.is_punct(Punct::RBrace) {
-            let prop = self.parse_object_prop()?;
-            let more = self.eat_comma_after(&prop.value)?;
+            let prop = self.parse_object_prop(pattern)?;
+            let more = self.eat_comma_after(&prop.value, pattern)?;
             props.push(prop);
             if !more {
                 break;
@@ -1985,17 +2016,16 @@ impl<'s> Parser<'s> {
         Ok(Expr::Object { props, span: Span::new(start, end) })
     }
 
-    fn parse_object_prop(&mut self) -> Result<Property, ParseError> {
+    fn parse_object_prop(&mut self, pattern: bool) -> Result<Property, ParseError> {
         let start = self.cur.span.start;
 
         // Spread property `{...e}` modeled as init property with spread value.
         if self.is_punct(Punct::Ellipsis) {
-            self.advance()?;
-            let arg = self.parse_assignment(true)?;
-            let span = Span::new(start, arg.span().end);
+            let value = self.parse_element(pattern)?;
+            let span = value.span();
             return Ok(Property {
                 key: PropKey::Ident(Ident::new("...")),
-                value: Expr::Spread { arg: Box::new(arg), span },
+                value,
                 kind: PropKind::Init,
                 computed: false,
                 shorthand: false,
@@ -2068,7 +2098,7 @@ impl<'s> Parser<'s> {
         // only valid in patterns; parsed as assignment for cover-grammar
         // purposes).
         let (value, shorthand) = if self.eat_punct(Punct::Colon)? {
-            (self.parse_assignment(true)?, false)
+            (self.parse_pattern_element(pattern)?, false)
         } else {
             let name = match &key {
                 PropKey::Ident(i) => *i,
@@ -2088,9 +2118,9 @@ impl<'s> Parser<'s> {
             (value, true)
         };
         let span = Span::new(start, value.span().end);
-        if is_async || is_generator {
+        if pattern && (is_async || is_generator) {
             // `{async a}` and `{*a: b}` parse, but bind nothing.
-            self.refuse(span);
+            self.refuse();
         }
         Ok(Property { key, value, kind: PropKind::Init, computed, shorthand, method: false, span })
     }
@@ -2121,7 +2151,6 @@ impl<'s> Parser<'s> {
                     }
                     self.cur = self.lexer.continue_template(self.cur.span.start)?;
                     self.peeked = None;
-                    self.peeked2 = None;
                     let tspan = self.cur.span;
                     match self.cur.kind {
                         TokenKind::TemplateMiddle { cooked, raw } => {
@@ -2145,10 +2174,6 @@ impl<'s> Parser<'s> {
 enum BinKind {
     Bin(BinaryOp),
     Log(LogicalOp),
-}
-
-fn span_raw_placeholder() -> Atom {
-    Atom::empty()
 }
 
 fn binary_op_of(p: Punct) -> Option<BinaryOp> {
@@ -2323,68 +2348,38 @@ impl<'s> Parser<'s> {
     }
 }
 
-struct DepthGuard;
-
-impl Parser<'_> {
-    // ---- cover grammar ---------------------------------------------------
-
-    /// Whether `e`, an element of a group, call, array or object literal
-    /// in a would-be arrow head, is also what `parse_params` accepts
-    /// there: a binding pattern, with a default or as a rest when it is an
-    /// `element` of a list. `yield` names a binding.
-    fn binds(&self, e: &Expr, element: bool) -> bool {
-        !self.refuses(e.span())
-            && match e {
-                Expr::Ident(_) | Expr::Yield { arg: None, delegate: false, .. } => true,
-                Expr::Array { elements, .. } => {
-                    elements.iter().flatten().all(|e| self.binds(e, true))
-                }
-                Expr::Object { props, .. } => {
-                    props.iter().all(|p| !self.refuses(p.span) && self.binds(&p.value, true))
-                }
-                Expr::Spread { arg, .. } => element && self.binds(arg, false),
-                Expr::Assign { op: AssignOp::Assign, target, .. } => {
-                    element && self.binds_pat(target, false)
-                }
-                _ => false,
-            }
+/// Whether `e`, an element of an arrow head or of an array or object in
+/// one, is also what `parse_params` accepts there: a binding pattern, with
+/// a default or as a rest when it is an `element` of a list. `yield` names
+/// a binding. [`Cover::refused`] holds what the tree does not show.
+fn binds(e: &Expr, element: bool) -> bool {
+    match e {
+        Expr::Ident(_) | Expr::Yield { arg: None, delegate: false, .. } => true,
+        Expr::Array { elements, .. } => elements.iter().flatten().all(|e| binds(e, true)),
+        Expr::Object { props, .. } => props.iter().all(|p| binds(&p.value, true)),
+        Expr::Spread { arg, .. } => element && binds(arg, false),
+        Expr::Assign { op: AssignOp::Assign, target, .. } => element && binds_pat(target, false),
+        _ => false,
     }
+}
 
-    /// [`Parser::binds`] for an assignment target already read as a
-    /// pattern, which may hold member targets.
-    fn binds_pat(&self, p: &Pat, element: bool) -> bool {
-        !self.refuses(p.span())
-            && match p {
-                Pat::Ident(_) => true,
-                Pat::Array { elements, .. } => {
-                    elements.iter().flatten().all(|p| self.binds_pat(p, true))
-                }
-                Pat::Object { props, .. } => {
-                    props.iter().all(|p| !self.refuses(p.span) && self.binds_pat(&p.value, true))
-                }
-                Pat::Rest { arg: target, .. } | Pat::Assign { target, .. } => {
-                    element && self.binds_pat(target, false)
-                }
-                Pat::Member(_) => false,
-            }
-    }
-
-    /// Records `span` in `non_binding`.
-    fn refuse(&mut self, span: Span) {
-        debug_assert!(self.non_binding.last().is_none_or(|last| last.end <= span.end));
-        self.non_binding.push(span);
-    }
-
-    /// Whether `span` is in `non_binding`.
-    fn refuses(&self, span: Span) -> bool {
-        let from = self.non_binding.partition_point(|s| s.end < span.end);
-        self.non_binding[from..].iter().take_while(|s| s.end == span.end).any(|s| *s == span)
+/// [`binds`] for an assignment target already read as a pattern, which
+/// may hold member targets.
+fn binds_pat(p: &Pat, element: bool) -> bool {
+    match p {
+        Pat::Ident(_) => true,
+        Pat::Array { elements, .. } => elements.iter().flatten().all(|p| binds_pat(p, true)),
+        Pat::Object { props, .. } => props.iter().all(|p| binds_pat(&p.value, true)),
+        Pat::Rest { arg: target, .. } | Pat::Assign { target, .. } => {
+            element && binds_pat(target, false)
+        }
+        Pat::Member(_) => false,
     }
 }
 
 /// Reinterprets an expression as an assignment-target pattern
 /// (`for (x of ...)`, `[a, b] = c`), or with `binding` as an arrow
-/// parameter [`Parser::binds`] accepted, where a bare `yield` names a
+/// parameter [`binds`] accepted, where a bare `yield` names a
 /// binding.
 pub(crate) fn expr_to_pat(e: Expr, binding: bool) -> Result<Pat, ParseError> {
     let pos = e.span().start;

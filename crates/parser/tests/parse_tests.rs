@@ -757,6 +757,86 @@ fn deeply_nested_groups_fail_fast_on_depth() {
     assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
 }
 
+/// `f = (a = (a = … 1) => 0 …) => 0;`: `depth` arrow functions, each the
+/// default of the next one's parameter.
+fn nested_default_arrows(depth: usize) -> String {
+    format!("f = {}1{};", "(a = ".repeat(depth), ") => 0".repeat(depth))
+}
+
+#[test]
+fn nested_arrow_defaults_take_one_frame_per_level() {
+    use jsdetect_guard::{AnalysisError, Budget, Limits};
+    for depth in [30, 100, 140] {
+        let budget = Budget::new(&Limits::wild());
+        let src = nested_default_arrows(depth);
+        jsdetect_parser::parse_with_budget(&src, &budget)
+            .unwrap_or_else(|e| panic!("{depth} levels: {e}"));
+    }
+    let budget = Budget::new(&Limits::wild());
+    assert!(jsdetect_parser::parse_with_budget(&nested_default_arrows(150), &budget).is_err());
+    assert_eq!(budget.take_violation(), Some(AnalysisError::AstDepthExceeded { limit: 150 }));
+}
+
+#[test]
+fn groups_at_the_depth_limit_take_the_frames_of_their_grammar() {
+    use jsdetect_guard::{Budget, Limits};
+    // The smallest `max_ast_depth` each parses under: an arrow head takes
+    // its parameter list's frames, a parenthesized expression or call the
+    // expression grammar's.
+    let cases = [
+        ("x = (a) => 0;", 8),
+        ("x = ([a, {b: [c]}]) => 0;", 8),
+        ("x = async (a) => 0;", 8),
+        ("x = async a => 0;", 8),
+        ("x = (a = 1, ...r) => 0;", 8),
+        ("f = (yield) => 0;", 8),
+        ("x = async(a);", 11),
+        ("x = (a);", 12),
+        ("x = (a, b);", 12),
+        ("x = ([a]);", 16),
+    ];
+    for (src, min) in cases {
+        for (max_ast_depth, parses) in [(min - 1, false), (min, true)] {
+            let budget = Budget::new(&Limits { max_ast_depth, ..Limits::wild() });
+            let r = jsdetect_parser::parse_with_budget(src, &budget);
+            assert_eq!(r.is_ok(), parses, "{src} under {max_ast_depth}");
+            assert_eq!(budget.take_violation().is_some(), !parses, "{src} under {max_ast_depth}");
+        }
+    }
+}
+
+#[test]
+fn arrow_heads_in_deep_arrays_take_no_expression_frames() {
+    use jsdetect_guard::{Budget, Limits};
+    // 35 or 36 arrays leave room for these parameter lists but not for the
+    // five frames the expression grammar takes at `()`: the script's one
+    // error is the syntax error after it, and no depth violation is left.
+    let arrays = |k: usize, arrow: &str| format!("x = {}{arrow}{};", "[".repeat(k), "]".repeat(k));
+    let budget = Budget::new(&Limits::wild());
+    assert!(jsdetect_parser::parse_with_budget(&arrays(35, "(a) => 0"), &budget).is_ok());
+    for k in [35, 36] {
+        for arrow in ["() => {}", "(...r) => {}"] {
+            let src = arrays(k, arrow) + " a b;";
+            let budget = Budget::new(&Limits::wild());
+            let e = jsdetect_parser::parse_with_budget(&src, &budget).unwrap_err();
+            assert!(e.msg.starts_with("expected `;`"), "{src}: {e}");
+            assert_eq!(budget.take_violation(), None, "{src}");
+        }
+    }
+}
+
+#[test]
+fn yield_with_a_default_is_no_arrow_parameter() {
+    // The expression grammar reads `yield` before `=` as a yield
+    // expression, and an arrow head is parsed by that grammar; a bare
+    // `yield` still names a parameter.
+    let e = parse("f = (yield = 1) => 0;").unwrap_err();
+    assert_eq!((e.pos, e.msg.as_str()), (11, "unexpected `=` while parsing expression"));
+    let e = parse("f = ({a: yield} = {}) => 0;").unwrap_err();
+    assert_eq!((e.pos, e.msg.as_str()), (9, "invalid assignment target"));
+    assert!(parse("f = (yield) => 0;").is_ok());
+}
+
 #[test]
 fn realistic_program_parses() {
     let src = r#"
