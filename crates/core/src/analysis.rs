@@ -1,12 +1,15 @@
 //! The batch driver and the cache-aware analysis path: every analysis in
 //! the crate — training, the CLI, the verdict cache, the daemon and the
-//! experiment binaries — goes through [`run_stealing`] and one
-//! panic fence around [`jsdetect_features::analyze`].
+//! experiment binaries — goes through [`run_batch`] and one panic fence
+//! around [`jsdetect_features::analyze`].
 //!
-//! Work is distributed with a shared atomic claim counter instead of
-//! static chunking: obfuscated samples are 10–100× slower to analyze than
-//! regular ones, so pre-partitioned chunks would let one pathological
-//! script idle every other thread.
+//! A batch runs one job per script on the workspace's work-stealing pool
+//! ([`jsdetect_obs::run_stealing`]), with the script's byte length as its
+//! cost: workers claim the longest unclaimed script first. Analysis time
+//! grows with length and obfuscated samples run 10–100× longer than
+//! regular ones, so the longest script starts while the other workers
+//! still have short ones to take, instead of starting last and running
+//! alone. Results come back in input order whatever the claim order.
 //!
 //! A cache hit replays the *distilled* verdict — the three-way outcome,
 //! the typed failure for quarantined scripts, and the space-independent
@@ -20,8 +23,6 @@ use jsdetect_cache::{AnalysisCache, CacheRecord, ContentHash};
 use jsdetect_features::{analyze, Analyzed, FeaturePayload, VectorSpace};
 use jsdetect_guard::{isolate, AnalysisError, Limits, OutcomeKind};
 use jsdetect_obs::names;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// One script's verdict: either replayed from the store or freshly
 /// computed (and published).
@@ -84,45 +85,14 @@ fn fenced(f: impl FnOnce() -> Analyzed) -> Analyzed {
     isolate("analyze", f).unwrap_or_else(Analyzed::rejected)
 }
 
-/// Runs `work(i)` for every `i in 0..n` across all cores with
-/// work-stealing and returns the results in index order.
-pub(crate) fn run_stealing<T: Send>(n: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Runs `work` on every script of `srcs` on the work-stealing pool, the
+/// longest script first, and returns the results in input order.
+pub(crate) fn run_batch<T: Send>(srcs: &[&str], work: impl Fn(&str) -> T + Sync) -> Vec<T> {
     let _t = jsdetect_obs::span(names::SPAN_ANALYZE_MANY);
+    let n = srcs.len();
     jsdetect_obs::counter_add(names::CTR_SCRIPTS_ANALYZED, n as u64);
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let n_threads =
-        std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4).min(n).max(1);
-    jsdetect_obs::gauge_set(names::GAUGE_ANALYZE_THREADS, n_threads as f64);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let tx = tx.clone();
-            let next = &next;
-            let work = &work;
-            scope.spawn(move |_| {
-                // Streaming telemetry is visible the moment it is
-                // recorded; the guard pre-registers this worker's cells
-                // and marks the collection scope structurally.
-                let _obs = jsdetect_obs::ScopedCollector::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || tx.send((i, work(i))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (i, r) in rx.iter() {
-            out[i] = Some(r);
-        }
-    })
-    .expect("analysis threads panicked");
-    out.into_iter().map(|r| r.expect("work-stealing covered every index")).collect()
+    jsdetect_obs::gauge_set(names::GAUGE_ANALYZE_THREADS, jsdetect_obs::pool_threads(n) as f64);
+    jsdetect_obs::run_stealing(n, |i| srcs[i].len(), |i| work(srcs[i]))
 }
 
 /// Analyzes one script under `config.limits`, consulting `cache` before
@@ -163,7 +133,7 @@ pub fn analyze_many(
     config: &AnalysisConfig,
     cache: Option<&AnalysisCache>,
 ) -> Vec<CachedScript> {
-    run_stealing(srcs.len(), |i| analyze_one(srcs[i], config, cache))
+    run_batch(srcs, |src| analyze_one(src, config, cache))
 }
 
 /// Trusted-limits analysis for training: the payload of every script that
@@ -171,14 +141,14 @@ pub fn analyze_many(
 /// parse).
 pub(crate) fn analyze_trusted(srcs: &[&str]) -> Vec<Result<FeaturePayload, AnalysisError>> {
     let limits = Limits::trusted();
-    run_stealing(srcs.len(), |i| fenced(|| analyze(srcs[i], &limits)).into_ok())
+    run_batch(srcs, |src| fenced(|| analyze(src, &limits)).into_ok())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jsdetect_cache::CacheConfig;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -238,13 +208,6 @@ mod tests {
         assert!(out[0].is_ok());
         assert_eq!(out[1].as_ref().unwrap_err().kind(), "parse_error");
         assert!(out[2].is_ok());
-    }
-
-    #[test]
-    fn work_stealing_covers_many_more_items_than_threads() {
-        let out = run_stealing(97, |i| i * 2);
-        assert_eq!(out, (0..97).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(run_stealing(0, |i| i).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! a request served by the daemon classifies bit-identically to the same
 //! script in an offline sweep: both run the same code.
 
-use crate::analysis::{analyze_one, run_stealing, CachedScript};
+use crate::analysis::{analyze_one, run_batch, CachedScript};
 use crate::config::AnalysisConfig;
 use crate::detector::{Detector, Level1Prediction};
 use crate::pipeline::TrainedDetectors;
@@ -68,9 +68,7 @@ pub fn classify_many_cached(
     top_k: usize,
     threshold: f32,
 ) -> Vec<ScriptVerdict> {
-    run_stealing(srcs.len(), |i| {
-        classify_one_cached(srcs[i], config, cache, detectors, top_k, threshold)
-    })
+    run_batch(srcs, |src| classify_one_cached(src, config, cache, detectors, top_k, threshold))
 }
 
 /// Classifies one script: analysis under `config.limits` with verdict

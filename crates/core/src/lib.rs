@@ -23,7 +23,7 @@
 //! [`classify_one_cached`], [`classify_many_cached`] and
 //! [`classify_analyzed`] add both detector levels. Inference has one path:
 //! [`classify_many_cached`] runs [`classify_one_cached`] once per script on
-//! the work-stealing pool, and each detector walks its forests for that
+//! the work-stealing pool, the longest script first, and each detector walks its forests for that
 //! one script's feature row. Training and the experiment binaries run the
 //! same batch driver and panic fence under [`Limits::trusted`] and keep
 //! `Ok` outcomes only, as the paper skips files that do not parse.

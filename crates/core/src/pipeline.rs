@@ -157,10 +157,11 @@ pub fn train_pipeline(n_regular: usize, seed: u64, cfg: &DetectorConfig) -> Pipe
         .filter_map(|i| jsdetect_corpus::dataset::partial_sample(seed ^ ((i as u64) << 33)))
         .collect();
 
-    let srcs: Vec<&str> = train_samples.iter().map(|s| s.src.as_str()).collect();
-    let payloads = analyze_trusted(&srcs);
-    let partial_srcs: Vec<&str> = partials.iter().map(|s| s.src.as_str()).collect();
-    let partial_payloads = analyze_trusted(&partial_srcs);
+    // One batch, so the pool claims the longest script of either set first.
+    let srcs: Vec<&str> =
+        train_samples.iter().copied().chain(&partials).map(|s| s.src.as_str()).collect();
+    let mut payloads = analyze_trusted(&srcs);
+    let partial_payloads = payloads.split_off(train_samples.len());
 
     let mut l1_set = Vec::new();
     let mut l2_set = Vec::new();

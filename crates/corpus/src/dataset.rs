@@ -107,17 +107,29 @@ impl GroundTruth {
     /// Generates `n` regular scripts and transforms each with each of the
     /// ten techniques (the paper transforms its 21,000 scripts 10 times
     /// and stores the variants separately).
+    ///
+    /// The `corpus_generate` span times the regular scripts' draw alone.
+    /// The `n × 10` transforms run as jobs on the work-stealing pool, in
+    /// index order; each variant depends only on its script, technique and
+    /// seed, so the pools come out as a serial run builds them.
     pub fn generate(n: usize, seed: u64) -> Self {
-        let _t = jsdetect_obs::span(names::SPAN_CORPUS_GENERATE);
-        let regular_srcs = regular_corpus(n, seed);
-        let mut pools: Vec<Vec<LabeledSample>> = vec![Vec::new(); Technique::ALL.len()];
-        for (i, src) in regular_srcs.iter().enumerate() {
-            for (t_idx, t) in Technique::ALL.iter().enumerate() {
+        let regular_srcs = {
+            let _t = jsdetect_obs::span(names::SPAN_CORPUS_GENERATE);
+            regular_corpus(n, seed)
+        };
+        let n_techniques = Technique::ALL.len();
+        let variants = jsdetect_obs::run_stealing(
+            n * n_techniques,
+            |_| 0,
+            |k| {
+                let (i, t_idx) = (k / n_techniques, k % n_techniques);
                 let sample_seed = seed ^ ((i as u64) << 8) ^ (t_idx as u64);
-                if let Some(s) = transform_sample(src, &[*t], sample_seed) {
-                    pools[t_idx].push(s);
-                }
-            }
+                transform_sample(&regular_srcs[i], &[Technique::ALL[t_idx]], sample_seed)
+            },
+        );
+        let mut pools: Vec<Vec<LabeledSample>> = vec![Vec::new(); n_techniques];
+        for (k, variant) in variants.into_iter().enumerate() {
+            pools[k % n_techniques].extend(variant);
         }
         let regular = regular_srcs.into_iter().map(LabeledSample::regular).collect();
         GroundTruth { regular, pools }

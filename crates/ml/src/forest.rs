@@ -90,10 +90,10 @@ impl RandomForest {
         let ranks = &ValueRanks::build(data);
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
         let chunk = params.n_trees.div_ceil(n_threads.max(1)).max(1);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
                 let base = t * chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _obs = jsdetect_obs::ScopedCollector::new();
                     let _s = jsdetect_obs::span(names::SPAN_FIT_TREE_BATCH);
                     for (off, slot) in slot_chunk.iter_mut().enumerate() {
@@ -112,8 +112,7 @@ impl RandomForest {
                     jsdetect_obs::counter_add(names::CTR_TREES_FITTED, slot_chunk.len() as u64);
                 });
             }
-        })
-        .expect("forest training threads panicked");
+        });
 
         // Compile per-tree node blocks into one merged arena, in tree
         // order (deterministic regardless of which thread grew what).

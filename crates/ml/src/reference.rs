@@ -210,10 +210,10 @@ impl RowMajorForest {
         let n_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let mut trees: Vec<Option<RowMajorTree>> = vec![None; params.n_trees];
         let chunk = params.n_trees.div_ceil(n_threads.max(1)).max(1);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (t, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
                 let base = t * chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (off, slot) in slot_chunk.iter_mut().enumerate() {
                         let i = base + off;
                         let mut rng = StdRng::seed_from_u64(seed_of(i));
@@ -227,8 +227,7 @@ impl RowMajorForest {
                     }
                 });
             }
-        })
-        .expect("forest training threads panicked");
+        });
         RowMajorForest { trees: trees.into_iter().map(Option::unwrap).collect() }
     }
 

@@ -36,6 +36,10 @@
 //! record call returns. Metric names come from the [`names`] module so
 //! every crate shares one vocabulary.
 //!
+//! Batches run on one work-stealing pool, [`run_stealing`], whose workers
+//! claim the costliest job first and register their recording cells
+//! before their first job.
+//!
 //! # Examples
 //!
 //! ```
@@ -59,6 +63,7 @@
 mod export;
 mod histogram;
 pub mod names;
+mod pool;
 mod prometheus;
 mod registry;
 mod ring;
@@ -66,6 +71,7 @@ mod trace;
 
 pub use export::{render_summary, to_jsonl, SCHEMA_VERSION};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, N_BUCKETS};
+pub use pool::{pool_threads, run_stealing};
 pub use prometheus::render_prometheus;
 pub use registry::{record_span_ns, reset, snapshot, CounterEvent, Snapshot, SpanEvent, SpanStat};
 pub use ring::RING_CAP;

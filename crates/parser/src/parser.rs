@@ -1309,14 +1309,16 @@ impl<'s> Parser<'s> {
     }
 
     /// Whether the current token opens a [`Cover`]: `(`, `async` followed on
-    /// its line by `(` or an identifier, or another identifier by `=>`.
+    /// its line by `(` or an identifier, or any identifier (`async` too) by
+    /// `=>`.
     fn opens_cover(&mut self) -> Result<bool, ParseError> {
         let TokenKind::Ident(name) = self.cur.kind else {
             return Ok(self.is_punct(Punct::LParen));
         };
         let next = *self.peek()?;
-        if next.newline_before || name != "async" {
-            return Ok(!next.newline_before && next.is_punct(Punct::Arrow));
+        let arrow = next.is_punct(Punct::Arrow);
+        if next.newline_before || name != "async" || arrow {
+            return Ok(!next.newline_before && arrow);
         }
         if next.is_punct(Punct::LParen) {
             // The arguments of `async(…)` are the cover's elements.
@@ -2090,8 +2092,8 @@ impl<'s> Parser<'s> {
                 span: Span::new(start, end),
             });
         }
-        if kind != PropKind::Init {
-            return Err(self.err_here("getter/setter requires a parameter list"));
+        if kind != PropKind::Init || is_async || is_generator {
+            return Err(self.err_here("getter, setter or method requires a parameter list"));
         }
 
         // `key: value`, or shorthand `{a}` or `{a = default}` (the latter
@@ -2118,10 +2120,6 @@ impl<'s> Parser<'s> {
             (value, true)
         };
         let span = Span::new(start, value.span().end);
-        if pattern && (is_async || is_generator) {
-            // `{async a}` and `{*a: b}` parse, but bind nothing.
-            self.refuse();
-        }
         Ok(Property { key, value, kind: PropKind::Init, computed, shorthand, method: false, span })
     }
 

@@ -903,6 +903,41 @@ fn async_as_identifier() {
 }
 
 #[test]
+fn async_alone_is_an_arrow_parameter() {
+    let Stmt::Expr { expr: Expr::Assign { value, .. }, .. } = &p("f = async => 1;").body[0] else {
+        panic!("expected an assignment");
+    };
+    match &**value {
+        Expr::Arrow { params, is_async: false, .. } => {
+            assert!(matches!(&params[..], [Pat::Ident(i)] if i.name == "async"));
+        }
+        other => panic!("expected a plain arrow, got {:?}", other),
+    }
+    assert!(matches!(first_expr("async => async;"), Expr::Arrow { is_async: false, .. }));
+    assert!(matches!(first_expr("async async => 1;"), Expr::Arrow { is_async: true, .. }));
+    assert!(parse("async\n=> 1;").is_err());
+}
+
+#[test]
+fn async_or_generator_property_requires_a_parameter_list() {
+    for src in [
+        "x = {async a};",
+        "x = {*a: 1};",
+        "x = {async a: 1};",
+        "x = {*a};",
+        "x = {async *a};",
+        "({async a} = o);",
+        "({*a: b} = o);",
+        "({async a}) => 0;",
+    ] {
+        assert!(parse(src).is_err(), "expected error for {:?}", src);
+    }
+    for src in ["x = {async a() {}, *b() {}, async *c() {}};", "x = {async, async: 1};"] {
+        assert!(parse(src).is_ok(), "expected {:?} to parse", src);
+    }
+}
+
+#[test]
 fn in_operator_inside_for_parens() {
     // `in` must be allowed inside parenthesized sub-expressions of for-init.
     assert!(parse("for (var x = ('a' in obj); x; x = false) {}").is_ok());
