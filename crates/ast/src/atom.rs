@@ -3,9 +3,9 @@
 //! An [`Atom`] is a `Copy` `u32` handle to a deduplicated, immortal string.
 //! The front end interns every identifier, string literal, and raw literal
 //! text once; tokens and AST nodes then carry 4-byte handles instead of
-//! per-node `String`s, so cloning a subtree (normalize snapshots, transform
-//! output) and comparing names (scope resolution, lint facts) are
-//! allocation-free.
+//! per-node `String`s, so copying a name into a rewritten node (normalize,
+//! transform output) and comparing names (scope resolution, lint facts)
+//! are allocation-free.
 //!
 //! # Lifetime model
 //!

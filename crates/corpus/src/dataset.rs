@@ -85,12 +85,26 @@ pub fn implied_labels(techniques: &[Technique]) -> Vec<Technique> {
 /// control-flow flattening finds no eligible statement list) — a sample
 /// whose code did not change must not carry a transformation label.
 pub fn transform_sample(src: &str, techniques: &[Technique], seed: u64) -> Option<LabeledSample> {
+    variant_of(src, &untouched(src)?, techniques, seed)
+}
+
+/// `src` printed with no technique applied: what a variant must differ
+/// from. No pass runs, so nothing draws from the seed and any seed prints
+/// the same text.
+fn untouched(src: &str) -> Option<String> {
+    apply(src, &[], 0).ok()
+}
+
+/// [`transform_sample`] against the script's [`untouched`] print, which
+/// the caller computes once for all the variants of one script.
+fn variant_of(
+    src: &str,
+    untouched: &str,
+    techniques: &[Technique],
+    seed: u64,
+) -> Option<LabeledSample> {
     let out = apply(src, techniques, seed).ok()?;
-    let untouched = apply(src, &[], seed).ok()?;
-    if out == untouched {
-        return None;
-    }
-    Some(LabeledSample { src: out, techniques: implied_labels(techniques) })
+    (out != untouched).then(|| LabeledSample { src: out, techniques: implied_labels(techniques) })
 }
 
 /// A complete ground-truth corpus: regular scripts plus, per technique,
@@ -109,14 +123,16 @@ impl GroundTruth {
     /// and stores the variants separately).
     ///
     /// The `corpus_generate` span times the regular scripts' draw alone.
-    /// The `n × 10` transforms run as jobs on the work-stealing pool, in
-    /// index order; each variant depends only on its script, technique and
-    /// seed, so the pools come out as a serial run builds them.
+    /// Each script's untouched print, then the `n × 10` transforms, run as
+    /// jobs on the work-stealing pool, in index order; each variant
+    /// depends only on its script, technique and seed, so the pools come
+    /// out as a serial run builds them.
     pub fn generate(n: usize, seed: u64) -> Self {
         let regular_srcs = {
             let _t = jsdetect_obs::span(names::SPAN_CORPUS_GENERATE);
             regular_corpus(n, seed)
         };
+        let untouched = jsdetect_obs::run_stealing(n, |_| 0, |i| untouched(&regular_srcs[i]));
         let n_techniques = Technique::ALL.len();
         let variants = jsdetect_obs::run_stealing(
             n * n_techniques,
@@ -124,7 +140,8 @@ impl GroundTruth {
             |k| {
                 let (i, t_idx) = (k / n_techniques, k % n_techniques);
                 let sample_seed = seed ^ ((i as u64) << 8) ^ (t_idx as u64);
-                transform_sample(&regular_srcs[i], &[Technique::ALL[t_idx]], sample_seed)
+                let technique = [Technique::ALL[t_idx]];
+                variant_of(&regular_srcs[i], untouched[i].as_deref()?, &technique, sample_seed)
             },
         );
         let mut pools: Vec<Vec<LabeledSample>> = vec![Vec::new(); n_techniques];

@@ -95,11 +95,11 @@ fn main() {
         match jsdetect_parser::parse(&sample.src) {
             Ok(program) => {
                 let budget = Budget::new(&Limits::trusted());
-                let (program, report) = normalize_program(&program, &opts, &budget);
-                if report.rolled_back() {
+                let (program, report) = normalize_program(program, &opts, &budget);
+                let Some(program) = program else {
                     normalized.push(sample.src.clone());
                     continue;
-                }
+                };
                 rewrites_total += report.total_rewrites();
                 n_reprinted += 1;
                 normalized.push(jsdetect_codegen::to_source(&program));

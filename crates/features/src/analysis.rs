@@ -6,8 +6,9 @@
 //! tree quantity ([`TreeStats::of`]), scopes with control and data flow,
 //! lint, normalization deltas — charging each to a [`Budget`] built from
 //! the caller's [`Limits`], and distils the result into a
-//! [`FeaturePayload`]. All of it, extraction and the drop of the AST and
-//! graph included, runs inside the `analyze` span. Every failure is
+//! [`FeaturePayload`]. The normalization stage takes the parsed tree by
+//! value, rewrites it in place and drops it; extraction drops the graph.
+//! All of it runs inside the `analyze` span. Every failure is
 //! classified into the three-way [`OutcomeKind`] verdict: full result,
 //! lexer-only fallback for a script that does not parse, or quarantined
 //! reject for a blown budget. [`Limits::trusted`] is the training preset:
@@ -25,22 +26,20 @@ use jsdetect_obs::names;
 use jsdetect_parser::parse_with_comments_budget;
 
 /// Everything the feature extractors need about one script. Lives only
-/// until [`FeaturePayload::extract`] has run.
+/// until [`FeaturePayload::extract`] has run. The parsed tree is not part
+/// of it: the extractors read the tree through `tree` and `graph`, and
+/// the normalization stage consumes it.
 #[derive(Debug)]
 pub(crate) struct ScriptAnalysis<'a> {
     /// Original source text.
     pub(crate) src: &'a str,
-    /// Parsed AST. The extractors read it through `tree` and `graph`; it
-    /// is held so that it is dropped under the `extract` span.
-    #[allow(dead_code)]
-    pub(crate) program: Program,
     /// Token statistics (comments are not tokens).
     pub(crate) tokens: TokenCounts,
     /// Comments.
     pub(crate) comments: Vec<Comment>,
     /// Scopes + control flow + data flow.
     pub(crate) graph: ProgramGraph,
-    /// Everything read from one walk of `program`.
+    /// Everything read from one walk of the parsed tree.
     pub(crate) tree: TreeStats,
     /// Obfuscation-signature lint summary (per-rule hit counts).
     pub(crate) lint: LintSummary,
@@ -49,7 +48,7 @@ pub(crate) struct ScriptAnalysis<'a> {
     /// the analysis is degraded or normalization itself degrades).
     pub(crate) normalize: Vec<f32>,
     /// True when this is the lexer-only fallback produced after a parse
-    /// failure: `program`/`graph`/`tree` describe an empty program
+    /// failure: `graph`/`tree` describe an empty program
     /// and only `src`/`tokens`/`comments` carry real signal.
     pub(crate) degraded: bool,
 }
@@ -205,22 +204,13 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
     };
     budget.check_deadline()?;
 
-    let normalize = crate::deltas::normalize_deltas(src, &program, &tree, &lint, budget);
+    let normalize = crate::deltas::normalize_deltas(src, program, &tree, &lint, budget);
     // A deadline hit inside normalization degrades it to the neutral
     // block; the script is rejected instead, so no payload carries it.
     budget.check_deadline()?;
 
-    let analysis = ScriptAnalysis {
-        src,
-        program,
-        tokens,
-        comments,
-        graph,
-        tree,
-        lint,
-        normalize,
-        degraded: false,
-    };
+    let analysis =
+        ScriptAnalysis { src, tokens, comments, graph, tree, lint, normalize, degraded: false };
     Ok((analysis, None))
 }
 
@@ -250,7 +240,6 @@ fn degraded_fallback<'a>(src: &'a str, budget: &Budget, cause: AnalysisError) ->
     jsdetect_obs::counter_add(names::CTR_DEGRADED_FALLBACKS, 1);
     let analysis = ScriptAnalysis {
         src,
-        program,
         tokens,
         comments,
         graph,
@@ -292,7 +281,7 @@ mod tests {
         assert_eq!(a.tree.node_count, 1); // just the Program node
         let b = analysis_of("// only a comment\n/* and a block */");
         assert_eq!(b.comments.len(), 2);
-        assert_eq!(b.program.body.len(), 0);
+        assert_eq!(b.tree.node_count, 1);
     }
 
     #[test]
@@ -333,7 +322,7 @@ mod tests {
         let (a, cause) = stages(src, &Budget::new(&Limits::wild())).unwrap();
         assert!(a.degraded);
         assert!(a.tokens.total > 0, "fallback should keep the token prefix");
-        assert_eq!(a.program.body.len(), 0);
+        assert_eq!(a.tree.node_count, 1);
         assert_eq!(cause.unwrap().kind(), "parse_error");
 
         let r = analyze(src, &Limits::wild());

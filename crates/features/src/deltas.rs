@@ -57,26 +57,31 @@ pub fn delta_feature_names() -> Vec<String> {
     names
 }
 
-/// Computes the delta block for one parsed script.
+/// Computes the delta block for one parsed script, consuming its tree.
 ///
 /// `src` is the *original* source text — the normalized AST is linted
 /// against it so the charset-based rules see the same bytes both times
-/// and only structural rules can move. `tree` and `lint` are the
-/// original program's statistics and lint summary; `budget` is the
-/// script's analysis budget.
+/// and only structural rules can move. `program` is the parsed tree,
+/// which normalization rewrites in place and which is dropped here, under
+/// this stage's span. `tree` and `lint` are the original program's
+/// statistics and lint summary; `budget` is the script's analysis budget.
 pub fn normalize_deltas(
     src: &str,
-    program: &Program,
+    program: Program,
     tree: &TreeStats,
     lint: &LintSummary,
     budget: &Budget,
 ) -> Vec<f32> {
     let _t = jsdetect_obs::span(names::SPAN_NORMALIZE_DELTAS);
+    // A local, not a temporary of the tail expression: locals drop before
+    // `_t`, so the tree's drop is timed by this span.
     let (normalized, report) = normalize_program(program, &NormalizeOptions::default(), budget);
-    if report.outcome != OutcomeKind::Ok || report.total_rewrites() == 0 {
-        return neutral_deltas();
+    match normalized {
+        Some(normalized) if report.outcome == OutcomeKind::Ok && report.total_rewrites() > 0 => {
+            measure_deltas(src, tree, &normalized, lint)
+        }
+        _ => neutral_deltas(),
     }
-    measure_deltas(src, tree, &normalized, lint)
 }
 
 /// The full delta measurement of `normalized` against the original

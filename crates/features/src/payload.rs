@@ -35,7 +35,7 @@ pub struct FeaturePayload {
 
 impl FeaturePayload {
     /// Distills one analysis into its cacheable payload, consuming it:
-    /// the AST and the graph are dropped here.
+    /// the graph is dropped here.
     pub(crate) fn extract(a: ScriptAnalysis<'_>) -> FeaturePayload {
         FeaturePayload {
             handpicked: handpicked_features(&a),

@@ -8,12 +8,20 @@
 //! arithmetic the runtime IIFE performs, so indices resolve against the
 //! original order. When no reference to the array or accessor survives the
 //! rewrite, the prelude itself is deleted.
+//!
+//! One run handles every prelude at once, so its cost is linear in the
+//! program however many preludes it holds: one scope analysis checks the
+//! names of all of them, one walk inlines every pool, and one walk counts
+//! the references that survive. A prelude whose array only becomes a pool
+//! once another pool is inlined into it is found by the next fixpoint
+//! round.
 
 use crate::eval::str_expr;
 use crate::{Pass, PassCx};
 use jsdetect_ast::visit_mut::{walk_expr_mut, walk_pat_mut, MutVisitor};
 use jsdetect_ast::*;
 use jsdetect_flow::analyze_scopes;
+use std::collections::HashMap;
 
 /// See the module docs.
 pub(crate) struct ArrayInlinePass;
@@ -28,50 +36,36 @@ impl Pass for ArrayInlinePass {
     }
 
     fn run(&self, program: &mut Program, cx: &PassCx) -> u64 {
-        let mut count = 0;
-        let mut scan_from = 0;
-        while scan_from < program.body.len() {
-            self.cx_tick(cx);
-            // Past a deadline or out of fuel no pool can be rewritten, and
-            // each one costs a scope analysis of the whole program.
-            if !cx.healthy() {
-                break;
-            }
-            let Some(pool) = find_pool(program, scan_from) else { break };
-            // Never rescan this prelude: whether or not anything below
-            // succeeds, the cursor moves past it, bounding the loop by the
-            // statement count.
-            scan_from = pool.arr_index + 1;
-            if !names_bind_once(program, &pool) {
-                continue;
-            }
-            let mut strings = pool.strings.clone();
-            if let Some(k) = pool.rotation {
-                let left = (k - 1) % strings.len();
-                strings.rotate_left(left);
-            }
-            let mut inliner = Inline { cx, pool: &pool, strings: &strings, count: 0 };
-            inliner.visit_program_mut(program);
-            count += inliner.count;
-            // Delete the prelude once nothing outside it uses the names.
-            if remaining_refs(program, &pool) == 0 && cx.spend() {
-                let mut doomed = vec![pool.arr_index, pool.acc_index];
-                doomed.extend(pool.iife_index);
-                doomed.sort_unstable();
-                for i in doomed.into_iter().rev() {
-                    program.body.remove(i);
+        cx.tick(8);
+        // Past a deadline or out of fuel no pool can be rewritten.
+        if !cx.healthy() {
+            return 0;
+        }
+        let mut pools = find_pools(&program.body);
+        keep_names_binding_once(program, &mut pools);
+        if pools.is_empty() {
+            return 0;
+        }
+        let mut by_accessor: HashMap<Atom, Vec<&Pool>> = HashMap::new();
+        for pool in &pools {
+            by_accessor.entry(pool.acc_name).or_default().push(pool);
+        }
+        let mut inliner = Inline { cx, by_accessor, count: 0 };
+        inliner.visit_program_mut(program);
+        let mut count = inliner.count;
+        // Delete each prelude once nothing outside it uses its names.
+        let mut doomed = vec![false; program.body.len()];
+        for (pool, refs) in pools.iter().zip(remaining_refs(program, &pools)) {
+            if refs == 0 && cx.spend() {
+                for i in pool.statements() {
+                    doomed[i] = true;
                 }
                 count += 1;
-                scan_from = pool.arr_index;
             }
         }
+        let mut doomed = doomed.into_iter();
+        program.body.retain(|_| !doomed.next().expect("one flag per statement"));
         count
-    }
-}
-
-impl ArrayInlinePass {
-    fn cx_tick(&self, cx: &PassCx) {
-        cx.tick(8);
     }
 }
 
@@ -81,20 +75,38 @@ struct Pool {
     acc_index: usize,
     arr_name: Atom,
     acc_name: Atom,
+    /// The pooled strings in their original order: the stored array
+    /// un-rotated as the rotation IIFE does at load time.
     strings: Vec<Atom>,
-    /// Rotation IIFE count argument, when the IIFE is present.
-    rotation: Option<usize>,
     /// Whether the accessor indexes via `parseInt(i, 16)` (hex string
     /// argument) rather than directly.
     hex_index: bool,
 }
 
-/// Finds the next array/accessor prelude at or after `from` in the
-/// top-level statement list.
-fn find_pool(program: &Program, from: usize) -> Option<Pool> {
-    let body = &program.body;
+impl Pool {
+    /// The top-level statement indices of the prelude.
+    fn statements(&self) -> impl Iterator<Item = usize> {
+        [Some(self.arr_index), self.iife_index, Some(self.acc_index)].into_iter().flatten()
+    }
+}
+
+/// Every array/accessor prelude in the top-level statement list, in
+/// order. Preludes never overlap: a match's IIFE and accessor are not
+/// string arrays, so the scan may resume right after the array.
+fn find_pools(body: &[Stmt]) -> Vec<Pool> {
+    let mut pools = Vec::new();
+    let mut from = 0;
+    while let Some(pool) = find_pool(body, from) {
+        from = pool.arr_index + 1;
+        pools.push(pool);
+    }
+    pools
+}
+
+/// Finds the next array/accessor prelude at or after `from`.
+fn find_pool(body: &[Stmt], from: usize) -> Option<Pool> {
     for i in from..body.len() {
-        let Some((arr_name, strings)) = string_array_decl(&body[i]) else { continue };
+        let Some((arr_name, mut strings)) = string_array_decl(&body[i]) else { continue };
         let rotation = body.get(i + 1).and_then(|s| rotation_iife(s, &arr_name));
         let acc_index = if rotation.is_some() { i + 2 } else { i + 1 };
         let Some((acc_name, hex_index)) =
@@ -108,6 +120,10 @@ fn find_pool(program: &Program, from: usize) -> Option<Pool> {
         if rotation.is_none() && acc_index == i + 2 {
             continue;
         }
+        if let Some(k) = rotation {
+            let left = (k - 1) % strings.len();
+            strings.rotate_left(left);
+        }
         return Some(Pool {
             arr_index: i,
             iife_index: (acc_index == i + 2).then_some(i + 1),
@@ -115,7 +131,6 @@ fn find_pool(program: &Program, from: usize) -> Option<Pool> {
             arr_name,
             acc_name,
             strings,
-            rotation,
             hex_index,
         });
     }
@@ -196,22 +211,29 @@ fn accessor_decl(s: &Stmt, arr_name: &str) -> Option<(Atom, bool)> {
     Some((acc.name, hex))
 }
 
-/// The rewrite is only safe when each prelude name binds exactly once in
-/// the whole program (no shadowing, no redeclaration).
-fn names_bind_once(program: &mut Program, pool: &Pool) -> bool {
-    let tree = analyze_scopes(program);
-    for name in [&pool.arr_name, &pool.acc_name] {
-        if tree.bindings().iter().filter(|b| &b.name == name).count() != 1 {
-            return false;
+/// Keeps the pools whose names each bind exactly once in the whole
+/// program (no shadowing, no redeclaration): only then is the rewrite
+/// safe.
+fn keep_names_binding_once(program: &Program, pools: &mut Vec<Pool>) {
+    if pools.is_empty() {
+        return;
+    }
+    let mut binds: HashMap<Atom, usize> =
+        pools.iter().flat_map(|p| [(p.arr_name, 0), (p.acc_name, 0)]).collect();
+    for binding in analyze_scopes(program).bindings() {
+        if let Some(n) = binds.get_mut(&binding.name) {
+            *n += 1;
         }
     }
-    true
+    pools.retain(|p| binds[&p.arr_name] == 1 && binds[&p.acc_name] == 1);
 }
 
 struct Inline<'a, 'b> {
     cx: &'a PassCx<'b>,
-    pool: &'a Pool,
-    strings: &'a [Atom],
+    /// The pools of each accessor name, in program order. Redeclared
+    /// `var`s bind once, so two preludes can share an accessor name; a
+    /// call resolves against the first pool that holds its index.
+    by_accessor: HashMap<Atom, Vec<&'a Pool>>,
     count: u64,
 }
 
@@ -221,12 +243,13 @@ impl MutVisitor for Inline<'_, '_> {
         self.cx.tick(1);
         let Expr::Call { callee, args, span } = e else { return };
         let Expr::Ident(id) = &**callee else { return };
-        if id.name != self.pool.acc_name {
-            return;
-        }
+        let Some(pools) = self.by_accessor.get(&id.name) else { return };
         let [arg] = args.as_slice() else { return };
-        let Some(idx) = decode_index(arg, self.pool.hex_index) else { return };
-        let Some(s) = self.strings.get(idx) else { return };
+        let Some(s) = pools.iter().find_map(|pool| {
+            decode_index(arg, pool.hex_index).and_then(|idx| pool.strings.get(idx))
+        }) else {
+            return;
+        };
         if self.cx.spend() {
             *e = str_expr(*s, *span);
             self.count += 1;
@@ -246,39 +269,54 @@ fn decode_index(arg: &Expr, hex: bool) -> Option<usize> {
     }
 }
 
-/// Counts surviving uses of the prelude names outside the prelude itself.
-fn remaining_refs(program: &mut Program, pool: &Pool) -> u64 {
-    struct Counter<'a> {
-        names: [&'a str; 2],
-        count: u64,
+/// Counts, per pool, the surviving uses of its names outside its own
+/// prelude. A pool whose array and accessor share a name counts each use
+/// twice; only whether the count is zero matters.
+fn remaining_refs(program: &mut Program, pools: &[Pool]) -> Vec<u64> {
+    struct Uses(HashMap<Atom, u64>);
+    impl Uses {
+        fn bump(&mut self, name: &Atom) {
+            if let Some(n) = self.0.get_mut(name) {
+                *n += 1;
+            }
+        }
+        fn of(&self, pool: &Pool) -> u64 {
+            self.0[&pool.arr_name] + self.0[&pool.acc_name]
+        }
     }
-    impl MutVisitor for Counter<'_> {
+    impl MutVisitor for Uses {
         fn visit_expr_mut(&mut self, e: &mut Expr) {
             if let Expr::Ident(id) = e {
-                if self.names.contains(&id.name.as_str()) {
-                    self.count += 1;
-                }
+                self.bump(&id.name);
             }
             walk_expr_mut(self, e);
         }
         fn visit_pat_mut(&mut self, p: &mut Pat) {
             if let Pat::Ident(id) = p {
-                if self.names.contains(&id.name.as_str()) {
-                    self.count += 1;
-                }
+                self.bump(&id.name);
             }
             walk_pat_mut(self, p);
         }
     }
-    let prelude = [Some(pool.arr_index), pool.iife_index, Some(pool.acc_index)];
-    let mut c = Counter { names: [&pool.arr_name, &pool.acc_name], count: 0 };
-    for (i, s) in program.body.iter_mut().enumerate() {
-        if prelude.contains(&Some(i)) {
-            continue;
+    let mut uses = Uses(pools.iter().flat_map(|p| [(p.arr_name, 0), (p.acc_name, 0)]).collect());
+    let mut owner = vec![None; program.body.len()];
+    for (p, pool) in pools.iter().enumerate() {
+        for i in pool.statements() {
+            owner[i] = Some(p);
         }
-        c.visit_stmt_mut(s);
     }
-    c.count
+    // Uses of each pool's names inside its own prelude.
+    let mut own = vec![0; pools.len()];
+    for (s, owner) in program.body.iter_mut().zip(owner) {
+        let Some(p) = owner else {
+            uses.visit_stmt_mut(s);
+            continue;
+        };
+        let before = uses.of(&pools[p]);
+        uses.visit_stmt_mut(s);
+        own[p] += uses.of(&pools[p]) - before;
+    }
+    pools.iter().zip(own).map(|(pool, own)| uses.of(pool) - own).collect()
 }
 
 #[cfg(test)]
@@ -292,7 +330,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::ArrayInline], ..NormalizeOptions::default() };
-        to_minified(&normalize(&p, &opts).0)
+        to_minified(&normalize(p, &opts).0)
     }
 
     #[test]
@@ -343,6 +381,36 @@ mod tests {
     }
 
     #[test]
+    fn one_run_inlines_and_deletes_every_prelude() {
+        let src = "var _0xa = ['alpha'];\
+                   var _0xb = function (i) { return _0xa[parseInt(i, 16)]; };\
+                   var _0xc = ['beta', 'gamma'];\
+                   var _0xd = function (i) { return _0xc[i]; };\
+                   f(_0xb('0x0'), _0xd(1));";
+        let opts =
+            NormalizeOptions { passes: vec![PassKind::ArrayInline], ..NormalizeOptions::default() };
+        let (p, report) = normalize(parse(src).unwrap(), &opts);
+        assert_eq!(to_minified(&p), "f('alpha','gamma');");
+        // Two inlined calls and two deleted preludes, then a quiet round.
+        assert_eq!(report.total_rewrites(), 4);
+        assert_eq!(report.rounds, 2);
+    }
+
+    #[test]
+    fn a_shared_accessor_name_resolves_against_the_first_pool_holding_the_index() {
+        // The two `var _0xb`s bind once, so both preludes qualify; each
+        // still declares the other's names, so neither is deleted.
+        let src = "var _0xa = ['alpha'];\
+                   var _0xb = function (i) { return _0xa[i]; };\
+                   var _0xc = ['beta', 'gamma'];\
+                   var _0xb = function (i) { return _0xc[i]; };\
+                   f(_0xb(0), _0xb(1));";
+        let out = run(src);
+        assert!(out.ends_with("f('alpha','gamma');"), "{}", out);
+        assert!(out.starts_with("var _0xa=['alpha'];"), "{}", out);
+    }
+
+    #[test]
     fn non_pool_arrays_are_untouched() {
         assert_eq!(run("var a = ['x', 'y']; f(a[0]);"), "var a=['x','y'];f(a[0]);");
     }
@@ -360,7 +428,7 @@ mod tests {
                 passes: vec![PassKind::ArrayInline],
                 ..NormalizeOptions::default()
             };
-            let (p, report) = normalize(&parse(&obf).unwrap(), &opts);
+            let (p, report) = normalize(parse(&obf).unwrap(), &opts);
             assert!(report.total_rewrites() > 0, "seed {}", seed);
             assert_eq!(to_minified(&p), canonical, "seed {}", seed);
         }

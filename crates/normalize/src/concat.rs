@@ -147,7 +147,7 @@ mod tests {
             passes: vec![PassKind::StringConcat],
             ..NormalizeOptions::default()
         };
-        to_minified(&normalize(&p, &opts).0)
+        to_minified(&normalize(p, &opts).0)
     }
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
         let src = "function greet() { return 'hello world, obfuscated people'; }";
         for seed in [1u64, 2, 3, 4, 5] {
             let obf = apply(src, &[Technique::StringObfuscation], seed).unwrap();
-            let (p, report) = normalize(&parse(&obf).unwrap(), &NormalizeOptions::default());
+            let (p, report) = normalize(parse(&obf).unwrap(), &NormalizeOptions::default());
             let out = to_minified(&p);
             // Whatever mix of split/reverse/fromCharCode the seed picked,
             // every statically decodable chain must collapse; the encoded

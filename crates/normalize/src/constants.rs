@@ -329,7 +329,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Constants], ..NormalizeOptions::default() };
-        to_minified(&normalize(&p, &opts).0)
+        to_minified(&normalize(p, &opts).0)
     }
 
     #[test]

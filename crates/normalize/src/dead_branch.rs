@@ -88,7 +88,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::DeadBranch], ..NormalizeOptions::default() };
-        to_minified(&normalize(&p, &opts).0)
+        to_minified(&normalize(p, &opts).0)
     }
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
         let p = parse(&src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::DeadBranch], ..NormalizeOptions::default() };
-        let (out, report) = normalize(&p, &opts);
+        let (out, report) = normalize(p, &opts);
         assert!(report.fuel_exhausted);
         assert_eq!(report.total_rewrites(), MAX_REWRITES);
         let out = to_minified(&out);

@@ -18,19 +18,19 @@
 //! - the wall-clock deadline of the caller's [`jsdetect_guard::Budget`],
 //!   the same budget the rest of the script's analysis charges.
 //!
-//! A run borrows the input and rewrites a single working copy, the only
-//! clone it makes. Every pass runs inside [`jsdetect_guard::isolate`], so
+//! A run takes the parsed tree by value and rewrites it in place; it
+//! makes no copy. Every pass runs inside [`jsdetect_guard::isolate`], so
 //! a panic in one pass degrades the outcome instead of tearing down the
-//! caller: the half-rewritten copy is dropped and the result is a fresh
-//! copy of the input. A panic thus rolls back to the input, not to the
-//! last good round, which is what lets a run skip a snapshot per round.
-//! Rewrites preserve the spans of the nodes they replace, so downstream
-//! diagnostics still point into the original source.
+//! caller: the half-rewritten tree is dropped and no tree is returned.
+//! Callers that must fall back to the input keep its source text, which
+//! is what they print or re-analyse anyway. Rewrites preserve the spans
+//! of the nodes they replace, so downstream diagnostics still point into
+//! the original source.
 //!
 //! Many scripts need no rewrite at all (37% of the benchmark's seed-7
 //! `cold_scan` crawl, two thirds of its regular scripts). A caller can
 //! tell from an `Ok` outcome with zero [`NormalizeReport::total_rewrites`]
-//! that the result equals the input, without comparing trees.
+//! that the returned tree is the input unchanged, without comparing trees.
 //!
 //! # Examples
 //!
@@ -40,11 +40,12 @@
 //! # use jsdetect_ast::*;
 //! # fn parse_fixture() -> Program { Program { body: vec![], span: Span::DUMMY } }
 //!
-//! let input = parse_fixture();
 //! let budget = Budget::new(&Limits::trusted());
-//! let (normalized, report) = normalize_program(&input, &NormalizeOptions::default(), &budget);
+//! let (normalized, report) =
+//!     normalize_program(parse_fixture(), &NormalizeOptions::default(), &budget);
 //! assert_eq!(report.outcome, jsdetect_guard::OutcomeKind::Ok);
-//! assert_eq!(normalized, input);
+//! assert_eq!(report.total_rewrites(), 0);
+//! assert_eq!(normalized, Some(parse_fixture()));
 //! ```
 
 #![warn(missing_docs)]
@@ -227,44 +228,38 @@ impl NormalizeReport {
     pub fn rewrites_for(&self, pass: PassKind) -> u64 {
         self.rewrites.iter().find(|(name, _)| *name == pass.as_str()).map(|(_, n)| *n).unwrap_or(0)
     }
-
-    /// Whether a pass panicked, so the returned program is a copy of the
-    /// input and every rewrite was discarded.
-    pub fn rolled_back(&self) -> bool {
-        matches!(self.error, Some(AnalysisError::StagePanicked { .. }))
-    }
 }
 
-/// Drives the enabled passes to a fixpoint over a copy of `input` and
-/// returns the normalized copy with the report.
+/// Drives the enabled passes to a fixpoint over `program`, rewriting it
+/// in place, and returns it with the report.
 ///
 /// The passes tick `budget`'s deadline clock; only that axis is charged
 /// here (the structural axes were enforced at parse time). A deadline hit
 /// degrades the run and stays recorded in `budget`.
 ///
-/// `input` is cloned exactly once. When the report shows zero rewrites and
-/// an `Ok` outcome, the returned program equals `input`. On a degraded
-/// outcome the returned program is still a *valid* AST: a fuel or deadline
-/// cut keeps the partial rewrite (every individual rewrite is atomic),
-/// while a pass panic discards the working copy and returns a fresh copy
-/// of the input ([`NormalizeReport::rolled_back`]).
+/// When the report shows zero rewrites and an `Ok` outcome, the returned
+/// program is `program` unchanged. A fuel or deadline cut degrades the
+/// run but still returns a *valid* AST holding the partial rewrite (every
+/// individual rewrite is atomic). A pass panic returns `None`: the
+/// half-rewritten tree is dropped, and the report's error is
+/// [`AnalysisError::StagePanicked`].
 pub fn normalize_program(
-    input: &Program,
+    program: Program,
     opts: &NormalizeOptions,
     budget: &Budget,
-) -> (Program, NormalizeReport) {
+) -> (Option<Program>, NormalizeReport) {
     let passes: Vec<&dyn Pass> = opts.passes.iter().map(|kind| kind.pass()).collect();
-    run_passes(input, &passes, opts.max_rounds, budget)
+    run_passes(program, &passes, opts.max_rounds, budget)
 }
 
 /// The fixpoint loop behind [`normalize_program`], over explicit pass
 /// instances.
 fn run_passes(
-    input: &Program,
+    mut program: Program,
     passes: &[&dyn Pass],
     max_rounds: u32,
     budget: &Budget,
-) -> (Program, NormalizeReport) {
+) -> (Option<Program>, NormalizeReport) {
     let _span = jsdetect_obs::span(names::SPAN_NORMALIZE);
     let cx = PassCx {
         budget,
@@ -279,7 +274,6 @@ fn run_passes(
         outcome: OutcomeKind::Ok,
         error: None,
     };
-    let mut program = input.clone();
 
     'rounds: for _ in 0..max_rounds {
         report.rounds += 1;
@@ -292,9 +286,6 @@ fn run_passes(
                     round_rewrites += n;
                 }
                 Err(e) => {
-                    // A panicking pass may have left the copy half
-                    // rewritten; start over from the input.
-                    program = input.clone();
                     report.outcome = OutcomeKind::Degraded;
                     report.error = Some(e);
                     break 'rounds;
@@ -319,7 +310,9 @@ fn run_passes(
         report.error.get_or_insert(e);
     }
     jsdetect_obs::counter_add(names::CTR_NORMALIZE_FIXPOINT_ROUNDS, u64::from(report.rounds));
-    (program, report)
+    // A panicking pass may have left the tree half rewritten.
+    let panicked = matches!(report.error, Some(AnalysisError::StagePanicked { .. }));
+    (if panicked { None } else { Some(program) }, report)
 }
 
 #[cfg(test)]
@@ -330,16 +323,17 @@ mod tests {
     use jsdetect_parser::parse;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    /// Normalizes `input` under trusted limits.
+    /// Normalizes `program` under trusted limits; no pass may panic.
     pub(crate) fn normalize(
-        input: &Program,
+        program: Program,
         opts: &NormalizeOptions,
     ) -> (Program, NormalizeReport) {
-        normalize_program(input, opts, &Budget::new(&Limits::trusted()))
+        let (p, report) = normalize_program(program, opts, &Budget::new(&Limits::trusted()));
+        (p.expect("no pass panicked"), report)
     }
 
     fn norm(src: &str) -> (String, NormalizeReport) {
-        let (p, report) = normalize(&parse(src).unwrap(), &NormalizeOptions::default());
+        let (p, report) = normalize(parse(src).unwrap(), &NormalizeOptions::default());
         (to_minified(&p), report)
     }
 
@@ -349,7 +343,7 @@ mod tests {
         "x = 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9 + 10 + 11;\n".repeat(statements)
     }
 
-    /// Does nothing in round 1; in round 2 it mangles the copy, then
+    /// Does nothing in round 1; in round 2 it mangles the tree, then
     /// panics.
     struct PanicsInRoundTwo(AtomicU32);
 
@@ -402,19 +396,16 @@ mod tests {
     #[test]
     fn fuel_exhaustion_degrades_instead_of_looping() {
         let at_cap = fold_chain(MAX_REWRITES as usize / 10);
-        let (_, report) = normalize(&parse(&at_cap).unwrap(), &NormalizeOptions::default());
+        let (_, report) = normalize(parse(&at_cap).unwrap(), &NormalizeOptions::default());
         assert!(!report.fuel_exhausted);
         assert_eq!(report.outcome, OutcomeKind::Ok);
         assert_eq!(report.total_rewrites(), MAX_REWRITES);
 
         let src = fold_chain(MAX_REWRITES as usize / 10 + 1);
-        let (p, report) = normalize(&parse(&src).unwrap(), &NormalizeOptions::default());
+        let (_, report) = normalize(parse(&src).unwrap(), &NormalizeOptions::default());
         assert!(report.fuel_exhausted);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
         assert_eq!(report.total_rewrites(), MAX_REWRITES);
-        // The partially rewritten program still prints and reparses.
-        let printed = to_minified(&p);
-        assert!(parse(&printed).is_ok(), "{}", printed);
     }
 
     #[test]
@@ -422,45 +413,47 @@ mod tests {
         let src = "x = (1, 2, f());";
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        let (_, report) = normalize(&parse(src).unwrap(), &opts);
+        let (_, report) = normalize(parse(src).unwrap(), &opts);
         assert_eq!(report.rewrites.len(), 1);
         assert_eq!(report.rewrites_for(PassKind::Constants), 0);
     }
 
     #[test]
     fn zero_rewrites_return_the_input_unchanged() {
-        let input = parse("function f(a) { return a.b(c, 'd'); } f(x);").unwrap();
-        let (out, report) = normalize(&input, &NormalizeOptions::default());
+        let parsed = parse("function f(a) { return a.b(c, 'd'); } f(x);").unwrap();
+        let (out, report) = normalize(parsed.clone(), &NormalizeOptions::default());
         assert_eq!(report.total_rewrites(), 0);
         assert_eq!(report.outcome, OutcomeKind::Ok);
-        assert_eq!(out, input);
+        assert_eq!(out, parsed);
     }
 
     #[test]
-    fn a_panicking_pass_rolls_back_to_the_input() {
-        // Round 1 folds `1 + 2`, so the last good round's tree differs
-        // from the input; the panic in round 2 must still return the input.
+    fn a_panicking_pass_returns_no_tree() {
+        // Round 1 folds `1 + 2`; the panic in round 2 leaves a mangled
+        // tree, which must not escape.
         let input = parse("var k = 1 + 2; use(k);").unwrap();
         let panicking = PanicsInRoundTwo(AtomicU32::new(0));
         let passes: [&dyn Pass; 2] = [PassKind::Constants.pass(), &panicking];
         let budget = Budget::new(&Limits::trusted());
-        let (out, report) = run_passes(&input, &passes, 8, &budget);
+        let (out, report) = run_passes(input, &passes, 8, &budget);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
-        assert!(report.rolled_back());
         assert!(report.rewrites_for(PassKind::Constants) > 0);
         assert!(matches!(
             report.error,
             Some(AnalysisError::StagePanicked { stage: "panicking", .. })
         ));
-        assert_eq!(out, input);
+        assert_eq!(out, None);
     }
 
     #[test]
     fn fuel_cuts_are_not_rollbacks() {
-        let src = fold_chain(MAX_REWRITES as usize / 10 + 1);
-        let (_, report) = normalize(&parse(&src).unwrap(), &NormalizeOptions::default());
+        let parsed = parse(&fold_chain(MAX_REWRITES as usize / 10 + 1)).unwrap();
+        let (p, report) = normalize(parsed.clone(), &NormalizeOptions::default());
         assert_eq!(report.outcome, OutcomeKind::Degraded);
-        assert!(!report.rolled_back());
+        // The partial rewrite is kept, and it still prints and reparses.
+        assert_ne!(p, parsed);
+        let printed = to_minified(&p);
+        assert!(parse(&printed).is_ok(), "{}", printed);
     }
 }

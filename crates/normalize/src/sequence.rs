@@ -129,7 +129,7 @@ mod tests {
         let p = parse(src).unwrap();
         let opts =
             NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() };
-        to_minified(&normalize(&p, &opts).0)
+        to_minified(&normalize(p, &opts).0)
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let src = "log('one'); log('two'); log('three');";
         let min = apply(src, &[Technique::MinificationAdvanced], 3).unwrap();
         let (p, report) = normalize(
-            &parse(&min).unwrap(),
+            parse(&min).unwrap(),
             &NormalizeOptions { passes: vec![PassKind::Sequence], ..NormalizeOptions::default() },
         );
         let out = to_minified(&p);

@@ -29,8 +29,8 @@ pub const SPAN_FLOW: &str = "flow";
 pub const SPAN_METRICS: &str = "metrics";
 /// Lint rule evaluation stage.
 pub const SPAN_LINT: &str = "lint";
-/// Feature-payload extraction, including the drop of the AST and graph
-/// (the last stage of every analysis that yields a payload).
+/// Feature-payload extraction, including the drop of the graph (the last
+/// stage of every analysis that yields a payload).
 pub const SPAN_EXTRACT: &str = "extract";
 /// Lexer-only degraded re-analysis after a parse/lex failure.
 pub const SPAN_DEGRADED_FALLBACK: &str = "degraded_fallback";

@@ -777,7 +777,7 @@ fn cmd_normalize(argv: &[String]) {
                 continue;
             }
         };
-        let (normalized, report) = normalize_program(&program, &opts, &Budget::new(&limits));
+        let (normalized, report) = normalize_program(program, &opts, &Budget::new(&limits));
         match report.outcome {
             OutcomeKind::Ok => n_ok += 1,
             _ => n_degraded += 1,
@@ -792,12 +792,11 @@ fn cmd_normalize(argv: &[String]) {
             detail
         );
         if emit {
-            if report.rolled_back() {
-                // A pass panicked: nothing was normalized, so emit the
-                // input as it came, like an unparseable file.
-                print!("{}", src);
-            } else {
-                println!("{}", jsdetect_suite::codegen::to_source(&normalized));
+            match normalized {
+                Some(tree) => println!("{}", jsdetect_suite::codegen::to_source(&tree)),
+                // A pass panicked and the tree was dropped: emit the input
+                // as it came, like an unparseable file.
+                None => print!("{}", src),
             }
         }
     }

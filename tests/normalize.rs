@@ -34,7 +34,8 @@ fn budget() -> Budget {
 /// outcome), panicking on parse failure.
 fn normalize_src(src: &str, label: &str) -> (String, OutcomeKind) {
     let p = parse(src).unwrap_or_else(|e| panic!("{}: does not parse: {}", label, e));
-    let (normalized, report) = normalize_program(&p, &NormalizeOptions::default(), &budget());
+    let (normalized, report) = normalize_program(p, &NormalizeOptions::default(), &budget());
+    let normalized = normalized.unwrap_or_else(|| panic!("{}: a pass panicked", label));
     (to_source(&normalized), report.outcome)
 }
 
@@ -114,7 +115,8 @@ fn normalization_is_idempotent_across_presets() {
     for (label, src) in &sources {
         let (once, _) = normalize_src(src, label);
         let p = parse(&once).unwrap_or_else(|e| panic!("{}: once does not parse: {}", label, e));
-        let (p, report) = normalize_program(&p, &NormalizeOptions::default(), &budget());
+        let (p, report) = normalize_program(p, &NormalizeOptions::default(), &budget());
+        let p = p.unwrap_or_else(|| panic!("{}: a pass panicked", label));
         assert_eq!(
             report.total_rewrites(),
             0,
@@ -138,9 +140,9 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
         let Ok(obf) = apply(&src, &[Technique::GlobalArray], 101 + i) else {
             continue;
         };
-        let (p, report) = normalize_program(&parse(&obf).unwrap(), &inline_only, &budget());
+        let (p, report) = normalize_program(parse(&obf).unwrap(), &inline_only, &budget());
         assert_eq!(
-            to_minified(&p),
+            to_minified(&p.expect("no pass panicked")),
             canonical,
             "sample {}: array-inline did not reverse the transform",
             i
@@ -214,12 +216,12 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
             let graph = jsdetect_suite::flow::analyze(&program);
             let lint = jsdetect_suite::lint::lint(src, &program, &graph).1;
             let (normalized, report) =
-                normalize_program(&program, &NormalizeOptions::default(), &budget());
+                normalize_program(program.clone(), &NormalizeOptions::default(), &budget());
             analyzed += 1;
-            if report.outcome != OutcomeKind::Ok {
+            let (Some(normalized), OutcomeKind::Ok) = (normalized, report.outcome) else {
                 assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
                 continue;
-            }
+            };
             let full = measure_deltas(src, &tree, &normalized, &lint);
             if report.total_rewrites() == 0 {
                 zero += 1;

@@ -7,11 +7,11 @@
 //! degraded normalization never becomes a neutral delta block in a
 //! payload.
 //!
-//! The script is 2 000 global-string-array preludes, each with one
-//! accessor call. The array-inline pass runs a scope analysis of the
-//! whole program per prelude, so its cost grows with the square of the
-//! script (~5 s on a 2-vCPU host, against ~35 ms for parse, flow and
-//! lint).
+//! The script pools one 64 KB string and reads it 16 times in each of
+//! 1 000 `+` chains. Normalization inlines every read and folds each chain
+//! into one 1 MB literal, so it builds gigabytes of strings from a
+//! 240 KB script (~5 s on a 2-vCPU host, against ~30 ms for parse, flow
+//! and lint).
 
 use jsdetect_suite::features::analyze;
 use jsdetect_suite::guard::{Limits, OutcomeKind};
@@ -19,21 +19,20 @@ use std::time::{Duration, Instant};
 
 const DEADLINE_MS: u64 = 500;
 
-fn pools(n: usize) -> String {
-    (0..n)
-        .map(|i| {
-            format!(
-                "var a{i} = ['s{i}']; \
-                 var b{i} = function (i) {{ return a{i}[parseInt(i, 16)]; }}; \
-                 f(b{i}('0x0'));\n"
-            )
-        })
-        .collect()
+fn pooled_chains(n: usize) -> String {
+    let pooled: String = (0..64 * 1024).map(|i| char::from(b'a' + (i * 7 % 26) as u8)).collect();
+    let chain = vec!["b('0x0')"; 16].join(" + ");
+    let mut src =
+        format!("var a = ['{pooled}'];\nvar b = function (i) {{ return a[parseInt(i, 16)]; }};\n");
+    for _ in 0..n {
+        src += &format!("f({chain});\n");
+    }
+    src
 }
 
 #[test]
 fn normalization_past_the_deadline_rejects() {
-    let src = pools(2_000);
+    let src = pooled_chains(1_000);
     let deadline = Duration::from_millis(DEADLINE_MS);
 
     // The early stages alone fit the deadline with room to spare.

@@ -53,8 +53,8 @@ fn analyze_emits_expected_span_set() {
     // The parse is the only lexing pass of a full analysis.
     assert!(snap.span("analyze/lex").is_none(), "a standalone scan ran on the full path");
     assert_eq!(snap.span("analyze").unwrap().count, 2);
-    // Extraction, with the drop of the AST and graph, is timed inside
-    // every analysis.
+    // Extraction, with the drop of the graph, is timed inside every
+    // analysis.
     assert_eq!(snap.span("analyze/extract").unwrap().count, 2);
     assert_eq!(snap.counter("scripts_analyzed"), 2);
     assert_eq!(snap.counter("parse_failures"), 0);
