@@ -16,19 +16,17 @@
 //! turns into a vector bit-identical to one computed from source.
 //!
 //! Storage is a 256-way sharded directory tree with atomic tmp+rename
-//! publishes and an in-memory LRU front ([`AnalysisCache`]); records are a
-//! schema-versioned binary format with a trailing checksum ([`record`]
-//! layout docs). Damage never aborts a batch: corrupt records are evicted
-//! and recomputed, records from other versions are recomputed and
-//! overwritten, and the distinction is observable through the
-//! `cache/hit`, `cache/miss`, `cache/stale_version`, and
-//! `cache/corrupt_evicted` counters.
+//! publishes ([`AnalysisCache`]); records are a schema-versioned binary
+//! format with a trailing checksum ([`encode`], [`decode`]). Damage never
+//! aborts a batch: corrupt records are evicted and recomputed, records
+//! from other versions are recomputed and overwritten, and the
+//! distinction is observable through the `cache/hit`, `cache/miss`,
+//! `cache/stale_version`, and `cache/corrupt_evicted` counters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod blake;
-mod lru;
 mod maintenance;
 mod record;
 mod store;

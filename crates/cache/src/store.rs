@@ -1,4 +1,4 @@
-//! The sharded on-disk store with an in-memory LRU front.
+//! The sharded on-disk store.
 //!
 //! Layout: `<dir>/<2-hex shard>/<32-hex hash prefix>-<preset>.jdc`, 256
 //! shards keyed by the first digest byte. Writers publish with
@@ -17,19 +17,15 @@
 //! honest.
 
 use crate::blake::ContentHash;
-use crate::lru::LruMap;
 use crate::record::{decode, encode, CacheRecord};
 use jsdetect_guard::Limits;
 use jsdetect_obs::names;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Number of two-hex-prefix shard directories.
 pub const N_SHARDS: usize = 256;
-
-/// Capacity of the in-memory LRU front, in records.
-const LRU_CAPACITY: usize = 4096;
 
 /// File extension of cache records.
 pub const RECORD_EXT: &str = "jdc";
@@ -97,7 +93,6 @@ pub struct AnalysisCache {
     config: CacheConfig,
     /// Per-shard IO locks; index = first digest byte.
     shards: Vec<Mutex<()>>,
-    lru: Mutex<LruMap<[u8; ContentHash::PREFIX_LEN], Arc<CacheRecord>>>,
     tmp_seq: AtomicU64,
     publish_injector: Mutex<Option<PublishInjector>>,
 }
@@ -121,11 +116,9 @@ impl AnalysisCache {
             std::fs::create_dir_all(&config.dir)?;
         }
         let shards = (0..N_SHARDS).map(|_| Mutex::new(())).collect();
-        let lru = Mutex::new(LruMap::new(LRU_CAPACITY));
         Ok(AnalysisCache {
             config,
             shards,
-            lru,
             tmp_seq: AtomicU64::new(0),
             publish_injector: Mutex::new(None),
         })
@@ -152,25 +145,15 @@ impl AnalysisCache {
         ))
     }
 
-    fn lru_key(hash: &ContentHash) -> [u8; ContentHash::PREFIX_LEN] {
-        hash.0[..ContentHash::PREFIX_LEN].try_into().expect("prefix length")
-    }
-
     fn shard_lock(&self, hash: &ContentHash) -> std::sync::MutexGuard<'_, ()> {
         self.shards[hash.shard_index()].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks one content hash up. `None` is always a recompute signal; the
-    /// reason (plain miss, stale version, corrupt record) is reported
-    /// through the `cache/*` counters.
-    pub fn get(&self, hash: &ContentHash) -> Option<Arc<CacheRecord>> {
+    /// Looks one content hash up, decoding the record from disk. `None` is
+    /// always a recompute signal; the reason (plain miss, stale version,
+    /// corrupt record) is reported through the `cache/*` counters.
+    pub fn get(&self, hash: &ContentHash) -> Option<CacheRecord> {
         let _t = jsdetect_obs::span(names::SPAN_CACHE_GET);
-        if let Some(rec) =
-            self.lru.lock().unwrap_or_else(|e| e.into_inner()).get(&Self::lru_key(hash))
-        {
-            jsdetect_obs::counter_add(names::CTR_CACHE_HIT, 1);
-            return Some(rec);
-        }
         let path = self.record_path(hash);
         let bytes = {
             let _guard = self.shard_lock(hash);
@@ -185,11 +168,6 @@ impl AnalysisCache {
         match decode(&bytes, hash, self.config.feature_version, &self.config.preset) {
             Ok(rec) => {
                 jsdetect_obs::counter_add(names::CTR_CACHE_HIT, 1);
-                let rec = Arc::new(rec);
-                self.lru
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(Self::lru_key(hash), rec.clone());
                 Some(rec)
             }
             Err(e) if e.is_stale() => {
@@ -202,12 +180,11 @@ impl AnalysisCache {
             }
             Err(_) => {
                 // Corrupt on disk: evict the file so the next pass
-                // rewrites it, and drop any memory copy.
+                // rewrites it.
                 jsdetect_obs::counter_add(names::CTR_CACHE_CORRUPT_EVICTED, 1);
                 jsdetect_obs::counter_add(names::CTR_CACHE_MISS, 1);
                 let _guard = self.shard_lock(hash);
                 let _ = std::fs::remove_file(&path);
-                self.lru.lock().unwrap_or_else(|e| e.into_inner()).remove(&Self::lru_key(hash));
                 None
             }
         }
@@ -241,10 +218,6 @@ impl AnalysisCache {
             }
             if self.publish_attempt(hash, shard_dir, &path, &bytes, attempt) {
                 jsdetect_obs::counter_add(names::CTR_CACHE_PUT, 1);
-                self.lru
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(Self::lru_key(hash), Arc::new(record.clone()));
                 return;
             }
         }
@@ -279,12 +252,6 @@ impl AnalysisCache {
         wrote.is_ok()
     }
 
-    /// Drops the in-memory front (disk records stay). Tests use this to
-    /// force disk reads; long-running services can use it to bound memory.
-    pub fn drop_memory(&self) {
-        self.lru.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-
     /// Root directory of this store.
     pub fn dir(&self) -> &Path {
         &self.config.dir
@@ -297,6 +264,7 @@ mod tests {
     use jsdetect_features::FeaturePayload;
     use jsdetect_guard::OutcomeKind;
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -331,19 +299,45 @@ mod tests {
     }
 
     #[test]
-    fn put_then_get_roundtrips_via_disk_and_memory() {
+    fn put_then_get_roundtrips_via_disk() {
         let dir = scratch();
         let cache = open(&dir);
         let h = ContentHash::of(b"var x = 1;");
         assert!(cache.get(&h).is_none());
         cache.put(&h, &sample());
-        assert_eq!(*cache.get(&h).unwrap(), sample());
-        // Force the disk path.
-        cache.drop_memory();
-        assert_eq!(*cache.get(&h).unwrap(), sample());
-        // A second instance (fresh process, cold memory) sees it too.
+        assert_eq!(cache.get(&h).unwrap(), sample());
+        assert_eq!(cache.get(&h).unwrap(), sample());
+        // A second instance (a fresh process) sees it too.
         let cache2 = open(&dir);
-        assert_eq!(*cache2.get(&h).unwrap(), sample());
+        assert_eq!(cache2.get(&h).unwrap(), sample());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn get_on_the_same_handle_decodes_what_is_on_disk_now() {
+        let dir = scratch();
+        let cache = open(&dir);
+        let h = ContentHash::of(b"swap();");
+        cache.put(&h, &sample());
+        assert_eq!(cache.get(&h).unwrap(), sample());
+        let path = cache.record_path(&h);
+
+        // Another writer replaces the record: the next lookup replays the
+        // replacement, not the copy this handle published.
+        let replacement = CacheRecord {
+            outcome: OutcomeKind::Rejected,
+            error_kind: "deadline_exceeded".into(),
+            error_msg: "deadline exceeded".into(),
+            payload: None,
+        };
+        let cfg = cache.config();
+        std::fs::write(&path, encode(&replacement, &h, cfg.feature_version, &cfg.preset)).unwrap();
+        assert_eq!(cache.get(&h).unwrap(), replacement);
+
+        // Damage on disk is a corrupt-evicted miss on this handle too.
+        std::fs::write(&path, b"not a record").unwrap();
+        assert!(cache.get(&h).is_none());
+        assert!(!path.exists(), "corrupt record must be evicted from disk");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -403,11 +397,10 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        cache.drop_memory();
         assert!(cache.get(&h).is_none());
         assert!(!path.exists(), "corrupt record must be evicted from disk");
         cache.put(&h, &sample());
-        assert_eq!(*cache.get(&h).unwrap(), sample());
+        assert_eq!(cache.get(&h).unwrap(), sample());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -419,8 +412,7 @@ mod tests {
         cache.set_publish_injector(Some(Box::new(|attempt| attempt == 0)));
         let h = ContentHash::of(b"retry();");
         cache.put(&h, &sample());
-        cache.drop_memory();
-        assert_eq!(*cache.get(&h).unwrap(), sample(), "record must land despite one failure");
+        assert_eq!(cache.get(&h).unwrap(), sample(), "record must land despite one failure");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -441,7 +433,6 @@ mod tests {
             1 + PUBLISH_RETRIES,
             "put must stop after the bounded retry budget"
         );
-        cache.drop_memory();
         assert!(cache.get(&h).is_none(), "nothing may be published");
         // Clearing the injector restores normal publishing.
         cache.set_publish_injector(None);
@@ -501,13 +492,13 @@ mod tests {
                     for _ in 0..16 {
                         cache.put(&h, &sample());
                         if let Some(rec) = cache.get(&h) {
-                            assert_eq!(*rec, sample());
+                            assert_eq!(rec, sample());
                         }
                     }
                 });
             }
         });
-        assert_eq!(*cache.get(&h).unwrap(), sample());
+        assert_eq!(cache.get(&h).unwrap(), sample());
         // No tmp litter left behind.
         let shard_dir = cache.record_path(&h);
         for entry in std::fs::read_dir(shard_dir.parent().unwrap()).unwrap() {

@@ -53,28 +53,28 @@ impl CachedScript {
 
     /// A freshly computed verdict for the script hashing to `hash`.
     pub fn computed(hash: ContentHash, analyzed: Analyzed) -> CachedScript {
-        let error = analyzed.error.as_ref();
-        CachedScript {
-            hash,
-            outcome: analyzed.outcome,
-            error_kind: error.map(|e| e.kind().to_string()).unwrap_or_default(),
-            error_msg: error.map(|e| e.to_string()).unwrap_or_default(),
-            payload: analyzed.payload,
-            from_cache: false,
-        }
+        CachedScript::from_record(hash, record_of(analyzed), false)
     }
 
     /// The verdict `cache` holds for `hash`, if any.
     pub fn replayed(cache: Option<&AnalysisCache>, hash: ContentHash) -> Option<CachedScript> {
-        let rec = cache?.get(&hash)?;
-        Some(CachedScript {
-            hash,
-            outcome: rec.outcome,
-            error_kind: rec.error_kind.clone(),
-            error_msg: rec.error_msg.clone(),
-            payload: rec.payload.clone(),
-            from_cache: true,
-        })
+        Some(CachedScript::from_record(hash, cache?.get(&hash)?, true))
+    }
+
+    fn from_record(hash: ContentHash, record: CacheRecord, from_cache: bool) -> CachedScript {
+        let CacheRecord { outcome, error_kind, error_msg, payload } = record;
+        CachedScript { hash, outcome, error_kind, error_msg, payload, from_cache }
+    }
+}
+
+/// The distilled, storable verdict of one analysis.
+fn record_of(analyzed: Analyzed) -> CacheRecord {
+    let error = analyzed.error.as_ref();
+    CacheRecord {
+        outcome: analyzed.outcome,
+        error_kind: error.map(|e| e.kind().to_string()).unwrap_or_default(),
+        error_msg: error.map(|e| e.to_string()).unwrap_or_default(),
+        payload: analyzed.payload,
     }
 }
 
@@ -109,19 +109,11 @@ pub fn analyze_one(
     if let Some(replayed) = CachedScript::replayed(cache, hash) {
         return replayed;
     }
-    let result = CachedScript::computed(hash, fenced(|| analyze(src, &config.limits)));
+    let record = record_of(fenced(|| analyze(src, &config.limits)));
     if let Some(cache) = cache {
-        cache.put(
-            &hash,
-            &CacheRecord {
-                outcome: result.outcome,
-                error_kind: result.error_kind.clone(),
-                error_msg: result.error_msg.clone(),
-                payload: result.payload.clone(),
-            },
-        );
+        cache.put(&hash, &record);
     }
-    result
+    CachedScript::from_record(hash, record, false)
 }
 
 /// [`analyze_one`] over many scripts in parallel: one hostile file costs
@@ -226,7 +218,7 @@ mod tests {
         assert_eq!(cold[2].error_kind, "ast_depth_exceeded");
         assert!(cold[2].payload.is_none());
 
-        // Fresh handle: memory cold, disk warm.
+        // A fresh handle replays from disk.
         let cache2 = AnalysisCache::open(CacheConfig::new(&dir, &config.limits)).unwrap();
         let warm = analyze_many(&srcs, &config, Some(&cache2));
         assert!(warm.iter().all(|c| c.from_cache));

@@ -78,7 +78,7 @@ pub fn normalize_deltas(
     let (normalized, report) = normalize_program(program, &NormalizeOptions::default(), budget);
     match normalized {
         Some(normalized) if report.outcome == OutcomeKind::Ok && report.total_rewrites() > 0 => {
-            measure_deltas(src, tree, &normalized, lint)
+            measure_deltas(src, tree, &normalized, lint, budget)
         }
         _ => neutral_deltas(),
     }
@@ -87,24 +87,36 @@ pub fn normalize_deltas(
 /// The full delta measurement of `normalized` against the original
 /// program, given by its [`TreeStats`] and lint summary.
 ///
-/// [`normalize_deltas`] skips it when nothing was rewritten; it is public
-/// so tests can check that the skip changes no bit.
+/// The walk charges `budget` one tick per node and per string-literal
+/// byte; past the deadline it yields the neutral vector, which the front
+/// end's deadline check after this stage turns into a reject.
+/// [`normalize_deltas`] skips the measurement when nothing was rewritten;
+/// it is public so tests can check that the skip changes no bit.
 pub fn measure_deltas(
     src: &str,
     tree: &TreeStats,
     normalized: &Program,
     lint: &LintSummary,
+    budget: &Budget,
 ) -> Vec<f32> {
     // Only the node count and the string entropy are read off the
     // normalized tree, with the same sums `TreeStats` keeps.
     let (mut nodes, mut strings, mut entropy_sum) = (0usize, 0usize, 0f64);
+    let mut late = false;
     walk(normalized, &mut |node, _| {
         nodes += 1;
+        late = late || budget.tick(1).is_err();
         if let NodeRef::Expr(Expr::Lit(Lit { value: LitValue::Str(s), .. })) = node {
-            strings += 1;
-            entropy_sum += byte_entropy(s);
+            late = late || budget.tick(s.len() as u64).is_err();
+            if !late {
+                strings += 1;
+                entropy_sum += byte_entropy(s);
+            }
         }
     });
+    if late {
+        return neutral_deltas();
+    }
     let mean_entropy = (entropy_sum / strings.max(1) as f64) as f32;
     let mut v = Vec::with_capacity(N_NORMALIZE);
     v.push(nodes as f32 / tree.node_count.max(1) as f32);

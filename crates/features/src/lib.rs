@@ -1,7 +1,7 @@
 //! Feature extraction for the `jsdetect` detectors (paper §III-B).
 //!
 //! [`analyze`] abstracts a script by its AST enhanced with control and
-//! data flows, under per-script resource [`Limits`](jsdetect_guard::Limits),
+//! data flows, under per-script resource [`Limits`],
 //! and distils that analysis into a [`FeaturePayload`]: the hand-picked
 //! features capturing the syntactic traces of the ten transformation
 //! techniques, lint-rule densities, normalization deltas, and the raw AST

@@ -8,7 +8,7 @@ use crate::{Diagnostic, LintContext, Rule, Severity};
 /// produce much longer chains.
 const MIN_CHAIN_LEN: usize = 4;
 
-/// Flags comma-sequence expressions with [`MIN_CHAIN_LEN`] or more
+/// Flags comma-sequence expressions with `MIN_CHAIN_LEN` (4) or more
 /// elements — the construct statement-merging minification leaves behind
 /// and the normalize sequence pass unflattens.
 pub struct CommaSequenceDensity;

@@ -1,7 +1,7 @@
 //! The legacy row-major learning path, preserved verbatim.
 //!
 //! This module is the equivalence oracle for the columnar rewrite in
-//! [`crate::tree`] / [`crate::forest`] and the "before" side of the
+//! the `tree` and `forest` modules and the "before" side of the
 //! persisted bench trajectory (`BENCH_ml.json`): it grows trees over
 //! `&[Vec<f32>]` with per-node value sorts, clones every feature row when
 //! bootstrapping, and stores enum-tagged nodes. Tests in

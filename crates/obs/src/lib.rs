@@ -30,11 +30,11 @@
 //!
 //! Collection is **streaming**: records land directly in per-thread
 //! atomic cells and a bounded per-thread trace ring, both readable by any
-//! thread at any time. [`snapshot`] (or [`Registry::snapshot`]) merges
-//! live state without pausing workers — there is no flush step, and
-//! telemetry recorded by a scoped worker thread is visible the moment the
-//! record call returns. Metric names come from the [`names`] module so
-//! every crate shares one vocabulary.
+//! thread at any time. [`snapshot`] merges live state without pausing
+//! workers — there is no flush step, and telemetry recorded by a scoped
+//! worker thread is visible the moment the record call returns. Metric
+//! names come from the [`names`] module so every crate shares one
+//! vocabulary.
 //!
 //! Batches run on one work-stealing pool, [`run_stealing`], whose workers
 //! claim the costliest job first and register their recording cells
@@ -50,7 +50,7 @@
 //!     let _inner = jsdetect_obs::span("parse");
 //!     jsdetect_obs::counter_add("parse_failures", 1);
 //! }
-//! let snap = jsdetect_obs::Registry::snapshot();
+//! let snap = jsdetect_obs::snapshot();
 //! assert_eq!(snap.counter("parse_failures"), 1);
 //! assert!(snap.span("analyze/parse").is_some());
 //! assert!(jsdetect_obs::render_prometheus(&snap).contains("jsdetect_parse_failures_total"));
@@ -102,22 +102,6 @@ pub fn enabled() -> bool {
 /// to this instant (fixed at the first enabled recording).
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// The registry as a handle: the serve-facing entry point for live
-/// metrics. `Registry::snapshot()` never pauses recording threads.
-pub struct Registry;
-
-impl Registry {
-    /// Merges every thread's live state into a point-in-time [`Snapshot`].
-    pub fn snapshot() -> Snapshot {
-        registry::snapshot()
-    }
-
-    /// One-call scrape: snapshot rendered as Prometheus text exposition.
-    pub fn render_prometheus() -> String {
-        prometheus::render_prometheus(&registry::snapshot())
-    }
 }
 
 /// Telemetry scope for worker closures: construction eagerly sets up the

@@ -95,6 +95,10 @@ struct Parser<'s> {
     /// Start of the last cover element whose frames were owed, or of the
     /// arguments of a cover's `async(…)`: a list there is in its pattern.
     pattern_at: u32,
+    /// Whether the current token is in the body of a generator: only there
+    /// is `yield` an expression; elsewhere it is an identifier, as in
+    /// sloppy-mode code.
+    in_generator: bool,
 }
 
 /// A group, `async(…)`, `async x`, or `x` before `=>`, at the start of an
@@ -164,6 +168,7 @@ impl<'s> Parser<'s> {
             covers: Vec::new(),
             owe: 0,
             pattern_at: u32::MAX,
+            in_generator: false,
         })
     }
 
@@ -1026,7 +1031,7 @@ impl<'s> Parser<'s> {
             None
         };
         let params = self.parse_params()?;
-        let (body, end) = self.parse_fn_body()?;
+        let (body, end) = self.parse_fn_body(is_generator)?;
         Ok(Function {
             id,
             params,
@@ -1055,11 +1060,13 @@ impl<'s> Parser<'s> {
         Ok(params)
     }
 
-    fn parse_fn_body(&mut self) -> Result<(Vec<Stmt>, u32), ParseError> {
-        match self.parse_block()? {
-            Stmt::Block { body, span } => Ok((body, span.end)),
-            _ => unreachable!(),
-        }
+    /// A function body, a generator's if `generator`. A parse error ends
+    /// the parse, so only success restores the outer context.
+    fn parse_fn_body(&mut self, generator: bool) -> Result<(Vec<Stmt>, u32), ParseError> {
+        let outer = std::mem::replace(&mut self.in_generator, generator);
+        let Stmt::Block { body, span } = self.parse_block()? else { unreachable!() };
+        self.in_generator = outer;
+        Ok((body, span.end))
     }
 
     fn parse_class(&mut self) -> Result<Class, ParseError> {
@@ -1135,7 +1142,7 @@ impl<'s> Parser<'s> {
                 kind = MethodKind::Constructor;
             }
             let params = self.parse_params()?;
-            let (body, end) = self.parse_fn_body()?;
+            let (body, end) = self.parse_fn_body(is_generator)?;
             let f = Function {
                 id: None,
                 params,
@@ -1240,7 +1247,7 @@ impl<'s> Parser<'s> {
         self.rescan_regex_if_slash()?;
 
         // yield-expression.
-        if self.is_kw(Kw::Yield) {
+        if self.in_generator && self.is_kw(Kw::Yield) {
             let start = self.cur.span.start;
             if self.pattern_at == start {
                 // A bare `yield` element binds a name: the parameter
@@ -1359,9 +1366,12 @@ impl<'s> Parser<'s> {
         let params = elems.into_iter().map(|e| expr_to_pat(e, true)).collect::<Result<_, _>>()?;
         self.advance()?; // =>
         let (body, end) = match self.is_punct(Punct::LBrace) {
-            true => self.parse_fn_body().map(|(body, end)| (ArrowBody::Block(body), end))?,
+            true => self.parse_fn_body(false).map(|(body, end)| (ArrowBody::Block(body), end))?,
             false => {
+                // An arrow body is never a generator's, even inside one.
+                let outer = std::mem::replace(&mut self.in_generator, false);
                 let e = self.parse_assignment(true)?;
+                self.in_generator = outer;
                 let end = e.span().end;
                 (ArrowBody::Expr(Box::new(e)), end)
             }
@@ -1924,6 +1934,10 @@ impl<'s> Parser<'s> {
                 let c = self.parse_class()?;
                 Ok(Expr::Class(c))
             }
+            TokenKind::Keyword(Kw::Yield) if !self.in_generator => {
+                self.advance()?;
+                Ok(Expr::Ident(Ident { name: "yield".into(), span }))
+            }
             TokenKind::Ident(name) => {
                 let name = *name;
                 if name == "async" && self.peek()?.is_kw(Kw::Function) {
@@ -2073,7 +2087,7 @@ impl<'s> Parser<'s> {
         // Method / getter / setter.
         if self.is_punct(Punct::LParen) {
             let params = self.parse_params()?;
-            let (body, end) = self.parse_fn_body()?;
+            let (body, end) = self.parse_fn_body(is_generator)?;
             let f = Function {
                 id: None,
                 params,

@@ -573,6 +573,33 @@ fn yield_expressions() {
     assert_eq!(yields, 3);
 }
 
+#[test]
+fn yield_is_an_identifier_outside_generators() {
+    let yields = |src: &str| {
+        let mut n = 0;
+        walk(&p(src), &mut |node, _| n += (node.kind() == NodeKind::YieldExpression) as usize);
+        n
+    };
+    match &p("var yield = 1; yield = 2;").body[1] {
+        Stmt::Expr { expr: Expr::Assign { target, .. }, .. } => {
+            assert!(matches!(target.as_ref(), Pat::Ident(i) if i.name == "yield"))
+        }
+        other => panic!("unexpected {:?}", other),
+    }
+    for (src, n) in [
+        ("var yield = 1; yield = 2;", 0),
+        ("function f() { return yield + yield.x; }", 0),
+        ("function* g() { function h() { return yield; } yield h(); }", 1),
+        ("function f() { function* g() { yield 1; } return yield; }", 1),
+        ("function* g() { var f = () => yield; yield 1; }", 1),
+        ("var o = { *m() { yield 1; }, n() { return yield; } };", 1),
+        ("class C { *m() { yield 1; } n() { return yield; } }", 1),
+        ("f = (yield = 1) => yield;", 0),
+    ] {
+        assert_eq!(yields(src), n, "{src}");
+    }
+}
+
 // ---- ASI -------------------------------------------------------------------
 
 #[test]
@@ -826,15 +853,18 @@ fn arrow_heads_in_deep_arrays_take_no_expression_frames() {
 }
 
 #[test]
-fn yield_with_a_default_is_no_arrow_parameter() {
-    // The expression grammar reads `yield` before `=` as a yield
-    // expression, and an arrow head is parsed by that grammar; a bare
-    // `yield` still names a parameter.
-    let e = parse("f = (yield = 1) => 0;").unwrap_err();
-    assert_eq!((e.pos, e.msg.as_str()), (11, "unexpected `=` while parsing expression"));
-    let e = parse("f = ({a: yield} = {}) => 0;").unwrap_err();
-    assert_eq!((e.pos, e.msg.as_str()), (9, "invalid assignment target"));
-    assert!(parse("f = (yield) => 0;").is_ok());
+fn yield_with_a_default_is_no_arrow_parameter_in_a_generator() {
+    // In a generator the expression grammar reads `yield` before `=` as a
+    // yield expression, and an arrow head is parsed by that grammar; a
+    // bare `yield` still names a parameter.
+    let e = parse("function* g() { f = (yield = 1) => 0; }").unwrap_err();
+    assert_eq!((e.pos, e.msg.as_str()), (27, "unexpected `=` while parsing expression"));
+    let e = parse("function* g() { f = ({a: yield} = {}) => 0; }").unwrap_err();
+    assert_eq!((e.pos, e.msg.as_str()), (25, "invalid assignment target"));
+    assert!(parse("function* g() { f = (yield) => 0; }").is_ok());
+    // Outside one, `yield` is an identifier, with or without a default.
+    assert!(parse("f = (yield = 1) => 0;").is_ok());
+    assert!(parse("f = ({a: yield} = {}) => 0;").is_ok());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The daemon core: bounded worker pool, watchdog, breaker, drain.
 //!
 //! Ownership layout: [`Daemon`] holds an `Arc<Shared>`; every worker
-//! thread and the watchdog hold clones. Workers pull [`Job`]s off the
-//! bounded queue; each job carries a single-shot [`Responder`], so the
+//! thread and the watchdog hold clones. Workers pull `Job`s off the
+//! bounded queue; each job carries a single-shot `Responder`, so the
 //! worker and the watchdog can race to answer it — whoever sends first
 //! wins, the loser's response is dropped. That single invariant ("every
 //! accepted job is answered exactly once, by somebody") is what the
@@ -381,8 +381,8 @@ impl Daemon {
     }
 
     /// Stops admissions, drains every accepted request, joins the pool and
-    /// the watchdog, drops the cache's memory front, and snapshots final
-    /// telemetry. Idempotent: the second call reports without re-draining.
+    /// the watchdog, and snapshots final telemetry. Idempotent: the second
+    /// call reports without re-draining.
     pub fn shutdown(&self) -> ShutdownReport {
         let s = &self.shared;
         if !self.shut_down.swap(true, Ordering::AcqRel) {
@@ -408,7 +408,6 @@ impl Daemon {
             }
             if let Some(cache) = &s.cache {
                 cache.set_publish_injector(None);
-                cache.drop_memory();
             }
             jsdetect_obs::gauge_set(names::GAUGE_SERVE_WORKERS_ALIVE, 0.0);
             jsdetect_obs::gauge_set(names::GAUGE_SERVE_QUEUE_DEPTH, 0.0);

@@ -92,7 +92,6 @@ fn warm_rescan_is_bit_identical_to_cold_over_the_fixture_corpus() {
     assert_eq!(corrupt, 0);
     assert!(cold.iter().all(|c| !c.from_cache));
 
-    // A fresh handle: in-memory LRU cold, everything must come off disk.
     let (warm, hits, misses, stale, corrupt) = counted_scan(&srcs, &config, &open(&dir, &config));
     assert_eq!(hits, srcs.len() as u64, "100% hit rate expected on the second pass");
     assert_eq!(misses, 0);

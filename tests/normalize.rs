@@ -222,7 +222,7 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
                 assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
                 continue;
             };
-            let full = measure_deltas(src, &tree, &normalized, &lint);
+            let full = measure_deltas(src, &tree, &normalized, &lint, &budget());
             if report.total_rewrites() == 0 {
                 zero += 1;
                 assert_eq!(normalized, program, "{}: zero rewrites changed the tree", label);
