@@ -19,7 +19,7 @@
 //! neither the lexer nor the parser.
 
 use crate::config::AnalysisConfig;
-use jsdetect_cache::{AnalysisCache, CacheRecord, ContentHash};
+use jsdetect_cache::{preset_tag, AnalysisCache, CacheRecord, ContentHash};
 use jsdetect_features::{analyze, Analyzed, FeaturePayload, VectorSpace};
 use jsdetect_guard::{isolate, AnalysisError, Limits, OutcomeKind};
 use jsdetect_obs::names;
@@ -56,9 +56,15 @@ impl CachedScript {
         CachedScript::from_record(hash, record_of(analyzed), false)
     }
 
-    /// The verdict `cache` holds for `hash`, if any.
-    pub fn replayed(cache: Option<&AnalysisCache>, hash: ContentHash) -> Option<CachedScript> {
-        Some(CachedScript::from_record(hash, cache?.get(&hash)?, true))
+    /// The verdict `cache` holds for `hash`, if any. A store opened under
+    /// other limits than `limits` replays nothing.
+    pub fn replayed(
+        cache: Option<&AnalysisCache>,
+        limits: &Limits,
+        hash: ContentHash,
+    ) -> Option<CachedScript> {
+        let record = cache_under(cache, limits)?.get(&hash)?;
+        Some(CachedScript::from_record(hash, record, true))
     }
 
     fn from_record(hash: ContentHash, record: CacheRecord, from_cache: bool) -> CachedScript {
@@ -95,19 +101,29 @@ pub(crate) fn run_batch<T: Send>(srcs: &[&str], work: impl Fn(&str) -> T + Sync)
     jsdetect_obs::run_stealing(n, |i| srcs[i].len(), |i| work(srcs[i]))
 }
 
+/// `cache` if the verdicts it stores were computed under `limits`, `None`
+/// otherwise. A store holds the verdicts of one limits preset (the one it
+/// was opened with), and the verdict of a script depends on the limits: a
+/// script rejected under a tight budget may analyze fully under a looser
+/// one.
+fn cache_under<'a>(cache: Option<&'a AnalysisCache>, limits: &Limits) -> Option<&'a AnalysisCache> {
+    cache.filter(|c| c.config().preset == preset_tag(limits))
+}
+
 /// Analyzes one script under `config.limits`, consulting `cache` before
-/// any lexing or parsing and publishing the fresh verdict on a miss. The
-/// cache's own preset must match `config.limits` (callers normally build
-/// it with `CacheConfig::new(dir, &config.limits)`); a mismatched store
-/// simply never hits, it cannot replay a wrong verdict.
+/// any lexing or parsing and publishing the fresh verdict on a miss. A
+/// store opened under other limits than `config.limits` (a daemon request
+/// with its own preset or deadline, say) is neither read nor written: the
+/// script is analyzed uncached.
 pub fn analyze_one(
     src: &str,
     config: &AnalysisConfig,
     cache: Option<&AnalysisCache>,
 ) -> CachedScript {
     let hash = ContentHash::of(src.as_bytes());
-    if let Some(replayed) = CachedScript::replayed(cache, hash) {
-        return replayed;
+    let cache = cache_under(cache, &config.limits);
+    if let Some(record) = cache.and_then(|c| c.get(&hash)) {
+        return CachedScript::from_record(hash, record, true);
     }
     let record = record_of(fenced(|| analyze(src, &config.limits)));
     if let Some(cache) = cache {
@@ -200,6 +216,23 @@ mod tests {
         assert!(out[0].is_ok());
         assert_eq!(out[1].as_ref().unwrap_err().kind(), "parse_error");
         assert!(out[2].is_ok());
+    }
+
+    #[test]
+    fn a_store_under_other_limits_is_neither_read_nor_written() {
+        let dir = scratch();
+        let cache = AnalysisCache::open(CacheConfig::new(&dir, &Limits::wild())).unwrap();
+        let src = "var x = 1; f(x);";
+        let tight = AnalysisConfig { limits: Limits { max_input_bytes: 8, ..Limits::wild() } };
+        let rejected = analyze_one(src, &tight, Some(&cache));
+        assert_eq!(rejected.outcome, OutcomeKind::Rejected);
+        assert_eq!(rejected.error_kind, "input_too_large");
+
+        let wild = analyze_one(src, &AnalysisConfig { limits: Limits::wild() }, Some(&cache));
+        assert_eq!(wild.outcome, OutcomeKind::Ok);
+        assert!(!wild.from_cache, "the tight verdict was published to the wild store");
+        assert!(CachedScript::replayed(Some(&cache), &tight.limits, wild.hash).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -94,7 +94,6 @@ impl RandomForest {
             for (t, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
                 let base = t * chunk;
                 scope.spawn(move || {
-                    let _obs = jsdetect_obs::ScopedCollector::new();
                     let _s = jsdetect_obs::span(names::SPAN_FIT_TREE_BATCH);
                     for (off, slot) in slot_chunk.iter_mut().enumerate() {
                         let i = base + off;

@@ -55,18 +55,6 @@ impl Histogram {
         Histogram { counts: [0; N_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
-    /// Builds a histogram from raw parts (the atomic-cell merge path).
-    /// `min` must be `u64::MAX` when `count == 0` so merges stay correct.
-    pub(crate) fn from_raw(
-        counts: [u64; N_BUCKETS],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) -> Self {
-        Histogram { counts, count, sum, min, max }
-    }
-
     /// Records one value.
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;

@@ -28,17 +28,18 @@
 //! path (asserted against the pipeline's own workload by an integration
 //! test in `jsdetect`).
 //!
-//! Collection is **streaming**: records land directly in per-thread
-//! atomic cells and a bounded per-thread trace ring, both readable by any
-//! thread at any time. [`snapshot`] merges live state without pausing
-//! workers — there is no flush step, and telemetry recorded by a scoped
-//! worker thread is visible the moment the record call returns. Metric
-//! names come from the [`names`] module so every crate shares one
-//! vocabulary.
+//! Collection is **streaming**: a thread's first enabled record registers
+//! one mutex-guarded cell block for it, and every later record lands
+//! there: counters and value histograms by name, a latency histogram per
+//! span path, and the thread's newest [`RING_CAP`] raw events. Only the
+//! owning thread writes its block, so the lock is uncontended except while
+//! [`snapshot`] merges that block — there is no flush step, and telemetry
+//! recorded by a scoped worker thread is visible the moment the record
+//! call returns. Metric names come from the [`names`] module so every
+//! crate shares one vocabulary.
 //!
 //! Batches run on one work-stealing pool, [`run_stealing`], whose workers
-//! claim the costliest job first and register their recording cells
-//! before their first job.
+//! claim the costliest job first.
 //!
 //! # Examples
 //!
@@ -66,15 +67,13 @@ pub mod names;
 mod pool;
 mod prometheus;
 mod registry;
-mod ring;
 mod trace;
 
 pub use export::{render_summary, to_jsonl, SCHEMA_VERSION};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, N_BUCKETS};
 pub use pool::{pool_threads, run_stealing};
 pub use prometheus::render_prometheus;
-pub use registry::{record_span_ns, reset, snapshot, CounterEvent, Snapshot, SpanEvent, SpanStat};
-pub use ring::RING_CAP;
+pub use registry::{reset, snapshot, CounterEvent, Snapshot, SpanEvent, SpanStat, RING_CAP};
 pub use trace::{render_chrome_trace, self_times, SelfTime};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,35 +103,12 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Telemetry scope for worker closures: construction eagerly sets up the
-/// calling thread's recording cells, so a hot loop's first record is
-/// cheap. Records are globally visible the moment they are made; the guard
-/// only marks the worker's collection scope, and dropping it does nothing.
-#[must_use = "bind to a named guard (`let _obs = ...`) so it lives for the whole closure"]
-pub struct ScopedCollector {
-    _priv: (),
-}
-
-impl ScopedCollector {
-    /// Prepares the calling thread for recording.
-    pub fn new() -> Self {
-        registry::touch();
-        ScopedCollector { _priv: () }
-    }
-}
-
-impl Default for ScopedCollector {
-    fn default() -> Self {
-        ScopedCollector::new()
-    }
-}
-
 /// An RAII span guard: the span runs from [`span`] until the guard drops.
 #[must_use = "a span records its duration when dropped; binding it to `_` drops it immediately"]
 pub struct Span {
-    /// Interned id of the span's full slash path (sentinel when disabled
-    /// or unregistrable).
-    path_id: u32,
+    /// Index of the span's full slash path in the thread's block (unused
+    /// when disabled).
+    path: u32,
     /// `None` when telemetry was disabled at enter (the no-op path).
     start: Option<Instant>,
     /// Open-span stack depth at enter; drop truncates back to it, so a
@@ -145,13 +121,13 @@ pub struct Span {
 /// open records as `analyze/parse`.
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
-        return Span { path_id: 0, start: None, depth: 0 };
+        return Span { path: 0, start: None, depth: 0 };
     }
-    let Some((path_id, depth)) = registry::open_span(name) else {
-        return Span { path_id: 0, start: None, depth: 0 };
+    let Some((path, depth)) = registry::open_span(name) else {
+        return Span { path: 0, start: None, depth: 0 };
     };
     let epoch = epoch();
-    Span { path_id, start: Some(Instant::now().max(epoch)), depth }
+    Span { path, start: Some(Instant::now().max(epoch)), depth }
 }
 
 impl Drop for Span {
@@ -159,7 +135,7 @@ impl Drop for Span {
         let Some(start) = self.start else { return };
         let dur_ns = saturating_ns(start.elapsed());
         let start_ns = saturating_ns(start.duration_since(epoch()));
-        registry::close_span(self.path_id, self.depth, start_ns, dur_ns);
+        registry::close_span(self.path, self.depth, start_ns, dur_ns);
     }
 }
 
@@ -287,17 +263,16 @@ mod tests {
         let _g = locked();
         set_enabled(true);
         reset();
-        let _guard = ScopedCollector::new();
         counter_add("live_counter", 7);
         {
             let _s = span("live_span");
         }
-        // Streaming cells are visible without any flush step.
+        // Records are visible without any flush step.
         let snap = snapshot();
         set_enabled(false);
         assert_eq!(snap.counter("live_counter"), 7);
         assert_eq!(snap.span("live_span").unwrap().count, 1);
-        assert_eq!(snap.events.len(), 1, "ring event visible without flush");
+        assert_eq!(snap.events.len(), 1, "span event visible without flush");
         assert_eq!(snap.counter_events.len(), 1);
         assert_eq!(snap.counter_events[0].name, "live_counter");
         assert_eq!(snap.counter_events[0].delta, 7);
@@ -314,7 +289,7 @@ mod tests {
         }
         let snap = snapshot();
         set_enabled(false);
-        // Aggregates keep every record; the ring keeps only the newest.
+        // Aggregates keep every record; the event log keeps only the newest.
         assert_eq!(snap.span("overflowing").unwrap().count, RING_CAP as u64 + extra);
         assert_eq!(snap.events.len(), RING_CAP);
         assert_eq!(snap.dropped_events, extra);

@@ -122,10 +122,8 @@ pub const CTR_NORMALIZE_FUEL_EXHAUSTED: &str = "normalize/fuel_exhausted";
 pub const CTR_NORMALIZE_FIXPOINT_ROUNDS: &str = "normalize/fixpoint_rounds";
 /// Cache publishes retried after a transient failure.
 pub const CTR_CACHE_PUBLISH_RETRIED: &str = "cache/publish_retried";
-/// Trace-ring events overwritten before export (ring overflow).
+/// Raw trace events dropped because a thread's event log was full.
 pub const TRACE_DROPPED: &str = "obs/trace_dropped";
-/// Metric names dropped because an id space filled up.
-pub const NAME_OVERFLOW: &str = "obs/name_overflow";
 
 // --- serve daemon ---------------------------------------------------------
 
@@ -227,7 +225,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     CTR_NORMALIZE_FUEL_EXHAUSTED,
     CTR_NORMALIZE_FIXPOINT_ROUNDS,
     TRACE_DROPPED,
-    NAME_OVERFLOW,
     CTR_SERVE_ACCEPTED,
     CTR_SERVE_REJECTED,
     CTR_SERVE_RESPONSES,

@@ -9,11 +9,10 @@
 //! otherwise start last and run alone on one core while the others idle
 //! starts first instead.
 //!
-//! The pool lives here because its workers register their telemetry cells
-//! ([`ScopedCollector`]), and every crate that runs a batch already
-//! depends on this one.
+//! The pool lives here because every crate that runs a batch already
+//! depends on this one. A worker registers telemetry cells only if it
+//! records while telemetry is on, like any other thread.
 
-use crate::ScopedCollector;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -71,10 +70,6 @@ pub fn run_stealing<T: Send>(
             let tx = tx.clone();
             let (claims, work) = (&claims, &work);
             scope.spawn(move || {
-                // Streaming telemetry is visible the moment it is
-                // recorded; the guard pre-registers this worker's cells
-                // and marks the collection scope structurally.
-                let _obs = ScopedCollector::new();
                 while let Some((_, i)) = claims.claim() {
                     if tx.send((i, work(i))).is_err() {
                         break;

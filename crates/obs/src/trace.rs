@@ -45,8 +45,9 @@ fn us(ns: u64) -> String {
 
 /// Renders the snapshot's retained raw events as Chrome trace-event JSON.
 /// Load the output in <https://ui.perfetto.dev> or `chrome://tracing`.
-/// Bounded by the per-thread ring capacity; overwritten history is
-/// reported by the `obs/trace_dropped` counter, not silently absent.
+/// Bounded by the per-thread event log capacity ([`crate::RING_CAP`]);
+/// dropped history is reported by the `obs/trace_dropped` counter, not
+/// silently absent.
 pub fn render_chrome_trace(snap: &Snapshot) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;

@@ -1,11 +1,20 @@
 //! Streaming-core guarantees: quantile-estimate accuracy (property-tested
-//! against exact quantiles over contrasting distributions) and live
-//! snapshot consistency while writers are mid-record.
+//! against exact quantiles over contrasting distributions), live
+//! snapshot consistency while writers are mid-record, and exact totals
+//! across thread churn.
 
 use jsdetect_obs::{bucket_index, Histogram};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
+
+/// The enabled flag is process-global, and both recording tests turn it
+/// off when they finish; they must not interleave.
+static RECORDING: Mutex<()> = Mutex::new(());
+
+fn recording() -> std::sync::MutexGuard<'static, ()> {
+    RECORDING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Records the writers must have made, as seen by a live snapshot, before
 /// the concurrent-snapshot test stops them.
@@ -108,8 +117,7 @@ fn quantiles_within_one_bucket_adversarial_spike() {
 
 /// Snapshots taken while writer threads are mid-record must never show
 /// torn state: counters are monotone across snapshots, and every
-/// histogram's bucket sum is at least its count (`count` is published
-/// last with Release, read first with Acquire).
+/// histogram's bucket sum is at least its count.
 ///
 /// Snapshots of a near-empty registry take microseconds, so a fixed
 /// snapshot count can finish before a freshly spawned writer runs its
@@ -121,6 +129,7 @@ fn concurrent_snapshot_while_writing_is_consistent() {
     // Serialized against other obs integration tests via the registry
     // being process-global: use a dedicated counter namespace instead of
     // reset() so parallel test binaries can't interfere mid-run.
+    let _g = recording();
     jsdetect_obs::set_enabled(true);
     let stop = Arc::new(AtomicBool::new(false));
     let start = Arc::new(Barrier::new(4));
@@ -129,7 +138,6 @@ fn concurrent_snapshot_while_writing_is_consistent() {
             let stop = stop.clone();
             let start = start.clone();
             std::thread::spawn(move || {
-                let _obs = jsdetect_obs::ScopedCollector::new();
                 start.wait();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -201,4 +209,37 @@ fn concurrent_snapshot_while_writing_is_consistent() {
     assert_eq!(snap.span("stream_concurrent").map(|s| s.count), Some(written));
     assert_eq!(snap.hist("stream_concurrent_hist").map(Histogram::count), Some(written));
     jsdetect_obs::set_enabled(false);
+}
+
+/// Short-lived recording threads, one after another, each leave their
+/// records behind: the snapshot counts every span and counter exactly and
+/// keeps every span event with the thread that recorded it.
+#[test]
+fn churned_threads_keep_every_record_and_event() {
+    const THREADS: usize = 200;
+    let _g = recording();
+    jsdetect_obs::set_enabled(true);
+    let mut ids = Vec::new();
+    for _ in 0..THREADS {
+        std::thread::spawn(|| {
+            let _s = jsdetect_obs::span("stream_churn");
+            jsdetect_obs::counter_add("stream_churn_ctr", 1);
+        })
+        .join()
+        .unwrap();
+        let snap = jsdetect_obs::snapshot();
+        let newest = snap.events.iter().filter(|e| e.path == "stream_churn").map(|e| e.thread);
+        ids.push(newest.max().expect("the thread's span event"));
+    }
+    let snap = jsdetect_obs::snapshot();
+    jsdetect_obs::set_enabled(false);
+    assert_eq!(snap.span("stream_churn").map(|s| s.count), Some(THREADS as u64));
+    assert_eq!(snap.counter("stream_churn_ctr"), THREADS as u64);
+    let mut threads: Vec<u64> =
+        snap.events.iter().filter(|e| e.path == "stream_churn").map(|e| e.thread).collect();
+    threads.sort_unstable();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), THREADS, "every churned thread gets its own id");
+    assert_eq!(threads, ids, "one span event per churned thread, under its id");
 }

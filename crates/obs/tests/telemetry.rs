@@ -69,27 +69,44 @@ fn worker_buffers_flush_on_thread_exit() {
     assert_eq!(snap.hist("worker_bytes").unwrap().count(), 1);
 }
 
-/// Builds a fully deterministic snapshot through the public API.
+fn hist(values: &[u64]) -> obs::Histogram {
+    let mut h = obs::Histogram::new();
+    for &v in values {
+        h.record(v);
+    }
+    h
+}
+
+/// A fully deterministic snapshot: two threads' `analyze` and
+/// `analyze/parse` spans, two counters, a gauge and a histogram.
 fn golden_snapshot() -> obs::Snapshot {
-    obs::reset();
-    obs::record_span_ns("analyze", 0, 5_000_000, 0);
-    obs::record_span_ns("analyze/parse", 1_000, 3_000_000, 0);
-    obs::record_span_ns("analyze/parse", 6_000_000, 1_500_000, 1);
-    obs::record_span_ns("analyze", 6_000_000, 2_000_000, 1);
-    obs::counter_add("parse_failures", 1);
-    obs::counter_add("scripts_analyzed", 2);
-    obs::gauge_set("analyze_threads", 2.0);
-    obs::observe("script_bytes", 512);
-    obs::observe("script_bytes", 100_000);
-    obs::snapshot()
+    let span = |path: &str, start_ns, dur_ns, thread| obs::SpanEvent {
+        path: path.to_string(),
+        start_ns,
+        dur_ns,
+        thread,
+    };
+    obs::Snapshot {
+        spans: vec![
+            obs::SpanStat::of("analyze".to_string(), hist(&[5_000_000, 2_000_000])),
+            obs::SpanStat::of("analyze/parse".to_string(), hist(&[3_000_000, 1_500_000])),
+        ],
+        events: vec![
+            span("analyze", 0, 5_000_000, 0),
+            span("analyze/parse", 1_000, 3_000_000, 0),
+            span("analyze/parse", 6_000_000, 1_500_000, 1),
+            span("analyze", 6_000_000, 2_000_000, 1),
+        ],
+        counters: vec![("parse_failures".to_string(), 1), ("scripts_analyzed".to_string(), 2)],
+        gauges: vec![("analyze_threads".to_string(), 2.0)],
+        hists: vec![("script_bytes".to_string(), hist(&[512, 100_000]))],
+        ..obs::Snapshot::default()
+    }
 }
 
 #[test]
 fn jsonl_matches_golden_file() {
-    let _g = locked();
-    obs::set_enabled(true);
     let snap = golden_snapshot();
-    obs::set_enabled(false);
     let jsonl = obs::to_jsonl(&snap);
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/telemetry.jsonl");
     if std::env::var_os("OBS_REGEN_GOLDEN").is_some() {
@@ -105,10 +122,7 @@ fn jsonl_matches_golden_file() {
 
 #[test]
 fn jsonl_lines_are_valid_json_with_stable_fields() {
-    let _g = locked();
-    obs::set_enabled(true);
     let snap = golden_snapshot();
-    obs::set_enabled(false);
     let jsonl = obs::to_jsonl(&snap);
     let mut types = Vec::new();
     for line in jsonl.lines() {
@@ -141,10 +155,7 @@ fn jsonl_lines_are_valid_json_with_stable_fields() {
 
 #[test]
 fn summary_renders_all_sections() {
-    let _g = locked();
-    obs::set_enabled(true);
     let snap = golden_snapshot();
-    obs::set_enabled(false);
     let summary = obs::render_summary(&snap);
     for needle in
         ["analyze/parse", "counters", "parse_failures", "gauges", "histograms", "script_bytes"]

@@ -645,7 +645,7 @@ fn execute(shared: &Shared, job: &Job) -> (AnalyzeResponse, Mode) {
 /// same key a full verdict would, and must not shadow one.
 fn degraded_analyze(shared: &Shared, src: &str, config: &AnalysisConfig) -> CachedScript {
     let hash = ContentHash::of(src.as_bytes());
-    CachedScript::replayed(shared.cache.as_deref(), hash)
+    CachedScript::replayed(shared.cache.as_deref(), &config.limits, hash)
         .unwrap_or_else(|| CachedScript::computed(hash, analyze_lexer_only(src, &config.limits)))
 }
 

@@ -649,9 +649,11 @@ fn cmd_trace(argv: &[String]) {
         }
     }
 
-    // Aggregate complete ("X") events per span path across all threads.
+    // Aggregate complete ("X") events per span path across all threads;
+    // `dur` is in microseconds.
+    use jsdetect_suite::obs;
     use std::collections::BTreeMap;
-    let mut totals: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
+    let mut latency: BTreeMap<String, obs::Histogram> = BTreeMap::new();
     for ev in events {
         if !matches!(ev.get("ph"), Some(serde_json::JsonValue::Str(ph)) if ph == "X") {
             continue;
@@ -661,40 +663,30 @@ fn cmd_trace(argv: &[String]) {
         else {
             continue;
         };
-        let slot = totals.entry(name.as_str()).or_insert((0, 0.0));
-        slot.0 += 1;
-        slot.1 += dur;
+        latency.entry(name.clone()).or_default().record((dur * 1000.0).round() as u64);
     }
-    if totals.is_empty() {
+    if latency.is_empty() {
         eprintln!("{}: no complete (ph=X) span events", path);
         return;
     }
-
-    // Self time = own total minus direct children's totals (one extra path
-    // segment); every microsecond is attributed to exactly one span.
-    let mut rows: Vec<(&str, u64, f64, f64)> =
-        totals.iter().map(|(&name, &(count, total))| (name, count, total, total)).collect();
-    for (child, &(_, child_total)) in &totals {
-        if let Some(idx) = child.rfind('/') {
-            if let Some(row) = rows.iter_mut().find(|r| r.0 == &child[..idx]) {
-                row.3 = (row.3 - child_total).max(0.0);
-            }
-        }
-    }
-    rows.sort_by(|a, b| b.3.partial_cmp(&a.3).unwrap_or(std::cmp::Ordering::Equal));
+    let snap = obs::Snapshot {
+        spans: latency.into_iter().map(|(path, h)| obs::SpanStat::of(path, h)).collect(),
+        ..obs::Snapshot::default()
+    };
+    let mut rows = obs::self_times(&snap);
     if top > 0 {
         rows.truncate(top);
     }
 
-    let name_w = rows.iter().map(|r| r.0.len()).max().unwrap_or(4).max("span".len());
+    let name_w = rows.iter().map(|r| r.path.len()).max().unwrap_or(4).max("span".len());
     println!("{:<name_w$}  {:>8}  {:>12}  {:>12}", "span", "count", "total ms", "self ms");
-    for (name, count, total_us, self_us) in &rows {
+    for r in &rows {
         println!(
             "{:<name_w$}  {:>8}  {:>12.3}  {:>12.3}",
-            name,
-            count,
-            total_us / 1000.0,
-            self_us / 1000.0
+            r.path,
+            r.count,
+            r.total_ns as f64 / 1e6,
+            r.self_ns as f64 / 1e6
         );
     }
 }

@@ -1,8 +1,9 @@
 //! Integration tests for the streaming observability layer against the
 //! real pipeline: exported-name hygiene (every metric name that reaches
 //! JSONL or Prometheus output obeys the registered-name grammar, including
-//! the runtime-composed `guard/<kind>` counters), and the structure of the
-//! Chrome trace export end to end.
+//! the runtime-composed `guard/<kind>` counters), the structure of the
+//! Chrome trace export end to end, and `jsdetect-cli trace`'s self-time
+//! table over an exported trace.
 
 use jsdetect_suite::detector::{analyze_many, AnalysisConfig, OutcomeKind};
 use jsdetect_suite::obs::{self, names};
@@ -158,4 +159,48 @@ fn chrome_trace_export_parses_with_expected_structure() {
     for pair in selfs.windows(2) {
         assert!(pair[0].self_ns >= pair[1].self_ns);
     }
+}
+
+#[test]
+fn cli_trace_prints_self_times_of_an_exported_trace() {
+    let span = |path: &str, start_ns, dur_ns, thread| obs::SpanEvent {
+        path: path.to_string(),
+        start_ns,
+        dur_ns,
+        thread,
+    };
+    let snap = obs::Snapshot {
+        events: vec![
+            span("analyze", 0, 5_000_000, 0),
+            span("analyze/parse", 1_000, 3_000_000, 0),
+            span("analyze", 6_000_000, 2_000_000, 1),
+            span("analyze/parse", 6_000_000, 1_500_000, 1),
+            span("analyze/parse/scan", 6_100_000, 250_000, 1),
+        ],
+        ..obs::Snapshot::default()
+    };
+    let file = std::env::temp_dir().join(format!("jsdetect-cli-trace-{}.json", std::process::id()));
+    std::fs::write(&file, obs::render_chrome_trace(&snap)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_jsdetect-cli"))
+        .arg("trace")
+        .arg(&file)
+        .output()
+        .expect("run jsdetect-cli trace");
+    let _ = std::fs::remove_file(&file);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<Vec<&str>> =
+        stdout.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+    // Self = total − direct children, hottest first: parse 4.5 − 0.25,
+    // analyze 7 − 4.5, scan 0.25.
+    assert_eq!(
+        rows,
+        vec![
+            vec!["analyze/parse", "2", "4.500", "4.250"],
+            vec!["analyze", "2", "7.000", "2.500"],
+            vec!["analyze/parse/scan", "1", "0.250", "0.250"],
+        ],
+        "{}",
+        stdout
+    );
 }

@@ -9,8 +9,11 @@
 //! - interner exhaustion degrades the *request* (`resource` reject), not
 //!   the process;
 //! - the full transport stack (HTTP + framed protocol over TCP) routes
-//!   through the same admission path.
+//!   through the same admission path;
+//! - a request's own limits or deadline never reach the shared verdict
+//!   cache, which holds verdicts under the daemon's default limits only.
 
+use jsdetect_suite::cache::{AnalysisCache, CacheConfig};
 use jsdetect_suite::detector::{train_pipeline, DetectorConfig, TrainedDetectors};
 use jsdetect_suite::serve::{
     read_frame, signal, write_frame, AnalyzeRequest, ChaosConfig, Daemon, ServeConfig,
@@ -38,6 +41,26 @@ fn congested_config(queue_capacity: usize, delay_ms: u64) -> ServeConfig {
         chaos: ChaosConfig { delay_every: 1, delay_ms, ..Default::default() },
         ..ServeConfig::default()
     }
+}
+
+#[test]
+fn a_verdict_under_a_request_deadline_is_not_published() {
+    let dir = std::env::temp_dir().join(format!("jsdetect-serve-deadline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::default();
+    let cache = AnalysisCache::open(CacheConfig::new(&dir, &cfg.default_limits)).unwrap();
+    let daemon = Daemon::start(cfg, detectors(), Some(Arc::new(cache)));
+    let src = "var deadline_probe = [1, 2, 3].map(function (x) { return x * 2; });";
+
+    let timed = daemon.call(AnalyzeRequest { deadline_ms: Some(5000), ..AnalyzeRequest::new(src) });
+    assert_eq!(timed.status, "ok");
+    assert!(!timed.from_cache);
+    let first = daemon.call(AnalyzeRequest::new(src));
+    assert!(!first.from_cache, "the verdict computed under a deadline was published");
+    let second = daemon.call(AnalyzeRequest::new(src));
+    assert!(second.from_cache, "a verdict under the default limits is published");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

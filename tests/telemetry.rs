@@ -117,7 +117,7 @@ fn events_recorded(srcs: &[&str]) -> u64 {
     std::hint::black_box(scan(srcs));
     let snap = obs::snapshot();
     obs::set_enabled(false);
-    assert_eq!(snap.dropped_events, 0, "the trace ring held every event of one scan");
+    assert_eq!(snap.dropped_events, 0, "the event logs held every event of one scan");
     snap.spans.iter().map(|s| s.count).sum::<u64>()
         + snap.counter_events.len() as u64
         + snap.hists.iter().map(|(_, h)| h.count()).sum::<u64>()
