@@ -95,8 +95,8 @@ fn main() {
         match jsdetect_parser::parse(&sample.src) {
             Ok(program) => {
                 let budget = Budget::new(&Limits::trusted());
-                let (program, report) = normalize_program(program, &opts, &budget);
-                let Some(program) = program else {
+                let (program, report) = normalize_program(program, None, &opts, &budget);
+                let Some(program) = program.map(|n| n.program) else {
                     normalized.push(sample.src.clone());
                     continue;
                 };

@@ -204,7 +204,8 @@ fn stages<'a>(src: &'a str, budget: &Budget) -> Staged<'a> {
     };
     budget.check_deadline()?;
 
-    let normalize = crate::deltas::normalize_deltas(src, program, &tree, &lint, budget);
+    let normalize =
+        crate::deltas::normalize_deltas(src, program, &graph.scopes, &tree, &lint, budget);
     // A deadline hit inside normalization degrades it to the neutral
     // block; the script is rejected instead, so no payload carries it.
     budget.check_deadline()?;

@@ -21,6 +21,11 @@
 //! vector never reaches a payload (cached payloads must replay
 //! bit-identically, and a deadline depends on the host).
 //!
+//! The normalizer starts from the front end's scope tree of the original
+//! program and hands back the tree of the normalized one when a pass
+//! built it after the last rewrite; the measurement's flow graph reuses
+//! it, and builds its own only when none came back.
+//!
 //! A normalization with zero rewrites also yields the neutral vector,
 //! without re-analysing the tree: the tree is then the input, and the full
 //! measurement gives exactly the neutral bits (`n / n` is 1.0 for a node
@@ -31,10 +36,12 @@
 use crate::handpicked::byte_entropy;
 use crate::tree::TreeStats;
 use jsdetect_ast::{walk, Expr, Lit, LitValue, NodeRef, Program};
+use jsdetect_flow::{analyze_scopes, analyze_with_scopes, ScopeTree};
 use jsdetect_guard::{Budget, OutcomeKind};
 use jsdetect_lint::{LintSummary, N_RULES, RULE_NAMES};
 use jsdetect_normalize::{normalize_program, NormalizeOptions};
 use jsdetect_obs::names;
+use std::borrow::Cow;
 
 /// Number of delta dimensions: node-count ratio, string-entropy delta,
 /// and one lint-density delta per rule.
@@ -63,11 +70,13 @@ pub fn delta_feature_names() -> Vec<String> {
 /// against it so the charset-based rules see the same bytes both times
 /// and only structural rules can move. `program` is the parsed tree,
 /// which normalization rewrites in place and which is dropped here, under
-/// this stage's span. `tree` and `lint` are the original program's
-/// statistics and lint summary; `budget` is the script's analysis budget.
+/// this stage's span. `scopes`, `tree` and `lint` are the original
+/// program's scope tree, statistics and lint summary; `budget` is the
+/// script's analysis budget.
 pub fn normalize_deltas(
     src: &str,
     program: Program,
+    scopes: &ScopeTree,
     tree: &TreeStats,
     lint: &LintSummary,
     budget: &Budget,
@@ -75,10 +84,11 @@ pub fn normalize_deltas(
     let _t = jsdetect_obs::span(names::SPAN_NORMALIZE_DELTAS);
     // A local, not a temporary of the tail expression: locals drop before
     // `_t`, so the tree's drop is timed by this span.
-    let (normalized, report) = normalize_program(program, &NormalizeOptions::default(), budget);
+    let (normalized, report) =
+        normalize_program(program, Some(scopes), &NormalizeOptions::default(), budget);
     match normalized {
         Some(normalized) if report.outcome == OutcomeKind::Ok && report.total_rewrites() > 0 => {
-            measure_deltas(src, tree, &normalized, lint, budget)
+            measure_deltas(src, tree, &normalized.program, normalized.scopes, lint, budget)
         }
         _ => neutral_deltas(),
     }
@@ -86,6 +96,10 @@ pub fn normalize_deltas(
 
 /// The full delta measurement of `normalized` against the original
 /// program, given by its [`TreeStats`] and lint summary.
+///
+/// `scopes` is `normalized`'s scope tree when the normalizer handed one
+/// back ([`jsdetect_normalize::Normalized::scopes`]); without it the
+/// measurement builds one.
 ///
 /// The walk charges `budget` one tick per node and per string-literal
 /// byte; past the deadline it yields the neutral vector, which the front
@@ -96,6 +110,7 @@ pub fn measure_deltas(
     src: &str,
     tree: &TreeStats,
     normalized: &Program,
+    scopes: Option<Cow<'_, ScopeTree>>,
     lint: &LintSummary,
     budget: &Budget,
 ) -> Vec<f32> {
@@ -121,7 +136,14 @@ pub fn measure_deltas(
     let mut v = Vec::with_capacity(N_NORMALIZE);
     v.push(nodes as f32 / tree.node_count.max(1) as f32);
     v.push(mean_entropy - tree.mean_string_entropy());
-    let graph = jsdetect_flow::analyze(normalized);
+    let scopes = scopes.map_or_else(
+        || {
+            jsdetect_obs::counter_add(names::CTR_NORMALIZE_SCOPE_ANALYSES, 1);
+            analyze_scopes(normalized)
+        },
+        Cow::into_owned,
+    );
+    let graph = analyze_with_scopes(normalized, scopes);
     let norm_lint = jsdetect_lint::lint(src, normalized, &graph).1;
     let orig_densities = lint.features();
     let norm_densities = norm_lint.features();

@@ -54,7 +54,12 @@ pub struct ProgramGraph {
 /// Analyzes a program: scopes, control flow, and data flow within its
 /// budgets.
 pub fn analyze(program: &Program) -> ProgramGraph {
-    let scopes = analyze_scopes(program);
+    analyze_with_scopes(program, analyze_scopes(program))
+}
+
+/// [`analyze`] over a scope tree the caller already holds: `scopes` must
+/// be [`analyze_scopes`] of `program`.
+pub fn analyze_with_scopes(program: &Program, scopes: ScopeTree) -> ProgramGraph {
     let control_flow = build_cfg(program);
     let dataflow = build_dataflow(&scopes);
     ProgramGraph { scopes, control_flow, dataflow }

@@ -10,17 +10,16 @@
 //! rewrite, the prelude itself is deleted.
 //!
 //! One run handles every prelude at once, so its cost is linear in the
-//! program however many preludes it holds: one scope analysis checks the
-//! names of all of them, one walk inlines every pool, and one walk counts
-//! the references that survive. A prelude whose array only becomes a pool
-//! once another pool is inlined into it is found by the next fixpoint
-//! round.
+//! program however many preludes it holds: one scope tree (the run's, see
+//! [`PassCx::scopes`]) checks the names of all of them, one walk inlines
+//! every pool, and one walk counts the references that survive. A prelude
+//! whose array only becomes a pool once another pool is inlined into it is
+//! found by the next fixpoint round.
 
 use crate::eval::str_expr;
 use crate::{Pass, PassCx};
 use jsdetect_ast::visit_mut::{walk_expr_mut, walk_pat_mut, MutVisitor};
 use jsdetect_ast::*;
-use jsdetect_flow::analyze_scopes;
 use std::collections::HashMap;
 
 /// See the module docs.
@@ -42,7 +41,7 @@ impl Pass for ArrayInlinePass {
             return 0;
         }
         let mut pools = find_pools(&program.body);
-        keep_names_binding_once(program, &mut pools);
+        keep_names_binding_once(program, cx, &mut pools);
         if pools.is_empty() {
             return 0;
         }
@@ -214,13 +213,13 @@ fn accessor_decl(s: &Stmt, arr_name: &str) -> Option<(Atom, bool)> {
 /// Keeps the pools whose names each bind exactly once in the whole
 /// program (no shadowing, no redeclaration): only then is the rewrite
 /// safe.
-fn keep_names_binding_once(program: &Program, pools: &mut Vec<Pool>) {
+fn keep_names_binding_once(program: &Program, cx: &PassCx, pools: &mut Vec<Pool>) {
     if pools.is_empty() {
         return;
     }
     let mut binds: HashMap<Atom, usize> =
         pools.iter().flat_map(|p| [(p.arr_name, 0), (p.acc_name, 0)]).collect();
-    for binding in analyze_scopes(program).bindings() {
+    for binding in cx.scopes(program).bindings() {
         if let Some(n) = binds.get_mut(&binding.name) {
             *n += 1;
         }

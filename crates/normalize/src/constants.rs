@@ -2,8 +2,9 @@
 //!
 //! Two sub-steps per run, both counted as one pass:
 //!
-//! 1. **Propagation**: scope analysis (`flow::scope`) finds bindings that
-//!    are declared with a literal initializer and written exactly once —
+//! 1. **Propagation**: the run's scope tree ([`PassCx::scopes`]) finds
+//!    bindings that are declared with a literal initializer and written
+//!    exactly once —
 //!    that one write being the declaration itself — and substitutes the
 //!    literal at every read site. Spans of the replaced identifiers are
 //!    preserved on the substituted literals.
@@ -21,7 +22,7 @@ use crate::eval::{bool_expr, num_expr, num_value, str_expr, to_int32, to_uint32,
 use crate::{Pass, PassCx};
 use jsdetect_ast::visit_mut::{walk_expr_mut, MutVisitor};
 use jsdetect_ast::*;
-use jsdetect_flow::{analyze_scopes, BindingKind, RefKind};
+use jsdetect_flow::{BindingKind, RefKind};
 use std::collections::HashMap;
 
 /// See the module docs.
@@ -61,19 +62,14 @@ fn propagatable_lit(lit: &Lit) -> bool {
 }
 
 fn propagate(program: &mut Program, cx: &PassCx) -> u64 {
-    if contains_with(program) {
-        return 0;
-    }
-    // Literal initializers of simple identifier declarators, keyed by the
-    // declaring identifier's span.
-    let mut decl_lits: HashMap<Span, Lit> = HashMap::new();
-    let mut collect = CollectDecls { decl_lits: &mut decl_lits };
+    let mut collect = CollectDecls { decl_lits: HashMap::new(), has_with: false };
     collect.visit_program_mut(program);
-    if decl_lits.is_empty() {
+    let CollectDecls { decl_lits, has_with } = collect;
+    if has_with || decl_lits.is_empty() {
         return 0;
     }
 
-    let tree = analyze_scopes(program);
+    let tree = cx.scopes(program);
     let mut subst: HashMap<Span, Lit> = HashMap::new();
     for (id, binding) in tree.bindings().iter().enumerate() {
         if !matches!(binding.kind, BindingKind::Var | BindingKind::Let | BindingKind::Const) {
@@ -100,31 +96,25 @@ fn propagate(program: &mut Program, cx: &PassCx) -> u64 {
     replace.count
 }
 
-fn contains_with(program: &mut Program) -> bool {
-    struct Finder {
-        found: bool,
-    }
-    impl MutVisitor for Finder {
-        fn visit_stmt_mut(&mut self, s: &mut Stmt) {
-            if matches!(s, Stmt::With { .. }) {
-                self.found = true;
-            }
-            if !self.found {
-                jsdetect_ast::visit_mut::walk_stmt_mut(self, s);
-            }
-        }
-    }
-    let mut f = Finder { found: false };
-    f.visit_program_mut(program);
-    f.found
+/// One walk for what propagation needs to know before it resolves names.
+struct CollectDecls {
+    /// Literal initializers of simple identifier declarators, keyed by the
+    /// declaring identifier's span.
+    decl_lits: HashMap<Span, Lit>,
+    /// Whether the program holds a `with` statement; the walk stops at the
+    /// first.
+    has_with: bool,
 }
 
-struct CollectDecls<'a> {
-    decl_lits: &'a mut HashMap<Span, Lit>,
-}
-
-impl MutVisitor for CollectDecls<'_> {
+impl MutVisitor for CollectDecls {
     fn visit_stmt_mut(&mut self, s: &mut Stmt) {
+        if self.has_with {
+            return;
+        }
+        if let Stmt::With { .. } = s {
+            self.has_with = true;
+            return;
+        }
         if let Stmt::VarDecl { decls, .. } = s {
             for d in decls.iter() {
                 if let (Pat::Ident(id), Some(Expr::Lit(lit))) = (&d.id, &d.init) {

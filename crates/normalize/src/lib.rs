@@ -11,7 +11,11 @@
 //!
 //! Passes are driven to a fixpoint: each round runs every enabled pass
 //! once, and rounds repeat until no pass rewrites anything or a bound
-//! trips. Three bounds keep hostile input from looping the normalizer:
+//! trips. A pass that ran with no rewrite is skipped until some pass
+//! rewrites the tree again: a pass that finds nothing on a tree finds
+//! nothing on it a second time (`tests/normalize.rs` pins this for every
+//! pass), so a skip changes no output and no report. Three bounds keep
+//! hostile input from looping the normalizer:
 //!
 //! - a **round cap** ([`NormalizeOptions::max_rounds`]),
 //! - a **rewrite fuel** of 100 000 rewrites shared by all passes, and
@@ -32,20 +36,33 @@
 //! tell from an `Ok` outcome with zero [`NormalizeReport::total_rewrites`]
 //! that the returned tree is the input unchanged, without comparing trees.
 //!
+//! A run holds at most one scope tree of the program, valid until the
+//! next rewrite. The caller may seed it with the input's tree (the
+//! analysis front end has built one already); the constant and
+//! array-inline passes build one only when the run holds none. The run
+//! hands it back with the normalized program ([`Normalized::scopes`]),
+//! so the caller's own analysis of the result need not build it again.
+//!
 //! # Examples
 //!
 //! ```
+//! use jsdetect_flow::analyze_scopes;
 //! use jsdetect_guard::{Budget, Limits};
 //! use jsdetect_normalize::{normalize_program, NormalizeOptions};
 //! # use jsdetect_ast::*;
 //! # fn parse_fixture() -> Program { Program { body: vec![], span: Span::DUMMY } }
 //!
 //! let budget = Budget::new(&Limits::trusted());
+//! let program = parse_fixture();
+//! let scopes = analyze_scopes(&program);
 //! let (normalized, report) =
-//!     normalize_program(parse_fixture(), &NormalizeOptions::default(), &budget);
+//!     normalize_program(program, Some(&scopes), &NormalizeOptions::default(), &budget);
 //! assert_eq!(report.outcome, jsdetect_guard::OutcomeKind::Ok);
 //! assert_eq!(report.total_rewrites(), 0);
-//! assert_eq!(normalized, Some(parse_fixture()));
+//! let normalized = normalized.unwrap();
+//! assert_eq!(normalized.program, parse_fixture());
+//! // Nothing was rewritten, so the seeded tree is still the program's.
+//! assert!(normalized.scopes.is_some());
 //! ```
 
 #![warn(missing_docs)]
@@ -59,9 +76,11 @@ mod eval;
 mod sequence;
 
 use jsdetect_ast::Program;
+use jsdetect_flow::{analyze_scopes, ScopeTree};
 use jsdetect_guard::{isolate, AnalysisError, Budget, OutcomeKind};
 use jsdetect_obs::names;
-use std::cell::{Cell, RefCell};
+use std::borrow::Cow;
+use std::cell::{Cell, Ref, RefCell};
 
 /// Total rewrite fuel shared by all passes across all rounds; running out
 /// degrades the outcome.
@@ -130,8 +149,11 @@ impl PassKind {
 /// A pass mutates the program in place and returns how many rewrites it
 /// performed. Passes must be *reducing*: a rewrite may enable another pass
 /// but must never reintroduce the shape it removed, so the fixpoint loop
-/// terminates. Each rewrite is paid for through [`PassCx::spend`], which
-/// enforces the shared rewrite fuel.
+/// terminates. A run that returns 0 must leave the program as it was, and
+/// a second run over that program must return 0 again: the driver skips a
+/// pass that found nothing until another pass rewrites. Each rewrite is
+/// paid for through [`PassCx::spend`], which enforces the shared rewrite
+/// fuel.
 pub trait Pass: Sync {
     /// Short stable name (also the `isolate` stage label).
     fn name(&self) -> &'static str;
@@ -142,15 +164,29 @@ pub trait Pass: Sync {
 }
 
 /// Shared per-run context threaded through every pass: the guard budget
-/// (deadline) and the rewrite fuel.
+/// (deadline), the rewrite fuel and the program's scope tree.
 pub struct PassCx<'a> {
     budget: &'a Budget,
     fuel: Cell<u64>,
     fuel_exhausted: Cell<bool>,
     error: RefCell<Option<AnalysisError>>,
+    /// The program's scope tree, if the run holds one; the driver empties
+    /// it whenever a pass rewrites the program.
+    scopes: RefCell<Option<Cow<'a, ScopeTree>>>,
 }
 
 impl PassCx<'_> {
+    /// The scope tree of `program`, which must be the program under
+    /// rewrite: the one the run holds, else a new one, held until the
+    /// next rewrite.
+    pub(crate) fn scopes(&self, program: &Program) -> Ref<'_, ScopeTree> {
+        if self.scopes.borrow().is_none() {
+            jsdetect_obs::counter_add(names::CTR_NORMALIZE_SCOPE_ANALYSES, 1);
+            self.scopes.replace(Some(Cow::Owned(analyze_scopes(program))));
+        }
+        Ref::map(self.scopes.borrow(), |s| s.as_deref().expect("filled above"))
+    }
+
     /// Pays for one rewrite. Returns `false` once the fuel is exhausted or
     /// a budget violation occurred; passes must then stop rewriting (they
     /// may keep traversing — traversal itself is bounded by the AST).
@@ -204,7 +240,9 @@ impl Default for NormalizeOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormalizeReport {
     /// Fixpoint rounds executed (the last round performed zero rewrites
-    /// unless a bound tripped first).
+    /// unless a bound tripped first). A round counts whether its passes
+    /// ran or were skipped as clean: a skipped pass counts as a pass that
+    /// ran and rewrote nothing.
     pub rounds: u32,
     /// Per-pass rewrite totals, in pass order.
     pub rewrites: Vec<(&'static str, u64)>,
@@ -230,8 +268,23 @@ impl NormalizeReport {
     }
 }
 
+/// A normalized program and, when the run still holds one, its scope
+/// tree.
+#[derive(Debug)]
+pub struct Normalized<'a> {
+    /// The program, rewritten in place.
+    pub program: Program,
+    /// [`analyze_scopes`] of `program`, if the run holds it: the seed
+    /// when nothing was rewritten, else a tree a pass built after the
+    /// last rewrite.
+    pub scopes: Option<Cow<'a, ScopeTree>>,
+}
+
 /// Drives the enabled passes to a fixpoint over `program`, rewriting it
 /// in place, and returns it with the report.
+///
+/// `scopes`, when given, must be [`analyze_scopes`] of `program`; the run
+/// then builds no scope tree until a pass rewrites the program.
 ///
 /// The passes tick `budget`'s deadline clock; only that axis is charged
 /// here (the structural axes were enforced at parse time). A deadline hit
@@ -243,29 +296,32 @@ impl NormalizeReport {
 /// individual rewrite is atomic). A pass panic returns `None`: the
 /// half-rewritten tree is dropped, and the report's error is
 /// [`AnalysisError::StagePanicked`].
-pub fn normalize_program(
+pub fn normalize_program<'s>(
     program: Program,
+    scopes: Option<&'s ScopeTree>,
     opts: &NormalizeOptions,
     budget: &Budget,
-) -> (Option<Program>, NormalizeReport) {
+) -> (Option<Normalized<'s>>, NormalizeReport) {
     let passes: Vec<&dyn Pass> = opts.passes.iter().map(|kind| kind.pass()).collect();
-    run_passes(program, &passes, opts.max_rounds, budget)
+    run_passes(program, scopes, &passes, opts.max_rounds, budget)
 }
 
 /// The fixpoint loop behind [`normalize_program`], over explicit pass
 /// instances.
-fn run_passes(
+fn run_passes<'s>(
     mut program: Program,
+    seed: Option<&'s ScopeTree>,
     passes: &[&dyn Pass],
     max_rounds: u32,
     budget: &Budget,
-) -> (Option<Program>, NormalizeReport) {
+) -> (Option<Normalized<'s>>, NormalizeReport) {
     let _span = jsdetect_obs::span(names::SPAN_NORMALIZE);
     let cx = PassCx {
         budget,
         fuel: Cell::new(MAX_REWRITES),
         fuel_exhausted: Cell::new(false),
         error: RefCell::new(None),
+        scopes: RefCell::new(seed.map(Cow::Borrowed)),
     };
     let mut report = NormalizeReport {
         rounds: 0,
@@ -275,15 +331,28 @@ fn run_passes(
         error: None,
     };
 
+    // Whether each pass ran with no rewrite since the last rewrite.
+    let mut clean = vec![false; passes.len()];
+    let mut pass_runs = 0u64;
     'rounds: for _ in 0..max_rounds {
         report.rounds += 1;
         let mut round_rewrites = 0u64;
         for (i, pass) in passes.iter().enumerate() {
+            if clean[i] {
+                continue;
+            }
+            pass_runs += 1;
             match isolate(pass.name(), || pass.run(&mut program, &cx)) {
                 Ok(n) => {
                     jsdetect_obs::counter_add(pass.counter(), n);
                     report.rewrites[i].1 += n;
                     round_rewrites += n;
+                    if n == 0 {
+                        clean[i] = true;
+                    } else {
+                        clean.fill(false);
+                        cx.scopes.replace(None);
+                    }
                 }
                 Err(e) => {
                     report.outcome = OutcomeKind::Degraded;
@@ -310,9 +379,18 @@ fn run_passes(
         report.error.get_or_insert(e);
     }
     jsdetect_obs::counter_add(names::CTR_NORMALIZE_FIXPOINT_ROUNDS, u64::from(report.rounds));
+    jsdetect_obs::counter_add(names::CTR_NORMALIZE_PASS_RUNS, pass_runs);
     // A panicking pass may have left the tree half rewritten.
     let panicked = matches!(report.error, Some(AnalysisError::StagePanicked { .. }));
-    (if panicked { None } else { Some(program) }, report)
+    // The one tree the slot ever borrows is the seed; it is handed back
+    // with the caller's lifetime rather than the run's.
+    let scopes = match cx.scopes.into_inner() {
+        Some(Cow::Owned(tree)) => Some(Cow::Owned(tree)),
+        Some(Cow::Borrowed(_)) => seed.map(Cow::Borrowed),
+        None => None,
+    };
+    let normalized = (!panicked).then_some(Normalized { program, scopes });
+    (normalized, report)
 }
 
 #[cfg(test)]
@@ -328,8 +406,8 @@ mod tests {
         program: Program,
         opts: &NormalizeOptions,
     ) -> (Program, NormalizeReport) {
-        let (p, report) = normalize_program(program, opts, &Budget::new(&Limits::trusted()));
-        (p.expect("no pass panicked"), report)
+        let (p, report) = normalize_program(program, None, opts, &Budget::new(&Limits::trusted()));
+        (p.expect("no pass panicked").program, report)
     }
 
     fn norm(src: &str) -> (String, NormalizeReport) {
@@ -435,7 +513,7 @@ mod tests {
         let panicking = PanicsInRoundTwo(AtomicU32::new(0));
         let passes: [&dyn Pass; 2] = [PassKind::Constants.pass(), &panicking];
         let budget = Budget::new(&Limits::trusted());
-        let (out, report) = run_passes(input, &passes, 8, &budget);
+        let (out, report) = run_passes(input, None, &passes, 8, &budget);
         assert_eq!(report.rounds, 2);
         assert_eq!(report.outcome, OutcomeKind::Degraded);
         assert!(report.rewrites_for(PassKind::Constants) > 0);
@@ -443,7 +521,7 @@ mod tests {
             report.error,
             Some(AnalysisError::StagePanicked { stage: "panicking", .. })
         ));
-        assert_eq!(out, None);
+        assert!(out.is_none());
     }
 
     #[test]

@@ -120,6 +120,12 @@ pub const CTR_CACHE_PUBLISH_FAILED: &str = "cache/publish_failed";
 pub const CTR_NORMALIZE_FUEL_EXHAUSTED: &str = "normalize/fuel_exhausted";
 /// Normalization fixpoint rounds executed.
 pub const CTR_NORMALIZE_FIXPOINT_ROUNDS: &str = "normalize/fixpoint_rounds";
+/// Normalization pass invocations (a pass skipped as already clean is not
+/// invoked).
+pub const CTR_NORMALIZE_PASS_RUNS: &str = "normalize/pass_runs";
+/// Scope trees built after the front end's, by the normalization passes
+/// and the delta measurement.
+pub const CTR_NORMALIZE_SCOPE_ANALYSES: &str = "normalize/scope_analyses";
 /// Cache publishes retried after a transient failure.
 pub const CTR_CACHE_PUBLISH_RETRIED: &str = "cache/publish_retried";
 /// Raw trace events dropped because a thread's event log was full.
@@ -224,6 +230,8 @@ pub const ALL_COUNTERS: &[&str] = &[
     CTR_CACHE_PUBLISH_RETRIED,
     CTR_NORMALIZE_FUEL_EXHAUSTED,
     CTR_NORMALIZE_FIXPOINT_ROUNDS,
+    CTR_NORMALIZE_PASS_RUNS,
+    CTR_NORMALIZE_SCOPE_ANALYSES,
     TRACE_DROPPED,
     CTR_SERVE_ACCEPTED,
     CTR_SERVE_REJECTED,

@@ -215,6 +215,8 @@ fn load_model(argv: &[String]) -> TrainedDetectors {
 }
 
 fn cmd_classify(argv: &[String]) {
+    use jsdetect_suite::guard::OutcomeKind;
+
     let detectors = load_model(argv);
     let files: Vec<&String> = argv
         .iter()
@@ -258,27 +260,29 @@ fn cmd_classify(argv: &[String]) {
         DEFAULT_THRESHOLD,
     );
     for ((path, _), verdict) in batch.iter().zip(&verdicts) {
-        match &verdict.level1 {
-            None => {
-                let msg = if verdict.error_msg.is_empty() {
-                    "analysis rejected"
-                } else {
-                    verdict.error_msg.as_str()
-                };
-                println!("{}: not valid JavaScript ({})", path, msg);
-            }
-            Some(v) if !verdict.is_transformed() => {
-                println!("{}: regular (confidence {:.2})", path, v.regular)
-            }
-            Some(v) => {
-                println!(
-                    "{}: TRANSFORMED (minified {:.2}, obfuscated {:.2}) — {}",
-                    path,
-                    v.minified,
-                    v.obfuscated,
-                    verdict.techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", ")
-                );
-            }
+        // A rejection carries no verdict; its kind says why (a depth or
+        // size limit rejects valid JavaScript too).
+        let Some(v) = &verdict.level1 else {
+            println!("{}: rejected ({}: {})", path, verdict.error_kind, verdict.error_msg);
+            continue;
+        };
+        // A degraded verdict comes from the lexical fallback; say which
+        // failure put it there.
+        let degraded = match verdict.outcome {
+            OutcomeKind::Degraded => format!(" [degraded: {}]", verdict.error_kind),
+            _ => String::new(),
+        };
+        if verdict.is_transformed() {
+            println!(
+                "{}: TRANSFORMED (minified {:.2}, obfuscated {:.2}) — {}{}",
+                path,
+                v.minified,
+                v.obfuscated,
+                verdict.techniques.iter().map(|t| t.as_str()).collect::<Vec<_>>().join(", "),
+                degraded
+            );
+        } else {
+            println!("{}: regular (confidence {:.2}){}", path, v.regular, degraded);
         }
     }
 }
@@ -769,7 +773,7 @@ fn cmd_normalize(argv: &[String]) {
                 continue;
             }
         };
-        let (normalized, report) = normalize_program(program, &opts, &Budget::new(&limits));
+        let (normalized, report) = normalize_program(program, None, &opts, &Budget::new(&limits));
         match report.outcome {
             OutcomeKind::Ok => n_ok += 1,
             _ => n_degraded += 1,
@@ -785,7 +789,7 @@ fn cmd_normalize(argv: &[String]) {
         );
         if emit {
             match normalized {
-                Some(tree) => println!("{}", jsdetect_suite::codegen::to_source(&tree)),
+                Some(n) => println!("{}", jsdetect_suite::codegen::to_source(&n.program)),
                 // A pass panicked and the tree was dropped: emit the input
                 // as it came, like an unparseable file.
                 None => print!("{}", src),

@@ -79,7 +79,7 @@ fn normalizing_a_script_with_nothing_to_rewrite_does_not_copy_its_tree() {
         let (program, _, parse_bytes) = counted(|| parse(&src).expect("generated code parses"));
         let budget = Budget::new(&Limits::trusted());
         let ((normalized, report), _, normalize_bytes) =
-            counted(|| normalize_program(program, &NormalizeOptions::default(), &budget));
+            counted(|| normalize_program(program, None, &NormalizeOptions::default(), &budget));
         if report.total_rewrites() > 0 {
             continue;
         }

@@ -98,9 +98,10 @@ fn digest(sources: &[String]) -> (u64, usize, u64, usize) {
         parsed.diagnostics(&lint(src, &program, &analyze(&program)).0);
         n_parsed += 1;
         let budget = Budget::new(&Limits::unbounded());
-        let (tree, report) = normalize_program(program, &NormalizeOptions::default(), &budget);
+        let (tree, report) =
+            normalize_program(program, None, &NormalizeOptions::default(), &budget);
         if report.total_rewrites() > 0 {
-            let tree = tree.expect("no pass panics on these corpora");
+            let tree = tree.expect("no pass panics on these corpora").program;
             normalized.diagnostics(&lint(src, &tree, &analyze(&tree)).0);
             n_normalized += 1;
         }

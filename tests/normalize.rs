@@ -34,9 +34,9 @@ fn budget() -> Budget {
 /// outcome), panicking on parse failure.
 fn normalize_src(src: &str, label: &str) -> (String, OutcomeKind) {
     let p = parse(src).unwrap_or_else(|e| panic!("{}: does not parse: {}", label, e));
-    let (normalized, report) = normalize_program(p, &NormalizeOptions::default(), &budget());
+    let (normalized, report) = normalize_program(p, None, &NormalizeOptions::default(), &budget());
     let normalized = normalized.unwrap_or_else(|| panic!("{}: a pass panicked", label));
-    (to_source(&normalized), report.outcome)
+    (to_source(&normalized.program), report.outcome)
 }
 
 /// The printer round-trip property from `tests/roundtrip.rs`, applied
@@ -115,8 +115,8 @@ fn normalization_is_idempotent_across_presets() {
     for (label, src) in &sources {
         let (once, _) = normalize_src(src, label);
         let p = parse(&once).unwrap_or_else(|e| panic!("{}: once does not parse: {}", label, e));
-        let (p, report) = normalize_program(p, &NormalizeOptions::default(), &budget());
-        let p = p.unwrap_or_else(|| panic!("{}: a pass panicked", label));
+        let (p, report) = normalize_program(p, None, &NormalizeOptions::default(), &budget());
+        let p = p.unwrap_or_else(|| panic!("{}: a pass panicked", label)).program;
         assert_eq!(
             report.total_rewrites(),
             0,
@@ -140,9 +140,9 @@ fn array_inline_reverses_global_array_on_generated_corpora() {
         let Ok(obf) = apply(&src, &[Technique::GlobalArray], 101 + i) else {
             continue;
         };
-        let (p, report) = normalize_program(parse(&obf).unwrap(), &inline_only, &budget());
+        let (p, report) = normalize_program(parse(&obf).unwrap(), None, &inline_only, &budget());
         assert_eq!(
-            to_minified(&p.expect("no pass panicked")),
+            to_minified(&p.expect("no pass panicked").program),
             canonical,
             "sample {}: array-inline did not reverse the transform",
             i
@@ -215,17 +215,32 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
             let tree = TreeStats::of(&program);
             let graph = jsdetect_suite::flow::analyze(&program);
             let lint = jsdetect_suite::lint::lint(src, &program, &graph).1;
-            let (normalized, report) =
-                normalize_program(program.clone(), &NormalizeOptions::default(), &budget());
+            let (normalized, report) = normalize_program(
+                program.clone(),
+                Some(&graph.scopes),
+                &NormalizeOptions::default(),
+                &budget(),
+            );
             analyzed += 1;
             let (Some(normalized), OutcomeKind::Ok) = (normalized, report.outcome) else {
                 assert_eq!(bits(&production), neutral, "{}: degraded run is neutral", label);
                 continue;
             };
-            let full = measure_deltas(src, &tree, &normalized, &lint, &budget());
+            let full = measure_deltas(
+                src,
+                &tree,
+                &normalized.program,
+                normalized.scopes,
+                &lint,
+                &budget(),
+            );
             if report.total_rewrites() == 0 {
                 zero += 1;
-                assert_eq!(normalized, program, "{}: zero rewrites changed the tree", label);
+                assert_eq!(
+                    normalized.program, program,
+                    "{}: zero rewrites changed the tree",
+                    label
+                );
                 assert_eq!(bits(&full), neutral, "{}: full measurement is not neutral", label);
             }
             assert_eq!(bits(&production), bits(&full), "{}: short-cut differs", label);
@@ -239,4 +254,127 @@ fn zero_rewrite_shortcut_is_bit_identical_to_full_measurement() {
             100.0 * zero as f64 / analyzed as f64
         );
     }
+}
+
+/// `examples/corpus`, the `payload_digest` corpora (the chaos corpus among
+/// them), each in a fixed order.
+fn skip_contract_corpora() -> Vec<(String, Vec<String>)> {
+    use jsdetect_suite::corpus::{chaos_corpus, module_corpus, regular_corpus, GroundTruth};
+    use jsdetect_suite::transform::presets::Tool;
+
+    const SEED: u64 = 0x9A71;
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/corpus");
+    let mut paths: Vec<_> = std::fs::read_dir(examples)
+        .expect("examples/corpus is readable")
+        .map(|e| e.expect("a directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "js"))
+        .collect();
+    paths.sort();
+    let examples = paths.iter().map(|p| std::fs::read_to_string(p).unwrap()).collect();
+    let truth = GroundTruth::generate(6, SEED);
+    let regular = regular_corpus(16, SEED);
+    let tools = Tool::ALL
+        .iter()
+        .enumerate()
+        .flat_map(|(t, &tool)| {
+            regular[..3]
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, src)| tool.apply(src, SEED ^ (t * 3 + i) as u64).ok())
+        })
+        .collect();
+    vec![
+        ("examples".to_string(), examples),
+        (
+            "technique pools".to_string(),
+            truth.pools.iter().flatten().map(|s| s.src.clone()).collect(),
+        ),
+        ("tools".to_string(), tools),
+        ("regular".to_string(), regular),
+        ("modules".to_string(), module_corpus(12, SEED)),
+        ("chaos".to_string(), chaos_corpus().into_iter().map(|c| c.src).collect()),
+    ]
+}
+
+/// The fixpoint driver skips a pass that ran with no rewrite until some
+/// pass rewrites the tree again. That is exact only if a pass that finds
+/// nothing on a tree finds nothing on it a second time and leaves it
+/// as it was: for each pass alone, a second run over its fixpoint output
+/// must report no rewrite and print the same program. Trees are compared
+/// printed, since a folded `NaN` literal is not equal to itself.
+#[test]
+fn a_pass_that_finds_nothing_finds_nothing_again() {
+    let mut checked = 0;
+    for (name, sources) in skip_contract_corpora() {
+        for (i, src) in sources.iter().enumerate() {
+            let Ok(program) = parse(src) else { continue };
+            for pass in PassKind::ALL {
+                let label = format!("{} #{} under {}", name, i, pass.as_str());
+                let opts = NormalizeOptions { passes: vec![pass], ..NormalizeOptions::default() };
+                let (once, report) = normalize_program(program.clone(), None, &opts, &budget());
+                assert_eq!(report.outcome, OutcomeKind::Ok, "{}: {:?}", label, report.error);
+                assert!(report.rounds < opts.max_rounds, "{}: no fixpoint in the round cap", label);
+                let once = once.expect("no pass panicked").program;
+                let printed = to_minified(&once);
+                let (twice, report) = normalize_program(once, None, &opts, &budget());
+                assert_eq!(report.total_rewrites(), 0, "{}: the second run rewrote", label);
+                assert_eq!(report.rounds, 1, "{}", label);
+                let twice = twice.expect("no pass panicked").program;
+                assert_eq!(
+                    to_minified(&twice),
+                    printed,
+                    "{}: the second run moved the tree",
+                    label
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 600, "only {} pass runs checked", checked);
+}
+
+/// Normalizes `src` with the input's scope tree passed in, as the
+/// analysis front end does, and prints the result minified.
+fn normalize_seeded(src: &str) -> (String, jsdetect_suite::normalize::NormalizeReport) {
+    let program = parse(src).unwrap();
+    let scopes = jsdetect_suite::flow::analyze_scopes(&program);
+    let (normalized, report) =
+        normalize_program(program, Some(&scopes), &NormalizeOptions::default(), &budget());
+    (to_minified(&normalized.expect("no pass panicked").program), report)
+}
+
+/// The seeded scope tree is the input's: once dead-branch deletes the
+/// second write of `a`, propagation must see a tree built after that
+/// rewrite, or `a` still counts two writes and stays unpropagated.
+#[test]
+fn a_rewrite_invalidates_the_seeded_scope_tree() {
+    let (out, report) = normalize_seeded("var a = 1; if (false) { a = 2; } f(a);");
+    assert_eq!(out, "var a=1;f(1);");
+    assert_eq!(report.outcome, OutcomeKind::Ok);
+
+    let (out, report) = normalize_seeded("var a = 1 + 2; f(a);");
+    assert_eq!(out, "var a=3;f(3);");
+    assert_eq!(report.rounds, 3);
+    assert_eq!(report.total_rewrites(), 2);
+}
+
+/// A run that rewrites nothing uses the seeded tree and builds none: it
+/// hands back the seed itself. Without a seed the same run builds one.
+#[test]
+fn a_script_with_nothing_to_rewrite_builds_no_scope_tree() {
+    use std::borrow::Cow;
+
+    // `k` has a literal initializer, so propagation needs the scope tree,
+    // and a second write, so it propagates nothing.
+    let src = "var k = 1; k = g(); f(k);";
+    let program = parse(src).unwrap();
+    let seed = jsdetect_suite::flow::analyze_scopes(&program);
+    let opts = NormalizeOptions::default();
+    let (normalized, report) = normalize_program(program.clone(), Some(&seed), &opts, &budget());
+    assert_eq!(report.total_rewrites(), 0);
+    let scopes = normalized.expect("no pass panicked").scopes;
+    assert!(matches!(scopes, Some(Cow::Borrowed(s)) if std::ptr::eq(s, &seed)), "{:?}", scopes);
+
+    let (normalized, _) = normalize_program(program, None, &opts, &budget());
+    assert!(matches!(normalized.expect("no pass panicked").scopes, Some(Cow::Owned(_))));
 }

@@ -80,12 +80,13 @@ fn delta_measurement_past_the_deadline_rejects() {
     let tree = TreeStats::of(&program);
     let graph = jsdetect_suite::flow::analyze(&program);
     let lint = jsdetect_suite::lint::lint(&src, &program, &graph).1;
-    let (normalized, report) = normalize_program(program, &NormalizeOptions::default(), &unbounded);
+    let (normalized, report) =
+        normalize_program(program, Some(&graph.scopes), &NormalizeOptions::default(), &unbounded);
     let front = t.elapsed();
     assert_eq!(report.outcome, OutcomeKind::Ok);
     let normalized = normalized.unwrap();
     let t = Instant::now();
-    measure_deltas(&src, &tree, &normalized, &lint, &unbounded);
+    measure_deltas(&src, &tree, &normalized.program, normalized.scopes, &lint, &unbounded);
     let measure = t.elapsed();
     assert!(front < deadline / 2, "parse, flow, lint and normalization took {:?}", front);
     assert!(measure > deadline * 3, "the measurement took only {:?}", measure);
